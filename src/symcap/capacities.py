@@ -21,7 +21,7 @@ from .linfty import (
     extend_coderivation,
 )
 from .linsolve import solve_linear_system
-from .spectra import OrbitRecord, OrbitSpectrum
+from .spectra import OrbitRecord, OrbitSpectrum, ech_sequence
 
 NO_FORMULA = "no-formula"
 NOT_FOUND = "not-found-below-cutoff"
@@ -270,39 +270,6 @@ def gb_solver(
 
 # ---------------------------------------------------------------------------
 # McDuff's embedding function via ECH ratios
-
-
-def ech_sequence(a, b, K: int) -> list[Fraction]:
-    """c_0..c_K of E(a,b) in one pass (histogram of lattice values)."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("ellipsoid parameters must be positive")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    scale = Fraction(math.lcm(a.denominator, b.denominator))
-    a_int, b_int = int(a * scale), int(b * scale)
-    hi = max(a_int, b_int)
-    while _lattice_count(a_int, b_int, hi) < K + 1:
-        hi *= 2
-    hist = [0] * (hi + 1)
-    for i in range(hi // a_int + 1):
-        base = i * a_int
-        for j in range((hi - base) // b_int + 1):
-            hist[base + j * b_int] += 1
-    out: list[Fraction] = []
-    for v, count in enumerate(hist):
-        out.extend([Fraction(v) / scale] * count)
-        if len(out) > K:
-            break
-    return out[: K + 1]
-
-
-def _lattice_count(a_int: int, b_int: int, bound: int) -> int:
-    total = 0
-    for i in range(bound // a_int + 1):
-        total += (bound - i * a_int) // b_int + 1
-    return total
 
 
 def mcduff_f(x, K: int) -> Fraction:

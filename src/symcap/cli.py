@@ -8,7 +8,7 @@ Subcommands
     alias), ``ech``, ``g-tangency``, ``r-points``; ``--domain`` like
     ``E:1,2``, ``P:1,3``, ``B`` or ``B:2`` (``E:1,inf`` is accepted for the
     eh family only); ``--k`` a single index or an ``a..b`` range.  Range
-    entries are computed in parallel and emitted in ascending order.  The
+    entries are computed in one pass and emitted in ascending order.  The
     CSV table is cached under a content key (one file per command kind and
     key, next to its manifest); ``--no-cache`` bypasses the cache and the
     ``SYMCAP_CACHE_DIR`` environment variable overrides the cache root.
@@ -44,7 +44,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -72,7 +71,7 @@ from .linfty import (
 )
 from .modelfile import load_model, print_model
 from .novikov import fmt_rational, parse_novikov
-from .spectra import INF, capacity_sequence_ECH, capacity_sequence_EH
+from .spectra import INF, ech_sequence, eh_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,14 +197,15 @@ def _domain_text(kind: str, axes: tuple) -> str:
 # cap capacity
 
 
-def _capacity_value(family: str, kind: str, axes: tuple, k: int):
+def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> list:
+    """The values at the contiguous indices ``ks``, in order."""
     if family in ("eh", "gh"):
         if kind == "polydisk":
             raise CliUsageError(
                 "the eh family has closed forms for ellipsoids and balls only"
             )
         seq_axes = axes * 2 if kind == "ball" else axes
-        return capacity_sequence_EH(seq_axes, k)
+        return eh_sequence(seq_axes, ks[-1])[ks[0] - 1 :]
     if family == "ech":
         if kind == "polydisk":
             raise CliUsageError("the ech family covers ellipsoids and balls")
@@ -214,13 +214,14 @@ def _capacity_value(family: str, kind: str, axes: tuple, k: int):
                 "infinite factors are supported only in the eh family"
             )
         a, b = (axes * 2)[:2]
-        return capacity_sequence_ECH(a, b, k)
+        return ech_sequence(a, b, ks[-1])[ks[0] :]
     if family == "g-tangency":
-        return g_tangency(_descriptor(kind, axes), k)
+        domain = _descriptor(kind, axes)
+        return [g_tangency(domain, k) for k in ks]
     if family == "r-points":
         if kind != "ball":
             raise CliUsageError("the r-points family is a ball invariant")
-        return axes[0] * r_points_ball(k)
+        return [axes[0] * r_points_ball(k) for k in ks]
     raise CliUsageError(f"unknown family {family!r}")
 
 
@@ -229,12 +230,9 @@ def _format_cell(value) -> str:
 
 
 def _capacity_rows(family: str, kind: str, axes: tuple, ks: list[int]):
-    with ThreadPoolExecutor(max_workers=min(8, len(ks))) as pool:
-        values = list(
-            pool.map(lambda k: _capacity_value(family, kind, axes, k), ks)
-        )
+    values = _capacity_values(family, kind, axes, ks)
     rows = []
-    for k, value in zip(ks, values):
+    for k, value in zip(ks, values, strict=True):
         exact = _format_cell(value)
         decimal = "" if isinstance(value, str) else f"{float(value):.6g}"
         rows.append((str(k), exact, decimal))
@@ -320,8 +318,8 @@ def cmd_obstruct(args) -> int:
         print(f"no obstruction below K={args.K}")
         return EXIT_OK
     k = verdict
-    cs = capacity_sequence_ECH(a, b, k)
-    ct = capacity_sequence_ECH(c, d, k)
+    cs = ech_sequence(a, b, k)[k]
+    ct = ech_sequence(c, d, k)[k]
     print(
         f"obstructed at k={k}: c_{k}({source}) = {fmt_rational(cs)} > "
         f"{fmt_rational(ct)} = c_{k}({target})"

@@ -67,13 +67,6 @@ def combo_sub(a: Combo, b: Combo) -> Combo:
     return out
 
 
-def combo_valuation(combo: Combo):
-    """Filtration level: min over terms of valuation(coeff) + action(word)."""
-    if not combo:
-        return math.inf
-    return min(c.valuation() + w.action for w, c in combo.items())
-
-
 def _sign_nov(sign: int, cutoff) -> NovikovPolynomial:
     return NovikovPolynomial(((0, sign),), cutoff)
 
@@ -994,15 +987,7 @@ def linearize(
                 f"{model._word_str(word)} is nonzero: {scalar}"
             )
 
-    f_components: dict[tuple[int, Word], Combo] = {}
-    for g in model.ordered_generators:
-        w = Word([g])
-        combo: Combo = {w: NovikovPolynomial.unit(model.cutoff)}
-        v = values.get(g)
-        if v is not None:
-            combo[Word(())] = v
-        f_components[(1, w)] = combo
-    f_eps = LInfinityMorphism(model, model, f_components)
+    f_eps = f_epsilon_map(model, eps)
 
     lin_ops: dict[tuple[int, Word], Combo] = {}
     for (arity, word), combo in model.operations.items():
@@ -1082,8 +1067,8 @@ class IntervalElement:
 class IntervalModel:
     """The model with coefficients extended by K[t,dt].
 
-    Only the structure maps and evaluation morphisms are provided; elements
-    are split into degree-homogeneous parts internally so the sign in
+    Only the structure maps are provided (evaluation at t = t0 is
+    :meth:`IntervalElement.eval_at`); elements are split into degree-homogeneous parts internally so the sign in
     d(P dt) and the Leibniz-type dt-signs are well defined.
     """
 
@@ -1150,9 +1135,6 @@ class IntervalModel:
         walk(0, 0, [], NovikovPolynomial.unit(model.cutoff))
         return out
 
-    def eval_at(self, t0) -> "EvalMap":
-        return EvalMap(self.model, Fraction(t0))
-
 
 def _tail_p_sign(elts: Sequence[IntervalElement], i: int) -> int:
     """(-1)^{|P_{i+1}|+...+|P_k|} for homogeneous P-parts."""
@@ -1163,17 +1145,6 @@ def _tail_p_sign(elts: Sequence[IntervalElement], i: int) -> int:
             raise ModelError("interval inputs must have homogeneous P-parts")
         total += degs.pop() if degs else 0
     return -1 if total % 2 else 1
-
-
-class EvalMap:
-    """The strict evaluation map at t = t0 (one-input component only)."""
-
-    def __init__(self, model: LInfinityModel, t0: Fraction):
-        self.model = model
-        self.t0 = t0
-
-    def apply(self, elt: IntervalElement) -> Combo:
-        return elt.eval_at(self.t0)
 
 
 class Homotopy:

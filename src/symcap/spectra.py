@@ -148,17 +148,21 @@ def polydisk_orbits(x: Axis, cutoff: Axis) -> OrbitSpectrum:
 # classical capacity sequences
 
 
-def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
-    """k-th smallest element of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
-    if k < 1:
+def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
+    """The K smallest elements of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
+    if K < 1:
         raise ValueError("k must be >= 1")
     finite = [Fraction(x) for x in a if x != INF]
     if not finite:
         raise ValueError("all ellipsoid parameters are infinite")
     if any(x <= 0 for x in finite):
         raise ValueError("ellipsoid parameters must be positive")
-    values = sorted(x * i for x in finite for i in range(1, k + 1))
-    return values[k - 1]
+    return sorted(x * i for x in finite for i in range(1, K + 1))[:K]
+
+
+def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
+    """k-th smallest element of {i*a_j : i >= 1}."""
+    return eh_sequence(a, k)[k - 1]
 
 
 def _ech_count(a_int: int, b_int: int, bound: int) -> int:
@@ -169,31 +173,39 @@ def _ech_count(a_int: int, b_int: int, bound: int) -> int:
     return total
 
 
-def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:
-    """(k+1)-st smallest of the multiset {i*a + j*b : i,j >= 0}."""
-    if k < 0:
+def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
+    """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
+    if K < 0:
         raise ValueError("k must be >= 0")
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid parameters must be positive")
-    if k == 0:
-        return Fraction(0)
-    scale = Fraction(math.lcm(a.denominator, b.denominator))
+    scale = math.lcm(a.denominator, b.denominator)
     a_int = int(a * scale)
     b_int = int(b * scale)
     lo, hi = 0, 1
-    while _ech_count(a_int, b_int, hi) < k + 1:
+    while _ech_count(a_int, b_int, hi) < K + 1:
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if _ech_count(a_int, b_int, mid) >= k + 1:
+        if _ech_count(a_int, b_int, mid) >= K + 1:
             hi = mid
         else:
             lo = mid + 1
     # lattice values are integers after scaling, so the count first reaches
-    # k+1 exactly at the (k+1)-st smallest value
-    return Fraction(lo) / scale
+    # K+1 exactly at the (K+1)-st smallest value
+    values = sorted(
+        i * a_int + j * b_int
+        for i in range(lo // a_int + 1)
+        for j in range((lo - i * a_int) // b_int + 1)
+    )
+    return [Fraction(v, scale) for v in values[: K + 1]]
+
+
+def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:
+    """(k+1)-st smallest of the multiset {i*a + j*b : i,j >= 0}."""
+    return ech_sequence(a, b, k)[k]
 
 
 # ---------------------------------------------------------------------------

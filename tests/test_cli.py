@@ -82,6 +82,27 @@ def test_point_counts_on_the_ball(capsys):
     assert out == "1,1,2,2,2,3,3\n"
 
 
+@pytest.mark.parametrize(
+    "family,domain",
+    [
+        ("eh", "E:1,13/2"),
+        ("ech", "E:2/3,7/5"),
+        ("g-tangency", "E:1,20"),
+        ("r-points", "B:2"),
+    ],
+)
+def test_range_not_starting_at_one_matches_single_indices(capsys, family, domain):
+    argv = ["capacity", "--family", family, "--domain", domain, "--k"]
+    code, out, _ = run(capsys, *argv, "5..9")
+    assert code == 0
+    singles = []
+    for k in range(5, 10):
+        single_code, single_out, _ = run(capsys, *argv, str(k))
+        assert single_code == 0
+        singles.append(single_out.rstrip("\n"))
+    assert out == ",".join(singles) + "\n"
+
+
 def test_csv_table_and_sentinel_rows(capsys, tmp_path):
     dest = tmp_path / "table.csv"
     code, out, _ = run(
@@ -165,6 +186,14 @@ def test_four_dimensional_no_obstruction(capsys):
     )
     assert code == 0
     assert out == "no obstruction below K=100\n"
+
+
+def test_four_dimensional_comparison_with_a_large_common_denominator(capsys):
+    code, out, _ = run(
+        capsys, "obstruct", "--source", "E:1,1.000001", "--target", "B:2",
+        "--K", "8",
+    )
+    assert (code, out) == (0, "no obstruction below K=8\n")
 
 
 # ---------------------------------------------------------------------------

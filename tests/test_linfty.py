@@ -606,7 +606,6 @@ def test_interval_evaluation_is_strict(models):
         dgla.word("y"): ONE.scale(Fraction(1, 2)),
     }
     assert elt.eval_at(Fraction(1, 2)) == expected
-    assert IntervalModel(dgla).eval_at(Fraction(1, 2)).apply(elt) == expected
 
 
 def test_constant_homotopy_has_equal_endpoints(models):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from symcap.spectra import (
     capacity_sequence_ECH,
     capacity_sequence_EH,
     conley_zehnder_ellipsoid,
+    ech_sequence,
+    eh_sequence,
     ellipsoid_orbits,
     fredholm_index,
     polydisk_orbits,
@@ -125,6 +128,9 @@ def test_polydisk_orbits_need_normalized_factor():
 def test_eh_sequence_e12():
     values = [capacity_sequence_EH([1, 2], k) for k in range(1, 8)]
     assert values == [1, 2, 2, 3, 4, 4, 5]
+    axes = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
+    brute = sorted(i * x for x in axes for i in range(1, 40))
+    assert eh_sequence(axes, 25) == brute[:25]
 
 
 def test_eh_sequence_round():
@@ -158,6 +164,16 @@ def test_ech_sequence_against_brute_force():
     brute = sorted(i * a + j * b for i in range(40) for j in range(40))
     for k in range(25):
         assert capacity_sequence_ECH(a, b, k) == brute[k]
+    assert ech_sequence(a, b, 24) == brute[:25]
+
+
+def test_ech_sequence_cost_does_not_grow_with_the_common_denominator():
+    b = Fraction(1000001, 1000000)
+    brute = sorted(i + j * b for i in range(10) for j in range(10))
+    start = time.perf_counter()
+    values = ech_sequence(1, b, 8)
+    assert time.perf_counter() - start < 2.0
+    assert values == brute[:9]
 
 
 def test_ech_sequence_is_nondecreasing():
