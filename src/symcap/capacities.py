@@ -205,9 +205,10 @@ def gb_solver(
 ) -> Value:
     """Minimum action level A at which some closed bar element x of word
     length <= word_cap and action <= A hits the t-power word ``b`` under
-    the augmentation.  Scalars are exact rationals with T evaluated at 1;
-    the reported level recovers the Novikov exponent (increasing-filtration
-    formulation for Liouville domains).
+    the augmentation.  Every coefficient must be a single T-power, and
+    scalars are exact rationals with T evaluated at 1; the reported level
+    recovers the Novikov exponent (increasing-filtration formulation for
+    Liouville domains).
     """
     if model.algebra_mode != "module":
         raise ModelError("gb_solver expects a module-mode model")
@@ -218,17 +219,7 @@ def gb_solver(
     target = tuple(sorted(int(p) for p in b))
     if not target or any(p < 0 for p in target):
         raise ModelError("b must be a nonempty word of nonnegative t-powers")
-    if augmentation is None:
-        if len(model.augmentations) != 1:
-            raise ModelError(
-                "model has several augmentations; pass the name explicitly"
-            )
-        aug = next(iter(model.augmentations.values()))
-    else:
-        try:
-            aug = model.augmentations[augmentation]
-        except KeyError:
-            raise ModelError(f"no augmentation named {augmentation!r}") from None
+    aug = model.augmentation(augmentation)
 
     cutoff = Fraction(action_cutoff)
     words = model.basis_words(word_cap, cutoff)
@@ -237,12 +228,8 @@ def gb_solver(
     diff_cols = []
     aug_cols = []
     for w in words:
-        diff_cols.append(
-            {u: c.at_one() for u, c in extend_coderivation(model, w).items() if c.at_one()}
-        )
-        aug_cols.append(
-            {t: c.at_one() for t, c in augmentation_hat(aug, w).items() if c.at_one()}
-        )
+        diff_cols.append(_scalarize(extend_coderivation(model, w)))
+        aug_cols.append(_scalarize(augmentation_hat(aug, w)))
 
     levels = sorted({w.action for w in words})
     for level in levels:
@@ -266,6 +253,21 @@ def gb_solver(
         if solve_linear_system(matrix, rhs) is not None:
             return level
     return NOT_FOUND
+
+
+def _scalarize(combo: dict) -> dict:
+    """The combination with each coefficient evaluated at T = 1.
+
+    A coefficient with several T-powers would merge distinct action levels
+    (and could cancel to zero), so it is refused.
+    """
+    for c in combo.values():
+        if len(c.terms) > 1:
+            raise ModelError(
+                f"coefficient {c} has several T-powers; the solver needs "
+                "one T-power per coefficient"
+            )
+    return {key: c.at_one() for key, c in combo.items()}
 
 
 # ---------------------------------------------------------------------------

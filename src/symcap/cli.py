@@ -15,11 +15,15 @@ Subcommands
 
 ``cap obstruct``
     Embedding obstructions: with ``--stabilized``, the best closed-form
-    lower bound on the scaling factor for the stabilized problem; without
-    it, a four-dimensional capacity-sequence comparison up to ``--K``.
+    lower bound on the scaling factor for the stabilized problem, whose
+    ``--target`` is a ball ``B[:c]`` or a cube ``P:c,c``; without it, a
+    four-dimensional capacity-sequence comparison up to ``--K``.
 
 ``cap linf``
     Model-file operations: ``check``, ``linearize``, ``mc``, ``solve-gb``.
+    ``linearize`` and ``solve-gb`` use the augmentation named by ``--aug``,
+    which may be left out when the model has exactly one; an unknown name,
+    or a left-out name on a model without exactly one, is a usage error.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
@@ -294,15 +298,26 @@ def cmd_capacity(args) -> int:
 # cap obstruct
 
 
+def _stabilized_target(text: str) -> tuple[str, Fraction]:
+    """``B[:c]`` / ``P`` / ``P:c,c`` -> (target family, scale c)."""
+    if text.strip().upper() == "P":
+        return "polydisk", Fraction(1)
+    kind, axes = _parse_domain(text)
+    if kind == "ball":
+        return kind, axes[0]
+    if kind == "polydisk" and len(axes) == 2 and axes[0] == axes[1] != INF:
+        return kind, axes[0]
+    raise CliUsageError(f"a stabilized target is B[:c] or P:c,c, not {text!r}")
+
+
 def cmd_obstruct(args) -> int:
     src_kind, src_axes = _parse_domain(args.source)
     source = _descriptor(src_kind, src_axes)
     if args.stabilized:
-        family = {"B": "ball", "P": "polydisk"}.get(
-            args.target.upper().partition(":")[0], args.target
-        )
+        family, scale = _stabilized_target(args.target)
         bound, witness = stabilized_obstruction(source, family)
-        print(f"bound {fmt_rational(bound)}, witness k={witness}")
+        # capacities scale like area, so the bound for c*target is bound/c
+        print(f"bound {fmt_rational(bound / scale)}, witness k={witness}")
         return EXIT_OK
     tgt_kind, tgt_axes = _parse_domain(args.target)
     target = _descriptor(tgt_kind, tgt_axes)
@@ -341,20 +356,13 @@ def _word_text(word) -> str:
     return "(" + ",".join(names) + ")"
 
 
-def _pick_augmentation(model, name: Optional[str]):
-    if name is not None:
-        if name not in model.augmentations:
-            raise CliUsageError(f"no augmentation named {name!r}")
-        return model.augmentations[name]
-    if len(model.augmentations) != 1:
-        raise CliUsageError(
-            "model has several augmentations; pass --aug explicitly"
-        )
-    return next(iter(model.augmentations.values()))
-
-
 def cmd_linf(args) -> int:
     model = load_model(args.model)
+    if args.linf_cmd in ("linearize", "solve-gb"):
+        try:
+            eps = model.augmentation(args.aug)
+        except ModelError as exc:
+            raise CliUsageError(str(exc)) from None
     if args.linf_cmd == "check":
         violations = check_linfty_relations(model, args.l)
         if not violations:
@@ -375,7 +383,7 @@ def cmd_linf(args) -> int:
         if cutoff is None:
             top = max(g.action for g in model.ordered_generators)
             cutoff = top * args.l
-        level = gb_solver(model, b, args.l, cutoff, augmentation=args.aug)
+        level = gb_solver(model, b, args.l, cutoff, augmentation=eps.name)
         if level == NOT_FOUND:
             print(
                 f"{NOT_FOUND} (word cap {args.l}, action cutoff "
@@ -399,7 +407,6 @@ def cmd_linf(args) -> int:
         )
         return EXIT_INFEASIBLE
     if args.linf_cmd == "linearize":
-        eps = _pick_augmentation(model, args.aug)
         _, linearized = linearize(model, eps)
         text = print_model(linearized)
         if args.output:
@@ -507,7 +514,7 @@ def build_parser() -> _Parser:
     obs.add_argument(
         "--stabilized",
         action="store_true",
-        help="closed-form bound for the stabilized problem (target B or P)",
+        help="closed-form bound for the stabilized problem (target B[:c] or P:c,c)",
     )
     obs.add_argument("--K", type=int, default=100, help="comparison depth")
     obs.set_defaults(func=cmd_obstruct)

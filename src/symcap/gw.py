@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .novikov import parse_rational
+from .novikov import add_into, parse_rational
 
 SURFACES = ("CP2", "CP1xCP1", "CP1")
 
@@ -96,14 +96,6 @@ def is_rigid(key: Key) -> bool:
     if surface is None:
         raise ValueError("rigidity needs a surface and class")
     return codimension(key) == index_dimension(surface, cls)
-
-
-def _add(acc: Combination, key: Key, coeff: Fraction) -> None:
-    total = acc.get(key, Fraction(0)) + coeff
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +227,14 @@ def reduce_combination(
         acc: Combination = {}
         for sub, c in expansion:
             for base, d in reduce_key(sub).items():
-                _add(acc, base, c * d)
+                add_into(acc, base, c * d)
         memo[key] = acc
         return acc
 
     result: Combination = {}
     for key, coeff in expr.items():
         for base, d in reduce_key(key).items():
-            _add(result, base, coeff * d)
+            add_into(result, base, coeff * d)
     return result
 
 

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
-from .novikov import NovikovPolynomial, fmt_rational
+from .novikov import NovikovPolynomial, add_into, fmt_rational
 from .words import (
     Generator,
     Word,
     crossing_sign,
     normalize_word,
     reorder_sign,
+    word_multiplicity_factor,
 )
 
 Combo = dict  # Word -> NovikovPolynomial
@@ -42,33 +43,35 @@ class IntegrityError(RuntimeError):
 # linear-combination helpers
 
 
-def combo_add_into(acc: Combo, word: Word, coeff: NovikovPolynomial) -> None:
-    if coeff.is_zero():
-        return
-    prev = acc.get(word)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = total
-
-
-def combo_scale(combo: Combo, coeff: NovikovPolynomial) -> Combo:
-    out: Combo = {}
-    for w, c in combo.items():
-        combo_add_into(out, w, c * coeff)
-    return out
-
-
 def combo_sub(a: Combo, b: Combo) -> Combo:
     out = dict(a)
     for w, c in b.items():
-        combo_add_into(out, w, -c)
+        add_into(out, w, -c)
     return out
 
 
-def _sign_nov(sign: int, cutoff) -> NovikovPolynomial:
-    return NovikovPolynomial(((0, sign),), cutoff)
+def _extend_linearly(f, combo: Combo) -> dict:
+    """Σ c·f(w) over the terms c·w of ``combo``; ``f`` returns combinations."""
+    out: dict = {}
+    for w, c in combo.items():
+        for u, d in f(w).items():
+            add_into(out, u, c * d)
+    return out
+
+
+def _signed_lookup(table: dict, letters: Sequence) -> Combo:
+    """The entry of an (arity, canonical word)-keyed table at the canonical
+    form of ``letters``, times the sign of sorting them."""
+    sign, key = normalize_word(letters)
+    if key is None:
+        return {}
+    combo = table.get((len(key), key), {})
+    return dict(combo) if sign == 1 else {w: -c for w, c in combo.items()}
+
+
+def _monomial(letters: Sequence) -> tuple[int, Optional[Word]]:
+    """``normalize_word`` that also takes no letters: the empty monomial 1."""
+    return normalize_word(letters) if letters else (1, Word(()))
 
 
 def set_partitions(items: Sequence) -> Iterable[list[list]]:
@@ -90,6 +93,26 @@ def set_partitions(items: Sequence) -> Iterable[list[list]]:
                 + [[first] + list(part[i])]
                 + [list(b) for b in part[i + 1 :]]
             )
+
+
+def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
+    """(Koszul sign, per-block values) for each set partition of the letter
+    positions of ``w`` on whose every block ``lookup`` is nonzero.
+
+    Blocks are ordered by first position, and ``lookup`` gets each block's
+    letters as a word.
+    """
+    degrees = [l.degree for l in w.letters]
+    for part in set_partitions(range(len(w))):
+        blocks = sorted(part, key=lambda b: b[0])
+        values = []
+        for b in blocks:
+            value = lookup(Word([w.letters[p] for p in b]))
+            if not value:
+                break
+            values.append(value)
+        else:
+            yield reorder_sign(degrees, [p for b in blocks for p in b]), values
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +205,7 @@ class LInfinityModel:
                             f"filtration: output {self._word_str(out)} at level "
                             f"{fmt_rational(lvl)} < {fmt_rational(word.action)}"
                         )
-                combo_add_into(clean, out, coeff)
+                add_into(clean, out, coeff)
             if clean:
                 self.operations[(arity, word)] = clean
 
@@ -263,8 +286,20 @@ class LInfinityModel:
     def nov(self, terms) -> NovikovPolynomial:
         return NovikovPolynomial(terms, self.cutoff)
 
-    def one(self) -> NovikovPolynomial:
-        return NovikovPolynomial.unit(self.cutoff)
+    def augmentation(self, name: Optional[str] = None) -> Augmentation:
+        """The augmentation called ``name``; without a name, the only one."""
+        if name is not None:
+            try:
+                return self.augmentations[name]
+            except KeyError:
+                raise ModelError(f"no augmentation named {name!r}") from None
+        if len(self.augmentations) != 1:
+            raise ModelError(
+                "model has several augmentations; pass the name explicitly"
+                if self.augmentations
+                else "model has no augmentations"
+            )
+        return next(iter(self.augmentations.values()))
 
     def basis_words(self, max_len: int, max_action=None) -> list[Word]:
         """Canonical bar words up to the given length (and action bound)."""
@@ -320,14 +355,9 @@ class LInfinityModel:
 
     def apply_operation(self, letters: Sequence) -> Combo:
         """Apply l^k to k bar letters (generators or, in cdga mode, monomials)."""
-        k = len(letters)
         if self.algebra_mode == "module":
-            sign, key = normalize_word(letters)
-            if key is None:
-                return {}
-            combo = self.operations.get((k, key), {})
-            return combo_scale(combo, _sign_nov(sign, self.cutoff)) if sign != 1 else dict(combo)
-        return self._apply_cdga(k, letters)
+            return _signed_lookup(self.operations, letters)
+        return self._apply_cdga(len(letters), letters)
 
     def _apply_cdga(self, k: int, monomials: Sequence[Word]) -> Combo:
         """Leibniz rule in each slot: pick one letter per monomial, feed l^k."""
@@ -374,15 +404,9 @@ class LInfinityModel:
             return
         rest = [flat[i] for i in leftovers]
         for u, coeff in combo.items():
-            letters = list(u.letters) + rest
-            if letters:
-                sign3, merged = normalize_word(letters)
-                if merged is None:
-                    continue
-            else:
-                sign3, merged = 1, Word(())
-            total = coeff.scale(sign1 * sign2 * sign3)
-            combo_add_into(out, merged, total)
+            sign3, merged = _monomial(list(u.letters) + rest)
+            if merged is not None:
+                add_into(out, merged, coeff.scale(sign1 * sign2 * sign3))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +432,12 @@ def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
                 sign2, bar = normalize_word([letter] + rest)
                 if bar is None:
                     continue
-                combo_add_into(out, bar, coeff.scale(sign * sign2))
+                add_into(out, bar, coeff.scale(sign * sign2))
     return out
 
 
 def coderivation_on_combo(model: LInfinityModel, combo: Combo) -> Combo:
-    out: Combo = {}
-    for w, c in combo.items():
-        for u, d in extend_coderivation(model, w).items():
-            combo_add_into(out, u, c * d)
-    return out
+    return _extend_linearly(lambda w: extend_coderivation(model, w), combo)
 
 
 def check_linfty_relations(
@@ -479,7 +499,7 @@ class LInfinityMorphism:
                             f"morphism component on {source._word_str(word)} "
                             "violates the filtration"
                         )
-                combo_add_into(clean, out, coeff)
+                add_into(clean, out, coeff)
             if clean:
                 self.components[(arity, word)] = clean
 
@@ -487,13 +507,7 @@ class LInfinityMorphism:
         return max((a for a, _ in self.components), default=0)
 
     def component(self, letters: Sequence) -> Combo:
-        sign, key = normalize_word(letters)
-        if key is None:
-            return {}
-        combo = self.components.get((len(key), key), {})
-        if sign == 1:
-            return dict(combo)
-        return combo_scale(combo, _sign_nov(sign, self.target.cutoff))
+        return _signed_lookup(self.components, letters)
 
     # -- application ---------------------------------------------------------
 
@@ -505,14 +519,9 @@ class LInfinityMorphism:
             merged: Combo = {}
             for w1, c1 in result.items():
                 for w2, c2 in image.items():
-                    letters = list(w1.letters) + list(w2.letters)
-                    if letters:
-                        sign, u = normalize_word(letters)
-                        if u is None:
-                            continue
-                    else:
-                        sign, u = 1, Word(())
-                    combo_add_into(merged, u, (c1 * c2).scale(sign))
+                    sign, u = _monomial(w1.letters + w2.letters)
+                    if u is not None:
+                        add_into(merged, u, (c1 * c2).scale(sign))
             result = merged
         return result
 
@@ -521,38 +530,24 @@ def extend_morphism(m: LInfinityMorphism, w: Word) -> Combo:
     """Φ̂(w): sum over set partitions of the letter positions of ``w``."""
     if len(w) == 0:
         raise ModelError("the empty word is not part of the reduced bar complex")
+    out: Combo = {}
     if m.source.algebra_mode == "cdga":
         # algebra map: letterwise images, multiplied out at the bar level
-        acc: Combo = {}
         parts = [m.apply_to_monomial(mono) for mono in w.letters]
-        _tensor_into(acc, parts, m.target)
-        return acc
-    degrees = [l.degree for l in w.letters]
-    out: Combo = {}
-    for part in set_partitions(list(range(len(w)))):
-        blocks = sorted(part, key=lambda b: b[0])
-        order = [p for b in blocks for p in b]
-        sign = reorder_sign(degrees, order)
-        values = []
-        for b in blocks:
-            combo = m.components.get(
-                (len(b), Word([w.letters[p] for p in b])), None
-            )
-            if not combo:
-                values = None
-                break
-            values.append(combo)
-        if values is None:
-            continue
-        partial: Combo = {}
-        _tensor_into(partial, values, m.target)
-        for u, c in partial.items():
-            combo_add_into(out, u, c.scale(sign))
+        _tensor_into(out, parts, m.target)
+        return out
+    for sign, values in _partition_blocks(
+        w, lambda key: m.components.get((len(key), key))
+    ):
+        _tensor_into(out, values, m.target, sign)
     return out
 
 
-def _tensor_into(acc: Combo, factors: list[Combo], target: LInfinityModel) -> None:
-    """⊙-product of per-block output combinations, normalized at bar level."""
+def _tensor_into(
+    acc: Combo, factors: list[Combo], target: LInfinityModel, sign: int = 1
+) -> None:
+    """``sign`` times the ⊙-product of per-block output combinations,
+    normalized at bar level."""
 
     def rec(i: int, letters: list, coeff: NovikovPolynomial):
         if coeff.is_zero():
@@ -560,21 +555,17 @@ def _tensor_into(acc: Combo, factors: list[Combo], target: LInfinityModel) -> No
         if i == len(factors):
             sign, bar = normalize_word(letters)
             if bar is not None:
-                combo_add_into(acc, bar, coeff.scale(sign))
+                add_into(acc, bar, coeff.scale(sign))
             return
         for wrd, c in factors[i].items():
             letter = wrd if target.algebra_mode == "cdga" else wrd.letters[0]
             rec(i + 1, letters + [letter], coeff * c)
 
-    rec(0, [], NovikovPolynomial.unit(target.cutoff))
+    rec(0, [], NovikovPolynomial(((0, sign),), target.cutoff))
 
 
 def morphism_on_combo(m: LInfinityMorphism, combo: Combo) -> Combo:
-    out: Combo = {}
-    for w, c in combo.items():
-        for u, d in extend_morphism(m, w).items():
-            combo_add_into(out, u, c * d)
-    return out
+    return _extend_linearly(lambda w: extend_morphism(m, w), combo)
 
 
 def identity_morphism(model: LInfinityModel) -> LInfinityMorphism:
@@ -597,10 +588,7 @@ def compose_morphisms(
         comps = {}
         for g in phi.source.ordered_generators:
             w = Word([g])
-            total: Combo = {}
-            for u, c in phi.apply_to_monomial(w).items():
-                for v, d in psi.apply_to_monomial(u).items():
-                    combo_add_into(total, v, c * d)
+            total = _extend_linearly(psi.apply_to_monomial, phi.apply_to_monomial(w))
             if total:
                 comps[(1, w)] = total
         return LInfinityMorphism(phi.source, psi.target, comps)
@@ -608,14 +596,9 @@ def compose_morphisms(
         max_word_len = max(1, phi.max_arity() * psi.max_arity())
     comps: dict[tuple[int, Word], Combo] = {}
     for w in phi.source.basis_words(max_word_len):
-        image = extend_morphism(phi, w)
-        total: Combo = {}
-        for u, c in image.items():
-            block = psi.components.get((len(u), u))
-            if not block:
-                continue
-            for v, d in block.items():
-                combo_add_into(total, v, c * d)
+        total = _extend_linearly(
+            lambda u: psi.components.get((len(u), u), {}), extend_morphism(phi, w)
+        )
         if total:
             comps[(len(w), w)] = total
     return LInfinityMorphism(phi.source, psi.target, comps)
@@ -661,28 +644,28 @@ class MaurerCartanElement:
         return min((c.valuation() for c in self.value.values()), default=math.inf)
 
 
-def _mc_multisets(m: MaurerCartanElement, size: int):
-    """(multiset word, rational weight ∏c/∏mult!) pairs of the given size."""
+def _mc_multisets(m: MaurerCartanElement, max_size: int) -> dict:
+    """{sorted generator multiset: weight ∏c/∏mult!} for sizes 1..max_size."""
     gens = sorted(m.value, key=lambda g: g.sort_key)
+    out = {}
+    for size in range(1, max_size + 1):
+        for letters in combinations_with_replacement(gens, size):
+            weight = NovikovPolynomial.unit(m.model.cutoff)
+            for g in letters:
+                weight = weight * m.value[g]
+            fact = word_multiplicity_factor(Word(letters))
+            out[letters] = weight.scale(Fraction(1, fact))
+    return out
 
-    def rec(start: int, left: int, acc: list):
-        if left == 0:
-            yield list(acc)
-            return
-        for i in range(start, len(gens)):
-            acc.append(gens[i])
-            yield from rec(i, left - 1, acc)
-            acc.pop()
 
-    for letters in rec(0, size, []):
-        weight = NovikovPolynomial.unit(m.model.cutoff)
-        run = 1
-        fact = 1
-        for i, g in enumerate(letters):
-            weight = weight * m.value[g]
-            run = run + 1 if i and letters[i - 1] == g else 1
-            fact *= run
-        yield letters, weight.scale(Fraction(1, fact))
+def _mc_size_cap(m: MaurerCartanElement, cap: int, cutoff) -> int:
+    """``cap``, lowered to the most factors of ``m`` that fit below ``cutoff``."""
+    if not m.value:
+        return cap
+    v = m.min_valuation()
+    if v <= 0:
+        raise ModelError("MC element coefficients need strictly positive valuation")
+    return cap if cutoff is None else min(cap, int(cutoff // v))
 
 
 def _max_mc_size(m: MaurerCartanElement, cap: Optional[int]) -> int:
@@ -711,20 +694,12 @@ def mc_check(
     """Truncated Maurer-Cartan sum Σ 1/k! l^k(m,...,m); (pass, residual)."""
     max_arity = max((a for a, _ in model.operations), default=0)
     size_cap = max_arity if max_terms is None else min(max_terms, max_arity)
-    if not assume_nilpotent and m.value:
-        v = m.min_valuation()
-        if v <= 0:
-            raise ModelError(
-                "MC element coefficients need strictly positive valuation"
-            )
-        if model.cutoff is not None:
-            size_cap = min(size_cap, int(model.cutoff // v))
-    residual: Combo = {}
-    for k in range(1, size_cap + 1):
-        for letters, weight in _mc_multisets(m, k):
-            value = model.apply_operation([model.bar_letter(g) for g in letters])
-            for u, c in value.items():
-                combo_add_into(residual, u, c * weight)
+    if not assume_nilpotent:
+        size_cap = _mc_size_cap(m, size_cap, model.cutoff)
+    residual = _extend_linearly(
+        lambda letters: model.apply_operation([model.bar_letter(g) for g in letters]),
+        _mc_multisets(m, size_cap),
+    )
     return (not residual), residual
 
 
@@ -736,22 +711,9 @@ def mc_pushforward(
         raise ModelError("MC element does not live in the morphism source")
     if phi.target.algebra_mode != "module":
         raise ModelError("mc_pushforward needs a module-mode target")
-    size_cap = phi.max_arity()
-    if m.value:
-        v = m.min_valuation()
-        if v <= 0:
-            raise ModelError(
-                "MC element coefficients need strictly positive valuation"
-            )
-        if m.model.cutoff is not None:
-            size_cap = min(size_cap, int(m.model.cutoff // v))
-    value: dict[Generator, NovikovPolynomial] = {}
-    for k in range(1, size_cap + 1):
-        for letters, weight in _mc_multisets(m, k):
-            for u, c in phi.component(letters).items():
-                g = u.letters[0]
-                prev = value.get(g, NovikovPolynomial.zero(phi.target.cutoff))
-                value[g] = prev + c * weight
+    size_cap = _mc_size_cap(m, phi.max_arity(), m.model.cutoff)
+    image = _extend_linearly(phi.component, _mc_multisets(m, size_cap))
+    value = {u.letters[0]: c for u, c in image.items()}
     result = MaurerCartanElement(phi.target, value)
     ok, residual = mc_check(phi.target, result)
     if not ok:
@@ -766,11 +728,9 @@ def exp_mc(m: MaurerCartanElement, max_terms: Optional[int] = None) -> Combo:
     """exp(m) = Σ_{k>=1} m^{⊙k}/k! as a bar-complex combination."""
     cap = _max_mc_size(m, max_terms)
     out: Combo = {}
-    model = m.model
-    for k in range(1, cap + 1):
-        for letters, weight in _mc_multisets(m, k):
-            sign, w = normalize_word([model.bar_letter(g) for g in letters])
-            combo_add_into(out, w, weight.scale(sign))
+    for letters, weight in _mc_multisets(m, cap).items():
+        sign, w = normalize_word([m.model.bar_letter(g) for g in letters])
+        add_into(out, w, weight.scale(sign))
     return out
 
 
@@ -812,7 +772,7 @@ def deform(model: LInfinityModel, m: MaurerCartanElement) -> LInfinityModel:
                 sign, key = normalize_word(remaining)
                 target = new_ops.setdefault((len(remaining), key), {})
                 for u, c in combo.items():
-                    combo_add_into(target, u, (c * weight).scale(sign))
+                    add_into(target, u, (c * weight).scale(sign))
                 return
             g = slots[i]
             for t in range(counts[g] + 1):
@@ -842,53 +802,26 @@ def augmentation_hat(aug: Augmentation, w: Word) -> dict[tuple, NovikovPolynomia
     Output keys are sorted tuples of t-exponents.  Blocks are ordered by
     first position and signs come from the source letter degrees.
     """
-    degrees = [l.degree for l in w.letters]
     out: dict[tuple, NovikovPolynomial] = {}
-    for part in set_partitions(list(range(len(w)))):
-        blocks = sorted(part, key=lambda b: b[0])
-        order = [p for b in blocks for p in b]
-        sign = reorder_sign(degrees, order)
-        tpolys = []
-        for b in blocks:
-            tp = aug.component(Word([w.letters[p] for p in b]))
-            if not tp:
-                tpolys = None
-                break
-            tpolys.append(tp)
-        if tpolys is None:
-            continue
+    for sign, tpolys in _partition_blocks(w, aug.component):
 
         def rec(i: int, powers: list[int], coeff: NovikovPolynomial):
             if coeff.is_zero():
                 return
             if i == len(tpolys):
-                key = tuple(sorted(powers))
-                prev = out.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                add_into(out, tuple(sorted(powers)), coeff)
                 return
             for p, c in tpolys[i].items():
                 rec(i + 1, powers + [p], coeff * c)
 
-        rec(0, [], NovikovPolynomial((((0, sign),))))
+        rec(0, [], NovikovPolynomial(((0, sign),)))
     return out
 
 
 def augmentation_hat_combo(
     aug: Augmentation, combo: Combo
 ) -> dict[tuple, NovikovPolynomial]:
-    out: dict[tuple, NovikovPolynomial] = {}
-    for w, c in combo.items():
-        for key, d in augmentation_hat(aug, w).items():
-            total = out.get(key, NovikovPolynomial.zero(c.cutoff)) + c * d
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    return _extend_linearly(lambda w: augmentation_hat(aug, w), combo)
 
 
 def augmentation_pushforward_mc(
@@ -900,19 +833,10 @@ def augmentation_pushforward_mc(
         v = m.min_valuation()
         if v > 0 and m.model.cutoff is not None:
             cap = min(cap, int(m.model.cutoff // v))
-    out: dict[int, NovikovPolynomial] = {}
-    for k in range(1, cap + 1):
-        for letters, weight in _mc_multisets(m, k):
-            sign, key = normalize_word(letters)
-            for p, c in aug.component(key).items():
-                total = out.get(p, NovikovPolynomial.zero(m.model.cutoff)) + (
-                    c * weight
-                ).scale(sign)
-                if total.is_zero():
-                    out.pop(p, None)
-                else:
-                    out[p] = total
-    return out
+    # MC letters are even and sorted, so each multiset is a canonical word
+    return _extend_linearly(
+        lambda letters: aug.component(Word(letters)), _mc_multisets(m, cap)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -991,11 +915,8 @@ def linearize(
 
     lin_ops: dict[tuple[int, Word], Combo] = {}
     for (arity, word), combo in model.operations.items():
-        lin: Combo = {}
-        for u, c in combo.items():
-            for v, d in f_eps.apply_to_monomial(u).items():
-                if len(v) == 1:
-                    combo_add_into(lin, v, c * d)
+        image = _extend_linearly(f_eps.apply_to_monomial, combo)
+        lin = {v: c for v, c in image.items() if len(v) == 1}
         if lin:
             lin_ops[(arity, word)] = lin
     lin_model = LInfinityModel(
@@ -1059,7 +980,7 @@ class IntervalElement:
         power = Fraction(1)
         for combo in self.p:
             for w, c in combo.items():
-                combo_add_into(out, w, c.scale(power))
+                add_into(out, w, c.scale(power))
             power *= t0
         return out
 
@@ -1090,10 +1011,10 @@ class IntervalModel:
             for deg, part in self._split_by_degree(elt.p[j]).items():
                 sign = -1 if deg % 2 else 1
                 for w, c in part.items():
-                    combo_add_into(q_out[j - 1], w, c.scale(sign * j))
+                    add_into(q_out[j - 1], w, c.scale(sign * j))
         for j, combo in enumerate(elt.q):
             for w, c in coderivation_on_combo(model, combo).items():
-                combo_add_into(q_out[j], w, c)
+                add_into(q_out[j], w, c)
         return IntervalElement(p_out, q_out)
 
     def lk(self, elts: Sequence[IntervalElement]) -> IntervalElement:
@@ -1110,7 +1031,7 @@ class IntervalModel:
                 while len(q_parts) <= j:
                     q_parts.append({})
                 for w, c in combo.items():
-                    combo_add_into(q_parts[j], w, c.scale(sign))
+                    add_into(q_parts[j], w, c.scale(sign))
         return IntervalElement(p_out, q_parts)
 
     def _poly_lk(self, slots: list) -> list[Combo]:
@@ -1125,7 +1046,7 @@ class IntervalModel:
                 while len(out) <= power:
                     out.append({})
                 for u, c in model.apply_operation(letters).items():
-                    combo_add_into(out[power], u, c * coeff)
+                    add_into(out[power], u, c * coeff)
                 return
             for j, combo in enumerate(slots[i]):
                 for w, c in combo.items():

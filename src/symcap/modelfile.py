@@ -34,7 +34,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .linfty import Augmentation, LInfinityModel, ModelError
-from .novikov import NovikovPolynomial, fmt_rational, parse_novikov, parse_rational
+from .novikov import (
+    NovikovPolynomial,
+    add_into,
+    fmt_rational,
+    parse_novikov,
+    parse_rational,
+)
 from .words import Generator, Word, normalize_word
 
 _SECTIONS = ("flags", "generators", "operations", "augmentations")
@@ -179,15 +185,8 @@ def parse_model(text: str) -> LInfinityModel:
         for term in _split_terms(fields[2]):
             coeff, rest = _parse_term(term)
             sign, out = _parse_word_part(rest, gens)
-            if sign == 0:
-                continue
-            coeff = coeff.scale(sign)
-            prev = combo.get(out)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                combo.pop(out, None)
-            else:
-                combo[out] = total
+            if sign != 0:
+                add_into(combo, out, coeff.scale(sign))
         key = (arity, word)
         if key in operations:
             raise ModelError(f"duplicate operation key {fields[1]!r}")
@@ -207,13 +206,7 @@ def parse_model(text: str) -> LInfinityModel:
             coeff, rest = _parse_term(term)
             if not rest.startswith("t^"):
                 raise ModelError(f"augmentation terms end in t^<power>: {term!r}")
-            power = int(rest[2:])
-            prev = tpoly.get(power)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                tpoly.pop(power, None)
-            else:
-                tpoly[power] = total
+            add_into(tpoly, int(rest[2:]), coeff)
         comp = augmentations.setdefault(name, {})
         if word in comp:
             raise ModelError(f"duplicate augmentation component {fields[1]!r} for {name}")

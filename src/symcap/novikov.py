@@ -144,7 +144,7 @@ class NovikovPolynomial:
         return self.terms[0][0]
 
     def at_one(self) -> Fraction:
-        """Evaluate at T = 1 (scalarization used by the gb solver)."""
+        """Evaluate at T = 1; sums the coefficients of all T-powers."""
         return sum((c for _, c in self.terms), Fraction(0))
 
     def coefficient(self, exponent: Rational) -> Fraction:
@@ -180,6 +180,22 @@ class NovikovPolynomial:
 
     def __repr__(self) -> str:
         return f"NovikovPolynomial({self})"
+
+
+def add_into(acc: dict, key, coeff) -> None:
+    """``acc[key] += coeff`` in a sparse combination, dropping zero entries.
+
+    Coefficients are tested by truthiness, so this serves Novikov and
+    rational (``Fraction``) coefficients alike.
+    """
+    if not coeff:
+        return
+    prev = acc.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 _TERM_RE = re.compile(

@@ -199,8 +199,10 @@ def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
         i * a_int + j * b_int
         for i in range(lo // a_int + 1)
         for j in range((lo - i * a_int) // b_int + 1)
-    )
-    return [Fraction(v, scale) for v in values[: K + 1]]
+    )[: K + 1]
+    # values repeat, so share one Fraction per distinct value
+    distinct = {v: Fraction(v, scale) for v in set(values)}
+    return [distinct[v] for v in values]
 
 
 def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:

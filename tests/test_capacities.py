@@ -27,6 +27,7 @@ from symcap.capacities import (
     weight_decomposition,
 )
 from symcap.linfty import ModelError
+from symcap.modelfile import parse_model
 from symcap.spectra import capacity_sequence_ECH, capacity_sequence_EH, ellipsoid_orbits, polydisk_orbits
 
 
@@ -201,6 +202,15 @@ def test_gb_solver_input_validation(models):
         gb_solver(models["b2_lin"], [0], 0, 4)
     with pytest.raises(ModelError, match="augmentation"):
         gb_solver(models["b2_lin"], [0], 2, 4, augmentation="nope")
+    # l^1(x) = (T + T^2) y: evaluating at T = 1 would merge two action levels
+    two_powers = parse_model(
+        "[flags]\nfiltered = true\n"
+        "[generators]\nx | 0 | 2\ny | 1 | 1\n"
+        "[operations]\n1 | x | (1*T^1 + 1*T^2) * (y)\n"
+        "[augmentations]\neps | y | (1*T^1) * t^0\n"
+    )
+    with pytest.raises(ModelError, match="several T-powers"):
+        gb_solver(two_powers, [0], 1, 4)
 
 
 # ---------------------------------------------------------------------------

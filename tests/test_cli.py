@@ -157,19 +157,36 @@ def test_no_cache_leaves_no_files(capsys, isolated_cache):
 
 
 def test_stabilized_bound(capsys):
-    code, out, _ = run(
-        capsys, "obstruct", "--source", "E:1,8", "--target", "B", "--stabilized"
-    )
-    assert code == 0
-    assert out == "bound 8/3, witness k=8\n"
+    for target, want in (
+        ("B", "bound 8/3, witness k=8\n"),
+        ("B:1", "bound 8/3, witness k=8\n"),
+        ("B:2", "bound 4/3, witness k=8\n"),
+        ("B:1/2", "bound 16/3, witness k=8\n"),
+    ):
+        code, out, _ = run(
+            capsys, "obstruct", "--source", "E:1,8", "--target", target,
+            "--stabilized",
+        )
+        assert (code, out) == (0, want), target
 
 
 def test_stabilized_polydisk_target(capsys):
-    code, out, _ = run(
-        capsys, "obstruct", "--source", "P:1,2", "--target", "P", "--stabilized"
-    )
-    assert code == 0
-    assert out == "bound 3/2, witness k=3\n"
+    for target, want in (
+        ("P", "bound 3/2, witness k=3\n"),
+        ("P:2,2", "bound 3/4, witness k=3\n"),
+    ):
+        code, out, _ = run(
+            capsys, "obstruct", "--source", "P:1,2", "--target", target,
+            "--stabilized",
+        )
+        assert (code, out) == (0, want), target
+    for target in ("P:5,9", "P:2,2,2", "P:inf,inf", "E:1,2", "Q"):
+        code, out, err = run(
+            capsys, "obstruct", "--source", "P:1,2", "--target", target,
+            "--stabilized",
+        )
+        assert (code, out) == (1, ""), target
+        assert err.startswith("cap: error:"), target
 
 
 def test_four_dimensional_comparison(capsys):
@@ -324,7 +341,17 @@ def test_gw_reduce_is_seed_invariant(capsys):
 # exit codes and wiring
 
 
-def test_usage_errors_exit_one(capsys, fixtures_dir):
+def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
+    two_augs = {}
+    for name, extra in (
+        ("b2_lin", "other | xa1 | (1*T^1) * t^0\n"),
+        ("cdga_aug", "other | b | (1*T^(1/2)) * t^0\n"),
+    ):
+        two_augs[name] = tmp_path / f"{name}_two_augs.model"
+        text = (fixtures_dir / f"{name}.model").read_text()
+        two_augs[name].write_text(text + extra)
+    b2_lin = str(fixtures_dir / "b2_lin.model")
+    cdga_aug = str(fixtures_dir / "cdga_aug.model")
     bad = [
         ["capacity", "--family", "xyz", "--domain", "B", "--k", "1"],
         ["capacity", "--family", "eh", "--domain", "B", "--k", "0..3"],
@@ -333,11 +360,17 @@ def test_usage_errors_exit_one(capsys, fixtures_dir):
         ["capacity", "--family", "ech", "--domain", "E:1,inf", "--k", "1"],
         ["capacity", "--family", "r-points", "--domain", "E:1,2", "--k", "1"],
         ["linf", "check", str(fixtures_dir / "nope.model")],
+        ["linf", "solve-gb", b2_lin, "--b", "t^0", "--aug", "nope"],
+        ["linf", "linearize", cdga_aug, "--aug", "nope"],
+        ["linf", "solve-gb", str(two_augs["b2_lin"]), "--b", "t^0"],
+        ["linf", "linearize", str(two_augs["cdga_aug"])],
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("cap: error:"), argv
+        if "--aug" in argv:
+            assert err == "cap: error: no augmentation named 'nope'\n", argv
 
 
 def test_version_flag(capsys):
