@@ -143,53 +143,63 @@ def spectral_lower_bound(
     ``admissible`` injects geometric exclusions beyond the index formula
     (see one_positive_end and polydisk_slice_rule); by default every
     index-zero multiset competes.  Returns INFINITE when no configuration
-    exists below the cutoff.
+    exists below the cutoff.  Orbit actions must be exact rationals
+    (``Fraction`` or ``int``); the search runs on their common denominator.
     """
     if constraint_codim < 0 or constraint_codim % 2:
         raise ValueError("constraint codimension must be even and >= 0")
     cutoff = Fraction(action_cutoff)
-    orbits = [o for o in spectrum.orbits if o.action <= cutoff]
-    if not orbits:
+    # integer action lattice: every action is a whole multiple of 1/scale
+    scale = math.lcm(
+        cutoff.denominator, *(o.action.denominator for o in spectrum.orbits)
+    )
+    limit = cutoff.numerator * (scale // cutoff.denominator)
+    lattice = [
+        (o.action.numerator * (scale // o.action.denominator), o)
+        for o in spectrum.orbits
+    ]
+    lattice = sorted((p for p in lattice if p[0] <= limit), key=lambda p: p[0])
+    if not lattice:
         raise ValueError(
             f"action cutoff {cutoff} lies below the smallest orbit action; "
             "nothing can be certified"
         )
-    orbits.sort(key=lambda o: o.action)
+    actions = [a for a, _ in lattice]
+    orbits = [o for _, o in lattice]
+    costs = [o.cz + 1 for o in orbits]
+    n = len(orbits)
     target = constraint_codim + 2  # index zero reads sum(CZ_i + 1) = codim + 2
-    min_cz = min(o.cz for o in orbits)
-    min_action = min(o.action for o in orbits)
-    derived = int(cutoff / min_action)
-    if min_cz + 1 > 0:
-        derived = min(derived, target // (min_cz + 1))
+    cheapest = min(costs)
+    derived = limit // actions[0]
+    if cheapest > 0:
+        derived = min(derived, target // cheapest)
     ends_cap = derived if max_ends is None else min(max_ends, derived)
-
-    best: Optional[Fraction] = None
+    best = limit + 1  # above the cutoff: nothing accepted yet
     chosen: list[OrbitRecord] = []
 
-    def dfs(start: int, cost: int, action: Fraction) -> None:
+    def dfs(start: int, cost: int, action: int) -> None:
         nonlocal best
         if cost == target and chosen:
-            if (admissible is None or admissible(chosen)) and (
-                best is None or action < best
-            ):
+            # a leaf is only entered below best, so accepting it improves best
+            if admissible is None or admissible(chosen):
                 best = action
             return
         if len(chosen) >= ends_cap:
             return
-        for i in range(start, len(orbits)):
-            o = orbits[i]
-            new_cost = cost + o.cz + 1
-            new_action = action + o.action
-            if new_cost > target or new_action > cutoff:
+        for i in range(start, n):
+            new_action = action + actions[i]
+            # orbits are sorted by action, so no later sibling fits either
+            if new_action >= best:
+                break
+            new_cost = cost + costs[i]
+            if new_cost > target:
                 continue
-            if best is not None and new_action >= best:
-                continue
-            chosen.append(o)
+            chosen.append(orbits[i])
             dfs(i, new_cost, new_action)
             chosen.pop()
 
-    dfs(0, 0, Fraction(0))
-    return INFINITE if best is None else best
+    dfs(0, 0, 0)
+    return INFINITE if best > limit else Fraction(best, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ Subcommands
     ``linearize`` and ``solve-gb`` use the augmentation named by ``--aug``,
     which may be left out when the model has exactly one; an unknown name,
     or a left-out name on a model without exactly one, is a usage error.
+    So are an unknown generator in ``mc --m`` and a word length cap
+    ``--l`` below 1.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
@@ -357,6 +359,8 @@ def _word_text(word) -> str:
 
 
 def cmd_linf(args) -> int:
+    if args.linf_cmd in ("check", "solve-gb") and args.l < 1:
+        raise CliUsageError("--l must be >= 1")
     model = load_model(args.model)
     if args.linf_cmd in ("linearize", "solve-gb"):
         try:
@@ -444,8 +448,8 @@ def _parse_mc_element(model, text: str) -> MaurerCartanElement:
             )
         try:
             g = model.gen(name.strip())
-        except KeyError:
-            raise CliUsageError(f"unknown generator {name.strip()!r}") from None
+        except ModelError as exc:
+            raise CliUsageError(str(exc)) from None
         value[g] = parse_novikov(coeff_text.strip(), model.cutoff)
     return MaurerCartanElement(model, value)
 

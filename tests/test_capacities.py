@@ -1,11 +1,14 @@
 """Tests for the capacity layer: closed forms, spectral search, the finite
 word solver, four-dimensional sequences, weights, and stabilized bounds."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcap.capacities import (
     INFINITE,
@@ -28,7 +31,14 @@ from symcap.capacities import (
 )
 from symcap.linfty import ModelError
 from symcap.modelfile import parse_model
-from symcap.spectra import capacity_sequence_ECH, capacity_sequence_EH, ellipsoid_orbits, polydisk_orbits
+from symcap.spectra import (
+    OrbitRecord,
+    OrbitSpectrum,
+    capacity_sequence_ECH,
+    capacity_sequence_EH,
+    ellipsoid_orbits,
+    polydisk_orbits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +166,105 @@ def test_spectral_bound_infinite_and_errors():
         spectral_lower_bound(spectrum, 2, Fraction(1, 2))
     with pytest.raises(ValueError):
         spectral_lower_bound(spectrum, 3, 2)
+
+
+def _rescaled(spectrum, c):
+    return OrbitSpectrum(
+        spectrum.domain,
+        [dataclasses.replace(o, action=o.action * c) for o in spectrum.orbits],
+    )
+
+
+def _brute_force_bound(spectrum, codim, cutoff, max_ends, admissible):
+    """Minimum action over every end multiset, enumerated outright."""
+    orbits = sorted(
+        (o for o in spectrum.orbits if o.action <= cutoff), key=lambda o: o.action
+    )
+    target = codim + 2
+    # every end costs at least the cheapest CZ + 1 > 0 and acts at least the
+    # smallest action > 0, which bounds the number of ends
+    cheapest = min(o.cz + 1 for o in orbits)
+    assert cheapest > 0
+    size = min(target // cheapest, int(cutoff / orbits[0].action))
+    if max_ends is not None:
+        size = min(size, max_ends)
+    actions = [
+        sum(o.action for o in ends)
+        for r in range(1, size + 1)
+        for ends in itertools.combinations_with_replacement(orbits, r)
+        if sum(o.cz + 1 for o in ends) == target
+        and sum(o.action for o in ends) <= cutoff
+        and (admissible is None or admissible(ends))
+    ]
+    return min(actions) if actions else INFINITE
+
+
+@st.composite
+def _small_spectra(draw):
+    """E(c, cx) up to 3c..6c or P(c, cx) up to 2c..3c, with c = p/q and
+    q > 1: at most 12 orbits."""
+    q = draw(st.integers(2, 9))
+    p = draw(st.integers(1, 40).filter(lambda p: p % q))
+    c = Fraction(p, q)
+    x = 1 + Fraction(draw(st.integers(0, 8)), 4)
+    if draw(st.booleans()):
+        units = Fraction(draw(st.integers(6, 12)), 2)
+        spectrum = ellipsoid_orbits([c, c * x], units * c)
+    else:
+        units = Fraction(draw(st.integers(4, 6)), 2)
+        spectrum = _rescaled(polydisk_orbits(x, units), c)
+    assert len(spectrum.orbits) <= 12
+    return spectrum, units * c
+
+
+@pytest.mark.parametrize(
+    "admissible", [None, one_positive_end, polydisk_slice_rule]
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    spectrum_cutoff=_small_spectra(),
+    k=st.integers(1, 8),
+    max_ends=st.none() | st.integers(1, 3),
+)
+def test_spectral_bound_against_brute_force(admissible, spectrum_cutoff, k, max_ends):
+    spectrum, cutoff = spectrum_cutoff
+    got = spectral_lower_bound(
+        spectrum, 2 * k, cutoff, max_ends=max_ends, admissible=admissible
+    )
+    assert got == _brute_force_bound(spectrum, 2 * k, cutoff, max_ends, admissible)
+
+
+def test_spectral_bound_on_the_action_lattice():
+    c = Fraction(17, 13)
+    x = Fraction(13, 2)
+    queries = [
+        (ellipsoid_orbits([1, 1], 15), k, None) for k in (2, 5, 8, 11, 14)
+    ]
+    queries += [(ellipsoid_orbits([1, x], 15), k, one_positive_end) for k in range(1, 7)]
+    queries += [(polydisk_orbits(3, 15), k, polydisk_slice_rule) for k in (1, 3, 5, 7)]
+    queries.append((ellipsoid_orbits([1, 1], 2), 50, None))
+    for spectrum, k, rule in queries:
+        unit = spectral_lower_bound(spectrum, 2 * k, 15, admissible=rule)
+        scaled = spectral_lower_bound(
+            _rescaled(spectrum, c), 2 * k, 15 * c, admissible=rule
+        )
+        assert scaled == (INFINITE if unit == INFINITE else unit * c)
+
+    # plain int actions still give an exact Fraction
+    hand = OrbitSpectrum(
+        "hand",
+        [
+            OrbitRecord("a", 1, 3, 1, (1,)),
+            OrbitRecord("b", 3, 1, 2, (1,)),
+            OrbitRecord("c", 4, 3, 1, (2,)),
+        ],
+    )
+    bound = spectral_lower_bound(hand, 4, 10)
+    assert type(bound) is Fraction and bound == 4  # a + b beats b + b + b
+    assert spectral_lower_bound(hand, 4, Fraction(9, 2)) == 4
+    assert spectral_lower_bound(hand, 4, Fraction(7, 2)) == INFINITE
+    assert spectral_lower_bound(hand, 4, 10, max_ends=1) == INFINITE
+    assert spectral_lower_bound(hand, 2, 10) == 1
 
 
 # ---------------------------------------------------------------------------

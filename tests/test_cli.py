@@ -364,6 +364,9 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         ["linf", "linearize", cdga_aug, "--aug", "nope"],
         ["linf", "solve-gb", str(two_augs["b2_lin"]), "--b", "t^0"],
         ["linf", "linearize", str(two_augs["cdga_aug"])],
+        ["linf", "mc", str(fixtures_dir / "b2.model"), "--m", "zz:1*T^1"],
+        ["linf", "check", b2_lin, "--l", "0"],
+        ["linf", "solve-gb", b2_lin, "--b", "t^0", "--l", "0"],
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -371,6 +374,10 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         assert err.startswith("cap: error:"), argv
         if "--aug" in argv:
             assert err == "cap: error: no augmentation named 'nope'\n", argv
+        if "--m" in argv:
+            assert err == "cap: error: unknown generator 'zz'\n", argv
+        if "--l" in argv:
+            assert err == "cap: error: --l must be >= 1\n", argv
 
 
 def test_version_flag(capsys):
