@@ -9,8 +9,9 @@ Subcommands
     ``E:1,2``, ``P:1,3``, ``B`` or ``B:2`` (``E:1,inf`` is accepted for the
     eh family only); ``--k`` a single index or an ``a..b`` range.  Range
     entries are computed in one pass and emitted in ascending order.  The
-    CSV table is cached under a content key (one file per command kind and
-    key, next to its manifest); ``--no-cache`` bypasses the cache and the
+    CSV table is cached under a content key of the parameters, the version
+    and a digest of the package sources (one file per command kind and key,
+    next to its manifest); ``--no-cache`` bypasses the cache and the
     ``SYMCAP_CACHE_DIR`` environment variable overrides the cache root.
 
 ``cap obstruct``
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -126,6 +128,20 @@ def cache_root() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "symcap"
+
+
+@functools.cache
+def source_digest(package: Path = Path(__file__).parent) -> str:
+    """sha256 of the package's module sources, part of every cache key.
+
+    A code change without a version bump thus misses tables computed by
+    other code.  Computed on the first cache lookup, not at import.
+    """
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        h.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -266,6 +282,7 @@ def cmd_capacity(args) -> int:
     key = hashlib.sha256(
         json.dumps(parameters, sort_keys=True).encode("utf-8")
         + __version__.encode("utf-8")
+        + source_digest().encode("utf-8")
     ).hexdigest()
     table_path = cache_root() / "capacity" / f"{key}.csv"
     data: Optional[bytes] = None

@@ -37,6 +37,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _exponent(term: tuple) -> Fraction:
+    return term[0]
+
+
 class NovikovPolynomial:
     """Immutable finite T-power series with rational exponents >= 0.
 
@@ -58,19 +62,32 @@ class NovikovPolynomial:
                 raise ValueError("cutoff must be positive")
         acc: dict[Fraction, Fraction] = {}
         for e, c in terms:
-            e = Fraction(e)
-            c = Fraction(c)
-            if e < 0:
+            if not isinstance(e, Fraction):
+                e = Fraction(e)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if e.numerator < 0:
                 raise ValueError(f"negative exponent T^{e}")
             if cutoff is not None and e >= cutoff:
                 continue
-            acc[e] = acc.get(e, Fraction(0)) + c
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
         object.__setattr__(
             self,
             "terms",
-            tuple(sorted((e, c) for e, c in acc.items() if c != 0)),
+            tuple(sorted(((e, c) for e, c in acc.items() if c), key=_exponent)),
         )
         object.__setattr__(self, "cutoff", cutoff)
+
+    @classmethod
+    def _canonical(cls, terms: tuple, cutoff) -> "NovikovPolynomial":
+        """Wrap ``terms`` that already satisfy the class invariant: sorted
+        ``Fraction`` pairs, strictly increasing exponents below ``cutoff``
+        and no zero coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "cutoff", cutoff)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("NovikovPolynomial is immutable")
@@ -106,7 +123,7 @@ class NovikovPolynomial:
         return NovikovPolynomial(self.terms + other.terms, cutoff)
 
     def __neg__(self) -> "NovikovPolynomial":
-        return NovikovPolynomial(((e, -c) for e, c in self.terms), self.cutoff)
+        return self._canonical(tuple((e, -c) for e, c in self.terms), self.cutoff)
 
     def __sub__(self, other: "NovikovPolynomial") -> "NovikovPolynomial":
         return self + (-other)
@@ -120,8 +137,15 @@ class NovikovPolynomial:
         return NovikovPolynomial(out, cutoff)
 
     def scale(self, c: Rational) -> "NovikovPolynomial":
-        c = Fraction(c)
-        return NovikovPolynomial(((e, k * c) for e, k in self.terms), self.cutoff)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c:
+            return self._canonical((), self.cutoff)
+        return self._canonical(tuple((e, k * c) for e, k in self.terms), self.cutoff)
 
     def shift(self, exponent: Rational) -> "NovikovPolynomial":
         """Multiply by T^exponent."""

@@ -22,41 +22,57 @@ from .novikov import fmt_rational
 
 
 class Generator:
-    """A graded basis symbol with an action weight."""
+    """An immutable graded basis symbol with an action weight.
 
-    __slots__ = ("name", "degree", "action")
+    The hash and the sort key are computed once, so the sort in
+    :func:`normalize_word` and every dict lookup keyed by words reuse them
+    instead of hashing and comparing ``Fraction`` tuples again.
+    """
+
+    __slots__ = ("name", "degree", "action", "sort_key", "_hash")
 
     def __init__(self, name: str, degree: int, action):
         action = Fraction(action)
         if action < 0:
             raise ValueError(f"generator {name}: action must be >= 0")
-        self.name = name
-        self.degree = int(degree)
-        self.action = action
+        degree = int(degree)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "degree", degree)
+        init(self, "action", action)
+        init(self, "sort_key", (action, name))
+        init(self, "_hash", hash((name, degree, action)))
 
-    @property
-    def sort_key(self):
-        return (self.action, self.name)
+    def __setattr__(self, name, value):
+        raise AttributeError("Generator is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Generator)
+            and self._hash == other._hash
             and self.name == other.name
             and self.degree == other.degree
             and self.action == other.action
         )
 
     def __hash__(self):
-        return hash((self.name, self.degree, self.action))
+        return self._hash
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.degree}, {fmt_rational(self.action)})"
 
 
 class Word:
-    """Canonical sorted word; also usable as a letter of an outer word."""
+    """Canonical sorted word; also usable as a letter of an outer word.
 
-    __slots__ = ("letters", "_hash")
+    ``degree``, ``action`` and ``sort_key`` are computed on first access and
+    kept: most words are only hashed, but those that are sorted as letters
+    of outer words are compared many times.
+    """
+
+    __slots__ = ("letters", "_hash", "_degree", "_action", "_sort_key")
 
     def __init__(self, letters: Sequence):
         self.letters = tuple(letters)
@@ -64,15 +80,27 @@ class Word:
 
     @property
     def degree(self) -> int:
-        return sum(l.degree for l in self.letters)
+        try:
+            return self._degree
+        except AttributeError:
+            self._degree = sum(l.degree for l in self.letters)
+            return self._degree
 
     @property
     def action(self) -> Fraction:
-        return sum((l.action for l in self.letters), Fraction(0))
+        try:
+            return self._action
+        except AttributeError:
+            self._action = sum((l.action for l in self.letters), Fraction(0))
+            return self._action
 
     @property
     def sort_key(self):
-        return (self.action, tuple(l.sort_key for l in self.letters))
+        try:
+            return self._sort_key
+        except AttributeError:
+            self._sort_key = (self.action, tuple(l.sort_key for l in self.letters))
+            return self._sort_key
 
     def __len__(self):
         return len(self.letters)
@@ -112,15 +140,16 @@ def reorder_sign(degrees: Sequence[int], order: Sequence[int]) -> int:
     """Koszul sign of rearranging letters into the given output order.
 
     ``order`` lists original indices in their output sequence; the sign is
-    the parity of the odd-odd inversions crossed.  Equivalent to
-    ``koszul_sign(degrees, inverse(order))``.
+    the parity of the odd-odd inversions crossed, so only the odd letters
+    are compared.  Equivalent to ``koszul_sign(degrees, inverse(order))``.
     """
-    par = 0
-    for p in range(len(order)):
-        for q in range(p + 1, len(order)):
-            if order[p] > order[q]:
-                par += degrees[order[p]] * degrees[order[q]]
-    return -1 if par % 2 else 1
+    odd = [i for i in order if degrees[i] % 2]
+    inversions = 0
+    for p, i in enumerate(odd):
+        for j in odd[p + 1 :]:
+            if i > j:
+                inversions += 1
+    return -1 if inversions % 2 else 1
 
 
 def crossing_sign(degrees: Sequence[int], chosen: Iterable[int]) -> int:
@@ -140,16 +169,18 @@ def normalize_word(letters: Sequence) -> tuple[int, Optional[Word]]:
     Returns ``(0, None)`` when an odd-degree letter repeats (the word is
     zero in the symmetric algebra).
     """
-    if not letters:
+    n = len(letters)
+    if n == 1:
+        return 1, Word(letters)
+    if not n:
         raise ValueError("normalize_word: empty letter list")
-    indexed = sorted(range(len(letters)), key=lambda i: letters[i].sort_key)
-    degrees = [l.degree for l in letters]
-    sign = reorder_sign(degrees, indexed)
-    out = [letters[i] for i in indexed]
+    keys = [l.sort_key for l in letters]
+    order = sorted(range(n), key=keys.__getitem__)
+    out = [letters[i] for i in order]
     for a, b in zip(out, out[1:]):
-        if a == b and a.degree % 2:
+        if a.degree % 2 and a == b:
             return 0, None
-    return sign, Word(out)
+    return reorder_sign([l.degree for l in letters], order), Word(out)
 
 
 def shuffles(i: int, j: int) -> list[tuple[int, ...]]:

@@ -1,9 +1,12 @@
 """End-to-end tests for the ``cap`` command line tool."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
+from symcap import cli
 from symcap.cli import main
 
 
@@ -140,6 +143,43 @@ def test_cache_round_trip(capsys, isolated_cache, tmp_path):
     assert manifest["command"] == "capacity"
     assert manifest["parameters"]["domain"] == "E:1,2"
     assert list(manifest["outputs"].values())[0]  # digest of the CSV table
+
+
+def test_changed_sources_miss_a_warm_cache(capsys, isolated_cache, monkeypatch):
+    argv = ["capacity", "--family", "ech", "--domain", "E:1,2", "--k", "1..8"]
+    tables = isolated_cache / "capacity"
+    _, cold, _ = run(capsys, *argv)
+    before = {p.name: p.read_bytes() for p in tables.iterdir()}
+    _, warm, _ = run(capsys, *argv)
+    assert {p.name: p.read_bytes() for p in tables.iterdir()} == before
+
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    _, changed, _ = run(capsys, *argv)
+    assert cold == warm == changed == "1,2,2,3,3,4,4,4\n"
+    after = {p.name: p.read_bytes() for p in tables.iterdir()}
+    added = {name: data for name, data in after.items() if name not in before}
+    assert len(before) == len(added) == 2  # the warm table missed
+    (old_csv,) = [d for n, d in before.items() if n.endswith(".csv")]
+    (new_csv,) = [d for n, d in added.items() if n.endswith(".csv")]
+    assert new_csv == old_csv
+    (old_man,) = [json.loads(d) for n, d in before.items() if n.endswith(".json")]
+    (new_man,) = [json.loads(d) for n, d in added.items() if n.endswith(".json")]
+    assert list(new_man.pop("outputs").values()) == list(
+        old_man.pop("outputs").values()
+    )
+    assert new_man == old_man
+
+
+def test_source_digest_follows_the_package_sources(tmp_path):
+    package = pathlib.Path(cli.__file__).parent
+    same = tmp_path / "same"
+    edited = tmp_path / "edited"
+    for dest in (same, edited):
+        shutil.copytree(package, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(edited / "words.py", "a") as fh:
+        fh.write("\n")
+    assert cli.source_digest(same) == cli.source_digest()
+    assert cli.source_digest(edited) != cli.source_digest()
 
 
 def test_no_cache_leaves_no_files(capsys, isolated_cache):

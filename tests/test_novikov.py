@@ -21,13 +21,37 @@ polys = st.lists(st.tuples(exponents, rationals), max_size=5).map(
 )
 
 
+cutoffs = st.one_of(
+    st.none(),
+    st.builds(Fraction, st.integers(min_value=1, max_value=24), st.integers(1, 4)),
+)
+cut_polys = st.builds(
+    NovikovPolynomial, st.lists(st.tuples(exponents, rationals), max_size=5), cutoffs
+)
+scalars = st.one_of(
+    st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-5, max_value=5),
+    rationals,
+)
+
+
 def nov(*terms, cutoff=None):
     return NovikovPolynomial(terms, cutoff)
+
+
+def assert_canonical(p, cutoff):
+    exps = [e for e, _ in p.terms]
+    assert p.cutoff == cutoff
+    assert all(type(x) is Fraction for term in p.terms for x in term)
+    assert all(a < b for a, b in zip(exps, exps[1:]))
+    assert all(c != 0 for _, c in p.terms)
+    assert cutoff is None or all(e < cutoff for e in exps)
 
 
 def test_terms_are_merged_sorted_and_nonzero():
     p = nov((2, 1), (0, 3), (2, -1), (1, 0))
     assert p.terms == ((Fraction(0), Fraction(3)),)
+    assert_canonical(p, None)
 
 
 def test_negative_exponents_are_rejected():
@@ -128,3 +152,22 @@ def test_parse_rejects_malformed_terms(bad):
 def test_fmt_rational():
     assert fmt_rational(Fraction(3)) == "3"
     assert fmt_rational(Fraction(3, 2)) == "3/2"
+
+
+@given(cut_polys, cut_polys, scalars)
+def test_results_equal_the_constructor_on_expanded_terms(p, q, c):
+    known = [x for x in (p.cutoff, q.cutoff) if x is not None]
+    both = min(known) if known else None
+    cases = [
+        (p.scale(c), [(e, k * c) for e, k in p.terms], p.cutoff),
+        (-p, [(e, -k) for e, k in p.terms], p.cutoff),
+        (p + q, list(p.terms) + list(q.terms), both),
+        (
+            p * q,
+            [(e1 + e2, k1 * k2) for e1, k1 in p.terms for e2, k2 in q.terms],
+            both,
+        ),
+    ]
+    for got, expanded, cutoff in cases:
+        assert got.terms == NovikovPolynomial(expanded, cutoff).terms
+        assert_canonical(got, cutoff)

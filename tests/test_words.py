@@ -130,6 +130,122 @@ def test_normalize_is_idempotent_on_canonical_words():
     assert again == (1, w)
 
 
+# Actions that tie exactly under different names, and a pair that is distinct
+# but rounds to the same float.
+NEAR_ONE = [Fraction(10**17, 10**17 + 1), Fraction(10**17 + 1, 10**17 + 2)]
+actions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)] + NEAR_ONE),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+)
+
+
+@st.composite
+def generator_pools(draw):
+    """Distinct generators with unique names, so equal keys mean equal letters."""
+    specs = draw(
+        st.lists(st.tuples(st.integers(-3, 3), actions), min_size=1, max_size=5)
+    )
+    return [Generator(f"g{i}", d, a) for i, (d, a) in enumerate(specs)]
+
+
+@st.composite
+def letter_lists(draw):
+    """Generators, or cdga monomials (words of generators), possibly repeated;
+    a repeat is sometimes an equal copy rather than the same object."""
+    pool = draw(generator_pools())
+    if draw(st.booleans()):
+        monos = draw(
+            st.lists(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        pool = [Word(sorted(m, key=lambda g: (g.action, g.name))) for m in monos]
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=6
+        )
+    )
+    return [equal_copy(l) if copy else l for l, copy in picks]
+
+
+def equal_copy(letter):
+    if isinstance(letter, Generator):
+        return Generator(letter.name, letter.degree, letter.action)
+    return Word(letter.letters)
+
+
+def oracle_gens(letter):
+    return [letter] if isinstance(letter, Generator) else list(letter.letters)
+
+
+def oracle_degree(letter):
+    return sum(g.degree for g in oracle_gens(letter))
+
+
+def oracle_key(letter):
+    if isinstance(letter, Generator):
+        return (letter.action, letter.name)
+    total = sum((g.action for g in letter.letters), Fraction(0))
+    return (total, tuple(oracle_key(g) for g in letter.letters))
+
+
+def check_cached_word_keys(w):
+    for _ in range(2):  # computed on first access, then read back
+        assert w.degree == sum(oracle_degree(l) for l in w.letters)
+        assert w.action == sum(
+            (oracle_key(l)[0] for l in w.letters), Fraction(0)
+        )
+        assert w.sort_key == (w.action, tuple(oracle_key(l) for l in w.letters))
+
+
+@given(letter_lists())
+def test_normalize_word_against_an_exact_sort(letters):
+    n = len(letters)
+    order = sorted(range(n), key=lambda i: oracle_key(letters[i]))
+    degrees = [oracle_degree(l) for l in letters]
+    sign, w = normalize_word(letters)
+    odd_repeat = any(
+        letters[i] == letters[j] and degrees[i] % 2
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    if odd_repeat:
+        assert (sign, w) == (0, None)
+        return
+    inverse = [0] * n
+    for slot, src in enumerate(order):
+        inverse[src] = slot
+    assert sign == koszul_sign(degrees, inverse)
+    assert w.letters == tuple(letters[i] for i in order)
+    check_cached_word_keys(w)
+    for letter in letters:
+        if isinstance(letter, Word):
+            check_cached_word_keys(letter)
+
+
+def test_near_float_actions_sort_exactly():
+    lo, hi = NEAR_ONE
+    assert float(lo) == float(hi) and lo < hi
+    a = Generator("a", 1, hi)
+    b = Generator("b", 1, lo)
+    sign, w = normalize_word([a, b])
+    assert (sign, w.letters) == (-1, (b, a))
+
+
+def test_generator_is_immutable():
+    g = Generator("g", 1, Fraction(1, 2))
+    for attr, value in (("action", Fraction(1)), ("name", "h"), ("degree", 0)):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, value)
+    assert (g.name, g.degree, g.action) == ("g", 1, Fraction(1, 2))
+    assert g.sort_key == (Fraction(1, 2), "g")
+    twin = Generator("g", 1, Fraction(1, 2))
+    assert twin == g and hash(twin) == hash(g)
+    assert g != Generator("g", 3, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (2, 3), (0, 2), (3, 0)])
 def test_shuffle_count_is_binomial(i, j):
     out = shuffles(i, j)
