@@ -445,11 +445,13 @@ def _parse_t_word(text: str) -> tuple[int, ...]:
         if chunk == "t":
             powers.append(1)
             continue
-        if not chunk.startswith("t^"):
+        digits = chunk[2:] if chunk.startswith("t^") else ""
+        try:
+            powers.append(int(digits))
+        except ValueError:
             raise CliUsageError(
                 f"cannot parse {text!r}: expected t-powers like t^0*t^3"
-            )
-        powers.append(int(chunk[2:]))
+            ) from None
     if any(p < 0 for p in powers):
         raise CliUsageError("t-powers must be nonnegative")
     return tuple(sorted(powers))

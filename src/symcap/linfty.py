@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .novikov import NovikovPolynomial, add_into, fmt_rational
 from .words import (
     Generator,
     Word,
-    crossing_sign,
     normalize_word,
+    odd_mask,
     reorder_sign,
+    split_signs,
+    splits,
     word_multiplicity_factor,
 )
 
@@ -209,6 +211,14 @@ class LInfinityModel:
             if clean:
                 self.operations[(arity, word)] = clean
 
+        # per arity, the letters of some operation key: a fed word holding
+        # any other letter has no operation on it
+        self.key_letters: dict[int, frozenset] = {}
+        for arity, word in self.operations:
+            self.key_letters[arity] = self.key_letters.get(arity, frozenset()).union(
+                word.letters
+            )
+
         self.augmentations: dict[str, Augmentation] = {}
         for name, aug in (augmentations or {}).items():
             for word, tpoly in aug.components.items():
@@ -312,31 +322,31 @@ class LInfinityModel:
         if self.algebra_mode == "cdga":
             monos: list[Word] = []
             for size in range(1, max_len + 1):
-                monos.extend(
-                    m
-                    for m in self._multisets(self.ordered_generators, size, cap)
-                    if m is not None
-                )
+                monos.extend(self._multisets(self.ordered_generators, size, cap))
             letters = sorted(monos, key=lambda w: w.sort_key)
             out: list[Word] = []
             for size in range(1, max_len + 1):
                 for w in self._multisets(letters, size, cap):
-                    if w is not None and sum(len(l) for l in w.letters) <= max_len:
+                    if sum(len(l) for l in w.letters) <= max_len:
                         out.append(w)
             return out
         out = []
         for size in range(1, max_len + 1):
-            out.extend(w for w in self._multisets(letters, size, cap) if w is not None)
+            out.extend(self._multisets(letters, size, cap))
         return out
 
     @staticmethod
-    def _multisets(letters: Sequence, size: int, cap) -> Iterable[Optional[Word]]:
+    def _multisets(letters: Sequence, size: int, cap) -> Iterable[Word]:
+        """Canonical words of ``size`` letters drawn from the sorted ``letters``.
+
+        Letters are taken in nondecreasing position and an odd letter never
+        twice, so every word is already canonical with sign 1.
+        """
         n = len(letters)
 
         def rec(start: int, left: int, acc: list, action: Fraction):
             if left == 0:
-                sign, w = normalize_word(acc)
-                yield w if sign == 1 else None
+                yield Word(acc)
                 return
             for i in range(start, n):
                 l = letters[i]
@@ -414,25 +424,40 @@ class LInfinityModel:
 
 
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
-    """The coderivation value l̂(w) as a combination of bar words."""
-    if len(w) == 0:
+    """The coderivation value l̂(w) as a combination of bar words.
+
+    In module mode a fed subset reaches ``apply_operation`` only when its
+    size is an operation arity and every letter is in that arity's
+    ``key_letters``; every other subset has no operation on it.
+    """
+    letters = w.letters
+    k = len(letters)
+    if k == 0:
         raise ModelError("the empty word is not part of the reduced bar complex")
-    degrees = [l.degree for l in w.letters]
+    module = model.algebra_mode == "module"
+    if module:
+        # per arity, the positions whose letter is in its key_letters
+        fits = {
+            size: {p for p, l in enumerate(letters) if l in allowed}
+            for size, allowed in model.key_letters.items()
+            if size <= k
+        }
     out: Combo = {}
-    positions = range(len(w))
-    for size in range(1, len(w) + 1):
-        for fed in combinations(positions, size):
-            sign = crossing_sign(degrees, fed)
-            value = model.apply_operation([w.letters[p] for p in fed])
-            if not value:
+    for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters))):
+        if module:
+            ok = fits.get(len(fed))
+            if ok is None or not ok.issuperset(fed):
                 continue
-            rest = [w.letters[p] for p in positions if p not in fed]
-            for v, coeff in value.items():
-                letter = v if model.algebra_mode == "cdga" else v.letters[0]
-                sign2, bar = normalize_word([letter] + rest)
-                if bar is None:
-                    continue
-                add_into(out, bar, coeff.scale(sign * sign2))
+        value = model.apply_operation([letters[p] for p in fed])
+        if not value:
+            continue
+        rest_letters = [letters[p] for p in rest]
+        for v, coeff in value.items():
+            letter = v.letters[0] if module else v
+            sign2, bar = normalize_word([letter] + rest_letters)
+            if bar is None:
+                continue
+            add_into(out, bar, coeff.scale(sign * sign2))
     return out
 
 

@@ -2,9 +2,16 @@
 
 A :class:`Word` is a canonical representative of an element ``v_1 ⊙ ... ⊙ v_k``
 of the (reduced) symmetric tensor algebra on a graded, action-weighted basis:
-letters are kept sorted by the fixed total order (action, name), and the sign
-produced while sorting is handed back by :func:`normalize_word` rather than
-stored.  A word with a repeated odd-degree letter is zero.
+letters are kept sorted by the fixed total order (action, name, degree), and
+the sign produced while sorting is handed back by :func:`normalize_word`
+rather than stored.  Equal letters are neighbours after the sort, so a word
+with a repeated odd-degree letter is recognised, and is zero.
+
+Splitting a word of length k into chosen positions and the rest, as the
+coproduct and the coderivation extension do, reads one constant table:
+:func:`splits` lists every nonempty position subset with its complement
+(by size, then lexicographically), and :func:`split_signs` holds the Koszul
+sign of each split for one set of odd positions.
 
 Letters are usually :class:`Generator` instances, but any object exposing
 ``degree``, ``action`` and ``sort_key`` works; in particular a ``Word`` can
@@ -15,8 +22,9 @@ algebra are represented (words of monomials).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .novikov import fmt_rational
 
@@ -40,7 +48,7 @@ class Generator:
         init(self, "name", name)
         init(self, "degree", degree)
         init(self, "action", action)
-        init(self, "sort_key", (action, name))
+        init(self, "sort_key", (action, name, degree))
         init(self, "_hash", hash((name, degree, action)))
 
     def __setattr__(self, name, value):
@@ -152,17 +160,6 @@ def reorder_sign(degrees: Sequence[int], order: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def crossing_sign(degrees: Sequence[int], chosen: Iterable[int]) -> int:
-    """Sign of pulling the chosen positions to the front, order preserved."""
-    chosen_set = set(chosen)
-    par = 0
-    for b in chosen_set:
-        for a in range(b):
-            if a not in chosen_set:
-                par += degrees[a] * degrees[b]
-    return -1 if par % 2 else 1
-
-
 def normalize_word(letters: Sequence) -> tuple[int, Optional[Word]]:
     """Sort letters into canonical order, returning (sign, word).
 
@@ -199,6 +196,40 @@ def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
+@cache
+def splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every nonempty subset of the positions ``range(k)`` with the rest,
+    as (chosen, rest) pairs ordered by size, then lexicographically; the
+    full set, with an empty rest, comes last."""
+    positions = range(k)
+    return tuple(
+        (chosen, tuple(p for p in positions if p not in chosen))
+        for size in range(1, k + 1)
+        for chosen in combinations(positions, size)
+    )
+
+
+@cache
+def split_signs(k: int, odd_mask: int) -> tuple[int, ...]:
+    """The sign of pulling each chosen set of ``splits(k)`` to the front,
+    order preserved, when the odd letters sit at the set bits of ``odd_mask``.
+
+    The table holds one tuple of ±1 per (k, mask), so all masks of one
+    length take fewer than 4^k entries.
+    """
+    degrees = [(odd_mask >> p) & 1 for p in range(k)]
+    return tuple(reorder_sign(degrees, chosen + rest) for chosen, rest in splits(k))
+
+
+def odd_mask(letters: Sequence) -> int:
+    """The bit mask of the positions of odd-degree letters."""
+    mask = 0
+    for p, l in enumerate(letters):
+        if l.degree % 2:
+            mask |= 1 << p
+    return mask
+
+
 def coproduct(w: Word) -> list[tuple[Word, Word, int]]:
     """All shuffle splittings of ``w`` into (left, right) with Koszul signs.
 
@@ -206,19 +237,14 @@ def coproduct(w: Word) -> list[tuple[Word, Word, int]]:
     by proper nonempty position subsets, so duplicate letters contribute
     repeated (left, right) pairs rather than coefficients.
     """
-    k = len(w)
-    out: list[tuple[Word, Word, int]] = []
+    letters = w.letters
+    k = len(letters)
     if k < 2:
-        return out
-    degrees = [l.degree for l in w.letters]
-    positions = range(k)
-    for i in range(1, k):
-        for left_pos in combinations(positions, i):
-            sign = crossing_sign(degrees, left_pos)
-            left = Word([w.letters[p] for p in left_pos])
-            right = Word([w.letters[p] for p in positions if p not in left_pos])
-            out.append((left, right, sign))
-    return out
+        return []
+    return [
+        (Word([letters[p] for p in left]), Word([letters[p] for p in right]), sign)
+        for (left, right), sign in zip(splits(k)[:-1], split_signs(k, odd_mask(letters)))
+    ]
 
 
 def word_multiplicity_factor(w: Word) -> int:

@@ -407,6 +407,7 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         ["linf", "mc", str(fixtures_dir / "b2.model"), "--m", "zz:1*T^1"],
         ["linf", "check", b2_lin, "--l", "0"],
         ["linf", "solve-gb", b2_lin, "--b", "t^0", "--l", "0"],
+        ["linf", "solve-gb", b2_lin, "--b", "t^3,t^4"],
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -418,6 +419,10 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             assert err == "cap: error: unknown generator 'zz'\n", argv
         if "--l" in argv:
             assert err == "cap: error: --l must be >= 1\n", argv
+        if "t^3,t^4" in argv:
+            assert err == (
+                "cap: error: cannot parse 't^3,t^4': expected t-powers like t^0*t^3\n"
+            ), argv
 
 
 def test_version_flag(capsys):

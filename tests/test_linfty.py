@@ -2,6 +2,7 @@
 theory, linearization, and interval coefficients."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -33,8 +34,8 @@ from symcap.linfty import (
     mc_pushforward,
     morphism_on_combo,
 )
-from symcap.novikov import NovikovPolynomial, parse_novikov
-from symcap.words import Generator, Word, coproduct
+from symcap.novikov import NovikovPolynomial, add_into, parse_novikov
+from symcap.words import Generator, Word, coproduct, normalize_word, reorder_sign
 
 N = parse_novikov
 ONE = NovikovPolynomial.unit()
@@ -153,6 +154,93 @@ def test_coderivation_coleibniz(models, name, max_len):
     model = models[name]
     for w in model.basis_words(max_len):
         assert _coleibniz_residual(model, w) == {}, w
+
+
+# ---------------------------------------------------------------------------
+# the pruned coderivation and the canonical basis against references
+
+
+def _reference_coderivation(model, w):
+    """l̂(w) with every position subset fed to ``apply_operation``."""
+    letters = w.letters
+    degrees = [l.degree for l in letters]
+    positions = range(len(letters))
+    out = {}
+    for size in positions:
+        for fed in combinations(positions, size + 1):
+            rest = [p for p in positions if p not in fed]
+            sign = reorder_sign(degrees, list(fed) + rest)
+            value = model.apply_operation([letters[p] for p in fed])
+            for v, coeff in value.items():
+                letter = v if model.algebra_mode == "cdga" else v.letters[0]
+                sign2, bar = normalize_word([letter] + [letters[p] for p in rest])
+                if bar is not None:
+                    add_into(out, bar, coeff.scale(sign * sign2))
+    return out
+
+
+@pytest.mark.parametrize("name", GOOD_MODELS)
+def test_coderivation_equals_the_unpruned_reference(models, name):
+    model = models[name]
+    for w in model.basis_words(4):
+        assert extend_coderivation(model, w) == _reference_coderivation(model, w), w
+
+
+def _nonzero_words(letters, max_len):
+    """Canonical forms of every multiset of ``letters`` up to ``max_len``."""
+    out = set()
+    for size in range(1, max_len + 1):
+        for combo in combinations_with_replacement(letters, size):
+            sign, w = normalize_word(list(combo))
+            if w is not None:
+                out.add(w)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,max_action",
+    [(n, None) for n in GOOD_MODELS] + [("b2", 3), ("cdga_aug", 1)],
+)
+def test_basis_words_are_the_canonical_multisets(models, name, max_action):
+    model = models[name]
+    cap = model.cutoff if max_action is None else Fraction(max_action)
+    gens = list(model.generators.values())  # file order, not canonical
+    if model.algebra_mode == "cdga":
+        monos = _nonzero_words(gens, 4)
+        want = {
+            w
+            for w in _nonzero_words(monos, 4)
+            if sum(len(m) for m in w.letters) <= 4
+        }
+    else:
+        want = _nonzero_words(gens, 4)
+    want = {w for w in want if cap is None or w.action <= cap}
+    got = model.basis_words(4, max_action)
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    for w in got:
+        assert normalize_word(list(w.letters)) == (1, w)
+
+
+def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
+    model = models["b2"]
+    index = {}
+    for arity, key in model.operations:
+        index.setdefault(arity, set()).update(key.letters)
+    assert model.key_letters == index
+    fed = []
+    apply_operation = LInfinityModel.apply_operation
+
+    def spy(self, letters):
+        fed.append(list(letters))
+        return apply_operation(self, letters)
+
+    monkeypatch.setattr(LInfinityModel, "apply_operation", spy)
+    for w in model.basis_words(4):
+        extend_coderivation(model, w)
+    assert fed
+    for letters in fed:
+        assert len(letters) in index and index[len(letters)].issuperset(letters)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symcap.linfty import ModelError
-from symcap.modelfile import load_model, parse_model, print_model
+from symcap.modelfile import load_model, parse_model, print_model, save_model
 from symcap.words import Word
 
 from conftest import MODEL_NAMES
@@ -14,6 +14,20 @@ def test_print_parse_round_trip_is_idempotent(name, fixtures_dir):
     model = load_model(fixtures_dir / f"{name}.model")
     text = print_model(model)
     assert print_model(parse_model(text)) == text
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_save_load_round_trip(name, fixtures_dir, tmp_path):
+    model = load_model(fixtures_dir / f"{name}.model")
+    path = tmp_path / f"{name}.model"
+    save_model(model, path)
+    again = load_model(path)
+    assert again.generators == model.generators
+    assert again.operations == model.operations
+    assert {n: a.components for n, a in again.augmentations.items()} == {
+        n: a.components for n, a in model.augmentations.items()
+    }
+    assert print_model(again) == print_model(model)
 
 
 def test_parsed_flags_and_fields(models):

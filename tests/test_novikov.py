@@ -21,9 +21,13 @@ polys = st.lists(st.tuples(exponents, rationals), max_size=5).map(
 )
 
 
-cutoffs = st.one_of(
-    st.none(),
-    st.builds(Fraction, st.integers(min_value=1, max_value=24), st.integers(1, 4)),
+positive_cutoffs = st.builds(
+    Fraction, st.integers(min_value=1, max_value=24), st.integers(1, 4)
+)
+cutoffs = st.one_of(st.none(), positive_cutoffs)
+# two cutoffs c1 < c2
+distinct_cutoffs = st.tuples(positive_cutoffs, positive_cutoffs).map(
+    lambda t: (t[0], t[0] + t[1])
 )
 cut_polys = st.builds(
     NovikovPolynomial, st.lists(st.tuples(exponents, rationals), max_size=5), cutoffs
@@ -154,10 +158,15 @@ def test_fmt_rational():
     assert fmt_rational(Fraction(3, 2)) == "3/2"
 
 
-@given(cut_polys, cut_polys, scalars)
-def test_results_equal_the_constructor_on_expanded_terms(p, q, c):
-    known = [x for x in (p.cutoff, q.cutoff) if x is not None]
-    both = min(known) if known else None
+def finer(*cutoffs):
+    known = [x for x in cutoffs if x is not None]
+    return min(known) if known else None
+
+
+@given(cut_polys, cut_polys, scalars, distinct_cutoffs)
+def test_results_equal_the_constructor_on_expanded_terms(p, q, c, mixed):
+    both = finer(p.cutoff, q.cutoff)
+    c1, c2 = mixed
     cases = [
         (p.scale(c), [(e, k * c) for e, k in p.terms], p.cutoff),
         (-p, [(e, -k) for e, k in p.terms], p.cutoff),
@@ -168,6 +177,10 @@ def test_results_equal_the_constructor_on_expanded_terms(p, q, c):
             both,
         ),
     ]
+    # the same terms under different cutoffs: None + c, and c1 + c2 with c1 != c2
+    for x, y in ((None, c1), (c2, None), (c1, c2), (c2, c1)):
+        a, b = NovikovPolynomial(p.terms, x), NovikovPolynomial(q.terms, y)
+        cases.append((a + b, list(a.terms) + list(b.terms), finer(x, y)))
     for got, expanded, cutoff in cases:
         assert got.terms == NovikovPolynomial(expanded, cutoff).terms
         assert_canonical(got, cutoff)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,13 @@ from symcap.words import (
     Generator,
     Word,
     coproduct,
-    crossing_sign,
     koszul_sign,
     normalize_word,
+    odd_mask,
     reorder_sign,
     shuffles,
+    split_signs,
+    splits,
     word_multiplicity_factor,
 )
 
@@ -75,13 +78,42 @@ def test_koszul_sign_validates_input():
         koszul_sign([1, 1], (0, 0))
 
 
-@given(degree_lists, st.data())
-def test_crossing_sign_matches_reorder_of_the_split(degrees, data):
-    chosen = data.draw(
-        st.sets(st.sampled_from(range(len(degrees))), max_size=len(degrees))
+def crossing_parity(degrees, chosen):
+    """Σ |v_a||v_b| over a < b with b chosen and a not: the degree products
+    crossed when the chosen letters move to the front, order preserved."""
+    return sum(
+        degrees[a] * degrees[b]
+        for b in chosen
+        for a in range(b)
+        if a not in chosen
     )
-    order = sorted(chosen) + [i for i in range(len(degrees)) if i not in chosen]
-    assert crossing_sign(degrees, chosen) == reorder_sign(degrees, order)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_split_table_order_and_signs(k):
+    positions = range(k)
+    want = [
+        (chosen, tuple(p for p in positions if p not in chosen))
+        for size in range(1, k + 1)
+        for chosen in combinations(positions, size)
+    ]
+    assert list(splits(k)) == want
+    for mask in range(2**k):
+        degrees = [(mask >> p) & 1 for p in positions]
+        signs = split_signs(k, mask)
+        assert len(signs) == len(want)
+        for (chosen, rest), sign in zip(want, signs):
+            assert sign == (-1) ** crossing_parity(degrees, chosen)
+            assert sign == reorder_sign(degrees, chosen + rest)
+
+
+@given(degree_lists)
+def test_split_signs_read_the_odd_positions(degrees):
+    gens = make_gens(degrees)
+    k = len(gens)
+    signs = split_signs(k, odd_mask(gens))
+    for (chosen, rest), sign in zip(splits(k), signs):
+        assert sign == (-1) ** crossing_parity(degrees, chosen)
 
 
 def test_normalize_sorts_by_action_then_name():
@@ -95,6 +127,16 @@ def test_normalize_sorts_by_action_then_name():
 def test_normalize_odd_repeat_is_zero():
     x = Generator("x", 1, 1)
     assert normalize_word([x, x]) == (0, None)
+
+
+def test_odd_repeat_is_zero_around_a_same_name_letter():
+    # a0 ties with a1 on (action, name); the degree in the sort key keeps
+    # the two copies of a1 next to each other
+    a1 = Generator("a", 1, 1)
+    a0 = Generator("a", 0, 1)
+    assert normalize_word([a1, a0, a1]) == (0, None)
+    sign, w = normalize_word([a1, a0])
+    assert (sign, w.letters) == (1, (a0, a1))
 
 
 def test_normalize_rejects_empty_input():
@@ -186,7 +228,7 @@ def oracle_degree(letter):
 
 def oracle_key(letter):
     if isinstance(letter, Generator):
-        return (letter.action, letter.name)
+        return (letter.action, letter.name, letter.degree)
     total = sum((g.action for g in letter.letters), Fraction(0))
     return (total, tuple(oracle_key(g) for g in letter.letters))
 
@@ -240,7 +282,7 @@ def test_generator_is_immutable():
         with pytest.raises(AttributeError):
             setattr(g, attr, value)
     assert (g.name, g.degree, g.action) == ("g", 1, Fraction(1, 2))
-    assert g.sort_key == (Fraction(1, 2), "g")
+    assert g.sort_key == (Fraction(1, 2), "g", 1)
     twin = Generator("g", 1, Fraction(1, 2))
     assert twin == g and hash(twin) == hash(g)
     assert g != Generator("g", 3, Fraction(1, 2))
