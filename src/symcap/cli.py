@@ -484,11 +484,13 @@ def cmd_gw(args) -> int:
     if args.gw_cmd == "reduce":
         trace: list = []
         reduced = gw.reduce_combination(expr, rng=rng, trace=trace)
+        name = functools.cache(gw.format_key)  # a term recurs in many expansions
+        lines = []
         for key, expansion in trace:
-            print(f"{gw.format_key(key)} ->")
-            for sub, coeff in expansion:
-                print(f"    {coeff} * {gw.format_key(sub)}")
-        print(f"result: {gw.format_combination(reduced)}")
+            lines.append(f"{name(key)} ->")
+            lines.extend(f"    {coeff} * {name(sub)}" for sub, coeff in expansion)
+        lines.append(f"result: {gw.format_combination(reduced)}\n")
+        sys.stdout.write("\n".join(lines))
         return EXIT_OK
     reduced = gw.reduce_combination(expr, rng=rng)
     try:

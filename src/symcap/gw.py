@@ -14,6 +14,12 @@ Solving for the group with a maximal order yields a rewrite that strictly
 decreases (total order sum, number of positive orders) lexicographically,
 so repeated application lands in order-zero (multipoint/multibranch) terms,
 which a base table of blow-up-type invariants evaluates.
+
+:func:`reduce_combination` reduces every term once, in two passes over the
+rewrite DAG.  The expand pass visits each reachable term once, depth first,
+and records its expansion; the propagate pass walks the terms parents first
+and pushes each term's accumulated coefficient down to its sub-terms, so no
+term's reduced combination is ever built or summed again by its parents.
 """
 
 from __future__ import annotations
@@ -137,6 +143,14 @@ def push_point(
     return out
 
 
+def _canon(rest: list, *fresh) -> tuple:
+    """``canonical_groups(rest + fresh)`` for validated integer groups, with
+    ``rest`` already canonical: only sorts."""
+    groups = rest + [tuple(sorted(g, reverse=True)) for g in fresh]
+    groups.sort(reverse=True)
+    return tuple(groups)
+
+
 def _expand_group(
     key: Key, group_idx: int, order: int
 ) -> list[tuple[Key, Fraction]]:
@@ -158,10 +172,8 @@ def _expand_group(
     z = r_rest.count(0)
     scale = Fraction(1, 1 + z)
     out: list[tuple[Key, Fraction]] = []
-    split = rest + [(M - 1,), tuple(r_rest + [0])]
-    out.append(((surface, cls, canonical_groups(split)), scale))
-    merged_back = rest + [tuple(r_rest + [M - 1, 0])]
-    out.append(((surface, cls, canonical_groups(merged_back)), -scale))
+    out.append(((surface, cls, _canon(rest, (M - 1,), r_rest + [0])), scale))
+    out.append(((surface, cls, _canon(rest, r_rest + [M - 1, 0])), -scale))
     seen = set()
     for r in r_rest:
         if r <= 0 or r in seen:
@@ -170,10 +182,8 @@ def _expand_group(
         mult = r_rest.count(r)
         swapped = list(r_rest)
         swapped.remove(r)
-        term = rest + [tuple(swapped + [0, r + M])]
-        out.append(
-            ((surface, cls, canonical_groups(term)), -scale * mult)
-        )
+        term = _canon(rest, swapped + [0, r + M])
+        out.append(((surface, cls, term), -scale * mult))
     return out
 
 
@@ -198,6 +208,22 @@ def reduce_combination(
     any choice is admissible, and fixtures assert the result is invariant.
     A ``trace`` list, when given, collects (term, expansion) pairs, one per
     rewrite step.
+
+    Two passes, each term handled once:
+
+    1. *Expand.*  A depth-first search from the input terms records each
+       reachable term's expansion: a list of (sub-term, c), empty for a
+       dropped non-rigid term and ``None`` for an order-zero base term.  It
+       draws from ``rng`` and appends to ``trace`` at a term's first visit,
+       then visits the sub-terms in expansion order: the order in which a
+       recursion that reduces each sub-term before returning reaches them,
+       so draws and traces are those of reducing each term recursively.
+    2. *Propagate.*  Reverse post-order is topological, parents first
+       (every rewrite strictly lowers the (order sum, positive orders)
+       measure), so a term's weight is complete when it is reached.  It
+       passes weight times c to each sub-term; a weight that cancels to
+       zero, or reaches a dropped term, stops there, and base terms collect
+       into the result.
     """
     for key in expr:
         surface = key[0]
@@ -206,35 +232,43 @@ def reduce_combination(
                 f"non-rigid input term: codimension {codimension(key)} != "
                 f"index dimension {index_dimension(surface, key[1])}"
             )
-    memo: dict[Key, Combination] = {}
+    expansions: dict[Key, Optional[list]] = {}
+    post_order: list[Key] = []
 
-    def reduce_key(key: Key) -> Combination:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        surface = key[0]
-        if surface is not None and not is_rigid(key):
-            memo[key] = {}
-            return {}
-        slots = _positive_slots(key)
-        if not slots:
-            memo[key] = {key: Fraction(1)}
-            return memo[key]
-        gi, m = rng.choice(slots) if rng is not None else slots[-1]
-        expansion = _expand_group(key, gi, m)
-        if trace is not None:
-            trace.append((key, list(expansion)))
-        acc: Combination = {}
-        for sub, c in expansion:
-            for base, d in reduce_key(sub).items():
-                add_into(acc, base, c * d)
-        memo[key] = acc
-        return acc
+    def expand(key: Key) -> None:
+        if key[0] is not None and not is_rigid(key):
+            expansion = []
+        elif slots := _positive_slots(key):
+            gi, m = rng.choice(slots) if rng is not None else slots[-1]
+            expansion = _expand_group(key, gi, m)
+            if trace is not None:
+                trace.append((key, expansion))
+        else:
+            expansion = None
+        expansions[key] = expansion
+        for sub, _ in expansion or ():
+            if sub not in expansions:
+                expand(sub)
+        post_order.append(key)
 
-    result: Combination = {}
+    for key in expr:
+        if key not in expansions:
+            expand(key)
+
+    weights: Combination = {}
     for key, coeff in expr.items():
-        for base, d in reduce_key(key).items():
-            add_into(result, base, coeff * d)
+        add_into(weights, key, Fraction(coeff))
+    result: Combination = {}
+    for key in reversed(post_order):
+        w = weights.pop(key, None)
+        if w is None:
+            continue
+        expansion = expansions[key]
+        if expansion is None:
+            result[key] = w
+            continue
+        for sub, c in expansion:
+            add_into(weights, sub, w * c)
     return result
 
 

@@ -426,9 +426,11 @@ class LInfinityModel:
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
     """The coderivation value l̂(w) as a combination of bar words.
 
-    In module mode a fed subset reaches ``apply_operation`` only when its
-    size is an operation arity and every letter is in that arity's
-    ``key_letters``; every other subset has no operation on it.
+    ``w`` is canonical, as every ``Word`` is, so each fed subsequence of its
+    letters is a canonical word too, with sorting sign 1.  In module mode
+    the operation table is therefore read at that word directly, and only
+    when the subset's size is an operation arity and every letter is in
+    that arity's ``key_letters``; every other subset has no operation on it.
     """
     letters = w.letters
     k = len(letters)
@@ -448,7 +450,9 @@ def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
             ok = fits.get(len(fed))
             if ok is None or not ok.issuperset(fed):
                 continue
-        value = model.apply_operation([letters[p] for p in fed])
+            value = model.operations.get((len(fed), Word([letters[p] for p in fed])))
+        else:
+            value = model.apply_operation([letters[p] for p in fed])
         if not value:
             continue
         rest_letters = [letters[p] for p in rest]

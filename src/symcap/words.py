@@ -1,4 +1,4 @@
-"""Graded generators, canonical symmetric words, Koszul signs, shuffles.
+"""Graded generators, canonical symmetric words, Koszul signs, position splits.
 
 A :class:`Word` is a canonical representative of an element ``v_1 ⊙ ... ⊙ v_k``
 of the (reduced) symmetric tensor algebra on a graded, action-weighted basis:
@@ -178,22 +178,6 @@ def normalize_word(letters: Sequence) -> tuple[int, Optional[Word]]:
         if a.degree % 2 and a == b:
             return 0, None
     return reorder_sign([l.degree for l in letters], order), Word(out)
-
-
-def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
-    """All (i,j)-shuffles of i+j elements, as 0-based image tuples.
-
-    A shuffle is a permutation increasing on the first ``i`` slots and on the
-    last ``j`` slots; there are binomial(i+j, i) of them.
-    """
-    if i < 0 or j < 0 or i + j < 1:
-        raise ValueError("shuffles: need i,j >= 0 with i+j >= 1")
-    n = i + j
-    out = []
-    for first in combinations(range(n), i):
-        rest = [v for v in range(n) if v not in first]
-        out.append(tuple(first) + tuple(rest))
-    return out
 
 
 @cache

@@ -1,10 +1,14 @@
 """Tests for the constraint-pushing rewriter and base invariant tables."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symcap.cli import main
 from symcap.gw import (
     PSI4_CONIC_DESCENDANT_TIMES_24,
     BaseInvariantTable,
@@ -21,7 +25,10 @@ from symcap.gw import (
     parse_constraint_expression,
     push_point,
     reduce_combination,
+    _expand_group,
+    _positive_slots,
 )
+from symcap.novikov import add_into
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +186,111 @@ def test_reduce_trace_structure():
             assert coeff != 0
             assert codimension(out_key) == codimension(key)
             assert measure(out_key) < measure(key)
+
+
+# ---------------------------------------------------------------------------
+# the two-pass reduction against the memoized recursion it replaced
+
+
+def _reference_reduce(expr, rng=None, trace=None):
+    """Reduce each term bottom up, every parent summing its sub-terms'
+    reduced combinations."""
+    memo = {}
+
+    def reduce_key(key):
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if key[0] is not None and not is_rigid(key):
+            memo[key] = {}
+            return {}
+        slots = _positive_slots(key)
+        if not slots:
+            memo[key] = {key: Fraction(1)}
+            return memo[key]
+        gi, m = rng.choice(slots) if rng is not None else slots[-1]
+        expansion = _expand_group(key, gi, m)
+        if trace is not None:
+            trace.append((key, list(expansion)))
+        acc = {}
+        for sub, c in expansion:
+            for base, d in reduce_key(sub).items():
+                add_into(acc, base, c * d)
+        memo[key] = acc
+        return acc
+
+    result = {}
+    for key, coeff in expr.items():
+        for base, d in reduce_key(key).items():
+            add_into(result, base, coeff * d)
+    return result
+
+
+REFERENCE_CASES = [
+    ("CP2", 3, 7),
+    ("CP2", 4, 10),
+    ("CP2", 5, 13),
+    ("CP1xCP1", (2, 2), 6),
+    ("CP1xCP1", (3, 2), 8),
+    ("CP1", 3, 4),
+    (None, None, 3),
+]
+
+
+@pytest.mark.parametrize("surface,cls,order", REFERENCE_CASES)
+@pytest.mark.parametrize("seed", [None, 0, 3, 7])
+def test_reduce_matches_the_memoized_recursion(surface, cls, order, seed):
+    groups = [(order,)] if surface else [(order,), (2, 0)]
+    expr = make_term(groups, surface=surface, cls=cls)
+    rng = lambda: None if seed is None else random.Random(seed)
+    want_trace, got_trace = [], []
+    want = _reference_reduce(expr, rng=rng(), trace=want_trace)
+    assert reduce_combination(expr, rng=rng(), trace=got_trace) == want
+    assert got_trace == want_trace
+    for _, expansion in got_trace:
+        for sub, _ in expansion:
+            assert sub[2] == canonical_groups(sub[2])
+
+
+symbolic_keys = st.lists(
+    st.lists(st.integers(0, 2), min_size=1, max_size=2), min_size=1, max_size=3
+).map(make_key)
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+symbolic_combinations = st.dictionaries(symbolic_keys, fractions, max_size=3)
+
+
+def _linear(a, x, b, y):
+    out = {}
+    for coeff, combo in ((a, x), (b, y)):
+        for key, c in combo.items():
+            add_into(out, key, coeff * c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbolic_combinations, symbolic_combinations, fractions, fractions, symbolic_keys, st.booleans())
+def test_reduce_is_linear(x, y, a, b, key, cancel):
+    if cancel and _positive_slots(key):
+        # Y is a sub-term of X's first step, weighted so that the weights
+        # pushed onto it cancel: the propagation must stop there
+        trace = []
+        reduce_combination({key: Fraction(1)}, trace=trace)
+        sub, c = trace[0][1][0]
+        x, y, b = {key: Fraction(1)}, {sub: Fraction(1)}, -a * c
+    lhs = reduce_combination(_linear(a, x, b, y))
+    rhs = _linear(a, reduce_combination(x), b, reduce_combination(y))
+    assert lhs == rhs
+
+
+def test_reduce_trace_golden_digest(capsys):
+    """The trace printed for a d=5 reduction, byte for byte, as recorded
+    before the reduction became two passes."""
+    assert main(["gw", "reduce", "CP2 d=5 <(T^13 p)>", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 2671
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "12751eb2641c9df827a0e4fb544400c09b3e5eb0f2c0431283a2979fbe1dfa35"
+    )
 
 
 # ---------------------------------------------------------------------------

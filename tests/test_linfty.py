@@ -229,18 +229,20 @@ def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
         index.setdefault(arity, set()).update(key.letters)
     assert model.key_letters == index
     fed = []
-    apply_operation = LInfinityModel.apply_operation
 
-    def spy(self, letters):
-        fed.append(list(letters))
-        return apply_operation(self, letters)
+    class Spy(dict):
+        # module mode reads the operation table at each fed word directly
+        def get(self, key, default=None):
+            fed.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(LInfinityModel, "apply_operation", spy)
+    monkeypatch.setattr(model, "operations", Spy(model.operations))
     for w in model.basis_words(4):
         extend_coderivation(model, w)
     assert fed
-    for letters in fed:
-        assert len(letters) in index and index[len(letters)].issuperset(letters)
+    for arity, word in fed:
+        assert arity == len(word) and normalize_word(list(word.letters)) == (1, word)
+        assert arity in index and index[arity].issuperset(word.letters)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from symcap.words import (
     normalize_word,
     odd_mask,
     reorder_sign,
-    shuffles,
     split_signs,
     splits,
     word_multiplicity_factor,
@@ -290,17 +289,18 @@ def test_generator_is_immutable():
 
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (2, 3), (0, 2), (3, 0)])
 def test_shuffle_count_is_binomial(i, j):
-    out = shuffles(i, j)
-    assert len(out) == math.comb(i + j, i)
-    assert len(set(out)) == len(out)
-    for sh in out:
-        assert list(sh[:i]) == sorted(sh[:i])
-        assert list(sh[i:]) == sorted(sh[i:])
-
-
-def test_shuffles_rejects_empty():
-    with pytest.raises(ValueError):
-        shuffles(0, 0)
+    """The splits with i chosen positions, read as chosen + rest, are the
+    (i, j)-shuffles in lexicographic order; the identity, the one
+    (0, j)-shuffle, has an empty chosen set and no split."""
+    k = i + j
+    out = [chosen + rest for chosen, rest in splits(k) if len(chosen) == i]
+    want = [
+        first + tuple(p for p in range(k) if p not in first)
+        for first in combinations(range(k), i)
+    ]
+    assert out == (want if i else [])
+    if i:
+        assert len(out) == math.comb(k, i)
 
 
 def test_coproduct_of_a_single_letter_is_empty():
