@@ -41,10 +41,14 @@ class DomainDescriptor:
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in ("ball", "ellipsoid", "polydisk"):
+        arity = {"ball": 1, "ellipsoid": 2, "polydisk": 2}.get(self.kind)
+        if arity is None:
             raise ValueError(f"unsupported domain kind {self.kind!r}")
         params = tuple(Fraction(p) for p in self.params)
-        if not params or any(p <= 0 for p in params):
+        if len(params) != arity:
+            noun = "parameter" if arity == 1 else "parameters"
+            raise ValueError(f"{self.kind} needs {arity} {noun}, got {len(params)}")
+        if any(p <= 0 for p in params):
             raise ValueError("domain parameters must be positive")
         if list(params) != sorted(params):
             raise ValueError("domain parameters must be sorted")

@@ -6,13 +6,14 @@ Subcommands
 ``cap capacity``
     Capacity tables for a domain: ``--family`` one of ``eh`` (``gh`` is an
     alias), ``ech``, ``g-tangency``, ``r-points``; ``--domain`` like
-    ``E:1,2``, ``P:1,3``, ``B`` or ``B:2`` (``E:1,inf`` is accepted for the
-    eh family only); ``--k`` a single index or an ``a..b`` range.  Range
-    entries are computed in one pass and emitted in ascending order.  The
-    CSV table is cached under a content key of the parameters, the version
-    and a digest of the package sources (one file per command kind and key,
-    next to its manifest); ``--no-cache`` bypasses the cache and the
-    ``SYMCAP_CACHE_DIR`` environment variable overrides the cache root.
+    ``E:1,2``, ``P:1,3``, ``B`` or ``B:2`` (``E:1,inf`` and ellipsoids with
+    more than two axes are accepted for the eh family only); ``--k`` a
+    single index or an ``a..b`` range.  Range entries are computed in one
+    pass and emitted in ascending order.  The CSV table is cached under a
+    content key of the parameters, the version and a digest of the package
+    sources (one file per command kind and key, next to its manifest);
+    ``--no-cache`` bypasses the cache and the ``SYMCAP_CACHE_DIR``
+    environment variable overrides the cache root.
 
 ``cap obstruct``
     Embedding obstructions: with ``--stabilized``, the best closed-form
@@ -25,8 +26,8 @@ Subcommands
     ``linearize`` and ``solve-gb`` use the augmentation named by ``--aug``,
     which may be left out when the model has exactly one; an unknown name,
     or a left-out name on a model without exactly one, is a usage error.
-    So are an unknown generator in ``mc --m`` and a word length cap
-    ``--l`` below 1.
+    So are an unknown generator in ``mc --m``, a word length cap ``--l``
+    below 1 and an ``mc --max-terms`` below 1.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
@@ -117,9 +118,6 @@ class RunManifest:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
 
 def cache_root() -> Path:
     env = os.environ.get("SYMCAP_CACHE_DIR")
@@ -160,11 +158,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, _, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if ".." in text else lo
+    except ValueError:
+        raise CliUsageError(f"bad index range {text!r}") from None
     if lo < 1 or hi < lo:
         raise CliUsageError(f"bad index range {text!r}")
     return list(range(lo, hi + 1))
@@ -231,11 +230,7 @@ def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> list
     if family == "ech":
         if kind == "polydisk":
             raise CliUsageError("the ech family covers ellipsoids and balls")
-        if any(x == INF for x in axes):
-            raise CliUsageError(
-                "infinite factors are supported only in the eh family"
-            )
-        a, b = (axes * 2)[:2]
+        a, b = (_descriptor(kind, axes).params * 2)[:2]
         return ech_sequence(a, b, ks[-1])[ks[0] :]
     if family == "g-tangency":
         domain = _descriptor(kind, axes)
@@ -378,6 +373,8 @@ def _word_text(word) -> str:
 def cmd_linf(args) -> int:
     if args.linf_cmd in ("check", "solve-gb") and args.l < 1:
         raise CliUsageError("--l must be >= 1")
+    if args.linf_cmd == "mc" and args.max_terms is not None and args.max_terms < 1:
+        raise CliUsageError("--max-terms must be >= 1")
     model = load_model(args.model)
     if args.linf_cmd in ("linearize", "solve-gb"):
         try:

@@ -721,6 +721,8 @@ def mc_check(
     max_terms: Optional[int] = None,
 ) -> tuple[bool, Combo]:
     """Truncated Maurer-Cartan sum Σ 1/k! l^k(m,...,m); (pass, residual)."""
+    if max_terms is not None and max_terms < 1:
+        raise ModelError("max_terms must be >= 1")
     max_arity = max((a for a, _ in model.operations), default=0)
     size_cap = max_arity if max_terms is None else min(max_terms, max_arity)
     if not assume_nilpotent:
@@ -981,146 +983,3 @@ def f_epsilon_map(model: LInfinityModel, eps: Augmentation) -> LInfinityMorphism
             combo[Word(())] = v
         comps[(1, w)] = combo
     return LInfinityMorphism(model, model, comps)
-
-
-# ---------------------------------------------------------------------------
-# interval coefficients K[t,dt]
-
-
-class IntervalElement:
-    """P(t) + Q(t)dt with combination-valued polynomial coefficients.
-
-    ``p`` and ``q`` are tuples of combinations, indexed by the t-power.
-    """
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: Sequence[Combo] = (), q: Sequence[Combo] = ()):
-        self.p = tuple(dict(c) for c in p)
-        self.q = tuple(dict(c) for c in q)
-
-    @staticmethod
-    def constant(combo: Combo) -> "IntervalElement":
-        return IntervalElement((combo,), ())
-
-    def eval_at(self, t0) -> Combo:
-        t0 = Fraction(t0)
-        out: Combo = {}
-        power = Fraction(1)
-        for combo in self.p:
-            for w, c in combo.items():
-                add_into(out, w, c.scale(power))
-            power *= t0
-        return out
-
-
-class IntervalModel:
-    """The model with coefficients extended by K[t,dt].
-
-    Only the structure maps are provided (evaluation at t = t0 is
-    :meth:`IntervalElement.eval_at`); elements are split into degree-homogeneous parts internally so the sign in
-    d(P dt) and the Leibniz-type dt-signs are well defined.
-    """
-
-    def __init__(self, model: LInfinityModel):
-        self.model = model
-
-    def _split_by_degree(self, combo: Combo) -> dict[int, Combo]:
-        parts: dict[int, Combo] = {}
-        for w, c in combo.items():
-            parts.setdefault(w.degree, {})[w] = c
-        return parts
-
-    def l1(self, elt: IntervalElement) -> IntervalElement:
-        """l¹(P + Q dt) = l¹(P) + (-1)^{|P|} (dP/dt) dt + l¹(Q) dt."""
-        model = self.model
-        p_out = [coderivation_on_combo(model, combo) for combo in elt.p]
-        q_out: list[Combo] = [dict() for _ in range(max(len(elt.p) - 1, len(elt.q)))]
-        for j in range(1, len(elt.p)):
-            for deg, part in self._split_by_degree(elt.p[j]).items():
-                sign = -1 if deg % 2 else 1
-                for w, c in part.items():
-                    add_into(q_out[j - 1], w, c.scale(sign * j))
-        for j, combo in enumerate(elt.q):
-            for w, c in coderivation_on_combo(model, combo).items():
-                add_into(q_out[j], w, c)
-        return IntervalElement(p_out, q_out)
-
-    def lk(self, elts: Sequence[IntervalElement]) -> IntervalElement:
-        """l^k(P₁+Q₁dt, ..., P_k+Q_kdt) = l^k(P₁..P_k)
-        + Σ_i (-1)^{|P_{i+1}|+...+|P_k|} l^k(P₁..Q_i..P_k) dt."""
-        k = len(elts)
-        p_out = self._poly_lk([e.p for e in elts])
-        q_parts: list[Combo] = []
-        for i in range(k):
-            sign = _tail_p_sign(elts, i)
-            slots = [e.p for e in elts]
-            slots[i] = elts[i].q
-            for j, combo in enumerate(self._poly_lk(slots)):
-                while len(q_parts) <= j:
-                    q_parts.append({})
-                for w, c in combo.items():
-                    add_into(q_parts[j], w, c.scale(sign))
-        return IntervalElement(p_out, q_parts)
-
-    def _poly_lk(self, slots: list) -> list[Combo]:
-        """Multilinear extension over polynomial coefficients, by total power."""
-        model = self.model
-        out: list[Combo] = []
-
-        def walk(i: int, power: int, letters: list, coeff: NovikovPolynomial):
-            if coeff.is_zero():
-                return
-            if i == len(slots):
-                while len(out) <= power:
-                    out.append({})
-                for u, c in model.apply_operation(letters).items():
-                    add_into(out[power], u, c * coeff)
-                return
-            for j, combo in enumerate(slots[i]):
-                for w, c in combo.items():
-                    letter = w if model.algebra_mode == "cdga" else w.letters[0]
-                    walk(i + 1, power + j, letters + [letter], coeff * c)
-
-        walk(0, 0, [], NovikovPolynomial.unit(model.cutoff))
-        return out
-
-
-def _tail_p_sign(elts: Sequence[IntervalElement], i: int) -> int:
-    """(-1)^{|P_{i+1}|+...+|P_k|} for homogeneous P-parts."""
-    total = 0
-    for e in elts[i + 1 :]:
-        degs = {w.degree for combo in e.p for w in combo}
-        if len(degs) > 1:
-            raise ModelError("interval inputs must have homogeneous P-parts")
-        total += degs.pop() if degs else 0
-    return -1 if total % 2 else 1
-
-
-class Homotopy:
-    """A morphism into interval coefficients, stored per source word."""
-
-    def __init__(
-        self,
-        source: LInfinityModel,
-        target: LInfinityModel,
-        components: dict,
-    ):
-        self.source = source
-        self.target = target
-        self.components: dict[tuple[int, Word], IntervalElement] = dict(components)
-
-    @staticmethod
-    def constant(phi: LInfinityMorphism) -> "Homotopy":
-        comps = {
-            key: IntervalElement.constant(combo)
-            for key, combo in phi.components.items()
-        }
-        return Homotopy(phi.source, phi.target, comps)
-
-    def endpoint(self, t0) -> LInfinityMorphism:
-        comps = {
-            key: elt.eval_at(t0) for key, elt in self.components.items()
-        }
-        comps = {k: v for k, v in comps.items() if v}
-        return LInfinityMorphism(self.source, self.target, comps)

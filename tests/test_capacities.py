@@ -29,8 +29,16 @@ from symcap.capacities import (
     stabilized_obstruction,
     weight_decomposition,
 )
-from symcap.linfty import ModelError
+from symcap.linfty import (
+    Augmentation,
+    LInfinityModel,
+    ModelError,
+    augmentation_hat,
+    check_linfty_relations,
+    extend_coderivation,
+)
 from symcap.modelfile import parse_model
+from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (
     OrbitRecord,
     OrbitSpectrum,
@@ -39,6 +47,7 @@ from symcap.spectra import (
     ellipsoid_orbits,
     polydisk_orbits,
 )
+from symcap.words import Generator, Word
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +67,15 @@ def test_domain_descriptor_validation():
         DomainDescriptor.ellipsoid(2, 1)
     with pytest.raises(ValueError):
         DomainDescriptor.ball(0)
+    for kind, params in (
+        ("ball", ()),
+        ("ball", (1, 2)),
+        ("ellipsoid", (1,)),
+        ("ellipsoid", (1, 2, 3)),
+        ("polydisk", (1, 2, 3)),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} needs"):
+            DomainDescriptor(kind, params)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +338,176 @@ def test_gb_solver_input_validation(models):
     )
     with pytest.raises(ModelError, match="several T-powers"):
         gb_solver(two_powers, [0], 1, 4)
+
+
+# A filtered module model whose operations make closedness bind:
+# l^1(a) = c and l^1(b) = -T c, so a alone is not closed but a + b is;
+# l^2(a, b) = T f spoils the closed square (a + b)^2 until g, with
+# l^1(g) = -T^2 f, repairs it.
+def _closedness_model():
+    return parse_model(
+        "[flags]\nfiltered = true\n"
+        "[generators]\na | 0 | 1\nc | 1 | 2\nb | 0 | 3\nf | 1 | 5\ng | 0 | 7\n"
+        "[operations]\n"
+        "1 | a | (1*T^0) * (c)\n"
+        "1 | b | (-1*T^1) * (c)\n"
+        "1 | g | (-1*T^2) * (f)\n"
+        "2 | a,b | (1*T^1) * (f)\n"
+        "[augmentations]\n"
+        "eps | a | (1*T^1) * t^0\n"
+        "eps | b | (1*T^3) * t^0\n"
+    )
+
+
+def _at_one(combo: dict) -> dict:
+    return {k: sum((c for _, c in p.terms), Fraction(0)) for k, p in combo.items()}
+
+
+def _reduce(vec: dict, combo: dict, echelon: list) -> tuple[dict, dict]:
+    """Reduce ``vec`` against the echelon vectors, tracking ``combo``."""
+    for pivot, u, u_combo in echelon:
+        f = vec.get(pivot)
+        if f:
+            for k, x in u.items():
+                vec[k] = vec.get(k, 0) - f * x
+            for k, x in u_combo.items():
+                combo[k] = combo.get(k, 0) - f * x
+    return {k: x for k, x in vec.items() if x}, combo
+
+
+def _echelon_and_kernel(vectors: list) -> tuple[list, list]:
+    """Column reduction: an echelon basis of the span, and a kernel basis
+    as index -> coefficient maps with Σ c_i·vectors[i] = 0."""
+    echelon, kernel = [], []
+    for i, v in enumerate(vectors):
+        v, combo = _reduce(dict(v), {i: Fraction(1)}, echelon)
+        if not v:
+            kernel.append(combo)
+            continue
+        pivot = next(iter(v))
+        f = v[pivot]
+        echelon.append(
+            (
+                pivot,
+                {k: x / f for k, x in v.items()},
+                {k: x / f for k, x in combo.items()},
+            )
+        )
+    return echelon, kernel
+
+
+def _kernel_then_image_level(model, b, word_cap, cutoff, closed=True):
+    """The least level whose closed words (all words if not ``closed``)
+    have ε̂-image containing the t-word ``b``: the kernel of l̂ first, then
+    its image under ε̂, by column reduction."""
+    words = model.basis_words(word_cap, cutoff)
+    aug = model.augmentation()
+    target = tuple(sorted(b))
+    for level in sorted({w.action for w in words}):
+        cols = [w for w in words if w.action <= level]
+        if closed:
+            diffs = [_at_one(extend_coderivation(model, w)) for w in cols]
+            kernel = _echelon_and_kernel(diffs)[1]
+        else:
+            kernel = [{i: Fraction(1)} for i in range(len(cols))]
+        eps = [_at_one(augmentation_hat(aug, w)) for w in cols]
+        images = []
+        for x in kernel:
+            image: dict = {}
+            for i, c in x.items():
+                for t, v in eps[i].items():
+                    image[t] = image.get(t, 0) + c * v
+            images.append(image)
+        echelon = _echelon_and_kernel(images)[0]
+        if not _reduce({target: Fraction(1)}, {}, echelon)[0]:
+            return level
+    return NOT_FOUND
+
+
+def test_gb_solver_closedness_raises_the_level():
+    model = _closedness_model()
+    assert check_linfty_relations(model, 3) == []
+    # a alone hits t^0 at level 1, but the first closed preimage is a + b
+    assert _kernel_then_image_level(model, [0], 1, 12, closed=False) == 1
+    assert gb_solver(model, [0], 1, 12) == 3
+    # (a + b)^2 would be closed at level 6 without l^2; with it, g is needed
+    assert _kernel_then_image_level(model, [0, 0], 2, 12, closed=False) == 2
+    assert gb_solver(model, [0, 0], 2, 12) == 7
+
+
+@pytest.mark.parametrize("name", ["closedness", "b2_lin", "e1x"])
+def test_gb_solver_matches_kernel_then_image(models, name):
+    model = _closedness_model() if name == "closedness" else models[name]
+    for word_cap in (1, 2, 3):
+        for b in ([0], [1], [3], [0, 0], [0, 1], [0, 0, 0]):
+            expected = _kernel_then_image_level(model, b, word_cap, 10)
+            assert gb_solver(model, b, word_cap, 10) == expected, (b, word_cap)
+
+
+def _scaled(model, c):
+    """The model with every action, T-exponent and the cutoff times c."""
+    gens = {
+        g.name: Generator(g.name, g.degree, g.action * c)
+        for g in model.ordered_generators
+    }
+
+    def word(w):
+        return Word([gens[g.name] for g in w.letters])
+
+    def coeff(p):
+        return NovikovPolynomial([(e * c, x) for e, x in p.terms])
+
+    operations = {
+        (k, word(w)): {word(u): coeff(p) for u, p in combo.items()}
+        for (k, w), combo in model.operations.items()
+    }
+    augmentations = {
+        name: Augmentation(
+            name,
+            {
+                word(w): {m: coeff(p) for m, p in tpoly.items()}
+                for w, tpoly in aug.components.items()
+            },
+        )
+        for name, aug in model.augmentations.items()
+    }
+    return LInfinityModel(
+        list(gens.values()),
+        operations,
+        model.grading_mode,
+        model.algebra_mode,
+        None if model.cutoff is None else model.cutoff * c,
+        model.filtered,
+        augmentations,
+    )
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)])
+def test_gb_solver_is_conformal(models, c):
+    cases = [
+        (_closedness_model(), [0], 1),
+        (_closedness_model(), [0, 0], 2),
+        (models["b2_lin"], [2], 2),
+        (models["b2_lin"], [0, 1], 2),
+        (models["e1x"], [6], 1),
+        (models["e1x"], [9], 1),
+    ]
+    for model, b, word_cap in cases:
+        level = gb_solver(model, b, word_cap, 10)
+        scaled = gb_solver(_scaled(model, c), b, word_cap, 10 * c)
+        assert scaled == (level if level == NOT_FOUND else c * level), b
+
+
+@pytest.mark.parametrize("name", ["closedness", "b2_lin", "e1x"])
+def test_gb_solver_word_cap_is_monotone(models, name):
+    model = _closedness_model() if name == "closedness" else models[name]
+
+    def key(level):
+        return math.inf if level == NOT_FOUND else level
+
+    for b in ([0], [2], [5], [0, 0], [0, 1], [0, 0, 0]):
+        levels = [key(gb_solver(model, b, cap, 10)) for cap in (1, 2, 3)]
+        assert levels == sorted(levels, reverse=True), (b, levels)
 
 
 # ---------------------------------------------------------------------------

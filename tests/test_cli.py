@@ -59,6 +59,11 @@ def test_eh_accepts_balls_and_infinite_factors(capsys):
         capsys, "capacity", "--family", "eh", "--domain", "E:1,inf", "--k", "1..3"
     )
     assert (code, out) == (0, "1,2,3\n")
+    # eh takes any number of ellipsoid axes; ech and the obstructions take two
+    code, out, _ = run(
+        capsys, "capacity", "--family", "eh", "--domain", "E:1,2,3", "--k", "1..5"
+    )
+    assert (code, out) == (0, "1,2,2,3,3\n")
 
 
 def test_tangency_family(capsys):
@@ -423,6 +428,22 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             assert err == (
                 "cap: error: cannot parse 't^3,t^4': expected t-powers like t^0*t^3\n"
             ), argv
+    capacity = ["capacity", "--family"]
+    mc = ["linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1*T^1,y:1*T^1"]
+    three_axes = "ellipsoid needs 2 parameters, got 3"
+    with_messages = [
+        (capacity + ["ech", "--domain", "E:1,2,3", "--k", "1..5"], three_axes),
+        (capacity + ["g-tangency", "--domain", "E:1,2,3", "--k", "1"], three_axes),
+        (["obstruct", "--source", "E:1,2,3", "--target", "B"], three_axes),
+        (["obstruct", "--source", "E:1,2", "--target", "E:1,2,3"], three_axes),
+        (["obstruct", "--source", "E:1,2,3", "--target", "B", "--stabilized"], three_axes),
+        (capacity + ["ech", "--domain", "E:1,2", "--k", "abc"], "bad index range 'abc'"),
+        (mc + ["--max-terms", "0"], "--max-terms must be >= 1"),
+        (mc + ["--max-terms", "-1"], "--max-terms must be >= 1"),
+    ]
+    for argv, message in with_messages:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"cap: error: {message}\n"), argv
 
 
 def test_version_flag(capsys):

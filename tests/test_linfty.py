@@ -1,5 +1,5 @@
 """Tests for the L-infinity layer: operations, morphisms, Maurer-Cartan
-theory, linearization, and interval coefficients."""
+theory, and linearization."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -8,10 +8,7 @@ import pytest
 
 from symcap.linfty import (
     Augmentation,
-    Homotopy,
     IntegrityError,
-    IntervalElement,
-    IntervalModel,
     LInfinityModel,
     LInfinityMorphism,
     MaurerCartanElement,
@@ -516,6 +513,10 @@ def test_mc_check_honors_term_cap(models):
     ok, residual = mc_check(dgla, _repaired_mc(dgla), max_terms=1)
     assert not ok
     assert residual == {dgla.word("z"): N("-1*T^2")}
+    # a cap below 1 would sum over no terms and pass vacuously
+    for cap in (0, -1):
+        with pytest.raises(ModelError, match="max_terms"):
+            mc_check(dgla, _repaired_mc(dgla), max_terms=cap)
 
 
 def test_mc_pushforward_along_identity(models):
@@ -631,87 +632,6 @@ def test_augmentation_pushforward_matches_hat_of_exponential():
     }
     # the longer t-words are really present before the projection
     assert hat[(0, 0)] == model.nov(((4, Fraction(1, 2)),))
-
-
-# ---------------------------------------------------------------------------
-# interval coefficients and homotopies
-
-
-def test_interval_differential_dt_part(models):
-    dgla = models["dgla"]
-    interval = IntervalModel(dgla)
-    out = interval.l1(IntervalElement(p=[{}, {dgla.word("z"): ONE}]))
-    assert out.p == ({}, {})
-    assert out.q == ({dgla.word("z"): ONE.scale(-1)},)
-
-
-def test_interval_differential_on_q_part(models):
-    dgla = models["dgla"]
-    interval = IntervalModel(dgla)
-    out = interval.l1(IntervalElement(q=[{dgla.word("w"): ONE}]))
-    assert out.p == ()
-    assert out.q == ({dgla.word("z"): ONE.scale(-1)},)
-
-
-def test_interval_binary_operation_collects_powers(models):
-    dgla = models["dgla"]
-    interval = IntervalModel(dgla)
-    ex = IntervalElement.constant({dgla.word("x"): ONE})
-    ty = IntervalElement(p=[{}, {dgla.word("y"): ONE}])
-    out = interval.lk([ex, ty])
-    assert out.p == ({}, {dgla.word("z"): ONE})
-    assert out.q == ()
-
-
-def test_interval_dt_slot_signs():
-    u = Generator("u", 0, Fraction(0))
-    v = Generator("v", 1, Fraction(0))
-    r = Generator("r", 2, Fraction(0))
-    model = LInfinityModel([u, v, r], {(2, Word([u, v])): {Word([r]): ONE}})
-    interval = IntervalModel(model)
-    u_dt = IntervalElement(q=[{Word([u]): ONE}])
-    v_const = IntervalElement.constant({Word([v]): ONE})
-    past_odd = interval.lk([u_dt, v_const])
-    assert past_odd.q == ({Word([r]): ONE.scale(-1)},)
-    last_slot = interval.lk([v_const, u_dt])
-    assert last_slot.q == ({Word([r]): ONE},)
-
-
-def test_interval_inputs_need_homogeneous_p_parts(models):
-    dgla = models["dgla"]
-    interval = IntervalModel(dgla)
-    mixed = IntervalElement(p=[{dgla.word("x"): ONE, dgla.word("z"): ONE}])
-    with pytest.raises(ModelError, match="homogeneous"):
-        interval.lk([IntervalElement.constant({dgla.word("x"): ONE}), mixed])
-
-
-def test_interval_evaluation_is_strict(models):
-    dgla = models["dgla"]
-    elt = IntervalElement(
-        p=[{dgla.word("x"): ONE}, {dgla.word("y"): ONE}],
-        q=[{dgla.word("z"): ONE}],
-    )
-    expected = {
-        dgla.word("x"): ONE,
-        dgla.word("y"): ONE.scale(Fraction(1, 2)),
-    }
-    assert elt.eval_at(Fraction(1, 2)) == expected
-
-
-def test_constant_homotopy_has_equal_endpoints(models):
-    dgla = models["dgla"]
-    ident = identity_morphism(dgla)
-    h = Homotopy.constant(ident)
-    assert h.endpoint(0).components == ident.components
-    assert h.endpoint(1).components == ident.components
-
-
-def test_homotopy_endpoint_drops_vanishing_components(models):
-    dgla = models["dgla"]
-    x = dgla.word("x")
-    h = Homotopy(dgla, dgla, {(1, x): IntervalElement(p=[{}, {x: ONE}])})
-    assert h.endpoint(0).components == {}
-    assert h.endpoint(1).components == {(1, x): {x: ONE}}
 
 
 # ---------------------------------------------------------------------------
