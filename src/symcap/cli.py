@@ -79,7 +79,7 @@ from .linfty import (
     mc_check,
 )
 from .modelfile import load_model, print_model
-from .novikov import fmt_rational, parse_novikov
+from .novikov import fmt_rational, parse_novikov, parse_rational
 from .spectra import INF, ech_sequence, eh_sequence
 
 EXIT_OK = 0
@@ -169,10 +169,18 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def rational(text: str) -> Fraction:
+    """A command-line number: ``13/2`` through ``parse_rational``, which
+    refuses a zero denominator, or a decimal such as ``1.5``.
+
+    As an argparse ``type`` its name reads "invalid rational value"."""
+    return parse_rational(text) if "/" in text else Fraction(text)
+
+
 def _parse_axis(text: str):
     if text.strip().lower() in ("inf", "infinity"):
         return INF
-    value = Fraction(text)
+    value = rational(text)
     if value <= 0:
         raise CliUsageError("domain parameters must be positive")
     return value
@@ -184,7 +192,7 @@ def _parse_domain(text: str) -> tuple[str, tuple]:
     kind = kind.strip().upper()
     try:
         if kind == "B":
-            scale = Fraction(rest) if rest else Fraction(1)
+            scale = rational(rest) if rest else Fraction(1)
             if scale <= 0:
                 raise CliUsageError("domain parameters must be positive")
             return "ball", (scale,)
@@ -194,7 +202,7 @@ def _parse_domain(text: str) -> tuple[str, tuple]:
                 raise CliUsageError(f"{kind} needs at least two parameters")
             name = "ellipsoid" if kind == "E" else "polydisk"
             return name, axes
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliUsageError(f"cannot parse domain {text!r}: {exc}") from None
     raise CliUsageError(f"unknown domain {text!r} (use E:a,b / P:a,b / B[:c])")
 
@@ -563,7 +571,7 @@ def build_parser() -> _Parser:
             p.add_argument("--aug", default=None, help="augmentation name")
             p.add_argument(
                 "--action-cutoff",
-                type=Fraction,
+                type=rational,
                 default=None,
                 help="search levels up to this action",
             )

@@ -423,38 +423,59 @@ class LInfinityModel:
 # coderivation extension and relation checking
 
 
-def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
-    """The coderivation value l̂(w) as a combination of bar words.
+def _operation_splits(
+    model: LInfinityModel, letters: tuple, outer: bool = False
+) -> Iterable[tuple[int, tuple, Combo]]:
+    """(sign, rest, ℓ(fed)) for each split of the canonical module-mode
+    ``letters`` into fed positions and the ``rest`` on which ℓ(fed) is nonzero.
 
-    ``w`` is canonical, as every ``Word`` is, so each fed subsequence of its
-    letters is a canonical word too, with sorting sign 1.  In module mode
-    the operation table is therefore read at that word directly, and only
-    when the subset's size is an operation arity and every letter is in
-    that arity's ``key_letters``; every other subset has no operation on it.
+    Each fed subsequence of a canonical word is canonical with sorting sign
+    1, so the operation table is read at it directly, and only when every
+    fed letter is in the ``key_letters`` of the fed size; every other subset
+    has no operation on it.  With ``outer``, a split is also skipped unless
+    every rest letter is in the ``key_letters`` of ``len(rest) + 1``, else no
+    operation takes ℓ(fed) ⊙ rest; so a fed size is tried only if some
+    operation has arity ``len(letters) + 1 - size``.
     """
+    k = len(letters)
+    keys = model.key_letters
+    # per fed size tried, the positions whose letter is in its key_letters
+    fits = {
+        size: {p for p, l in enumerate(letters) if l in allowed}
+        for size, allowed in keys.items()
+        if (k + 1 - size in keys if outer else size <= k)
+    }
+    if not fits:
+        return
+    for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters))):
+        ok = fits.get(len(fed))
+        if ok is None or not ok.issuperset(fed):
+            continue
+        if outer:
+            ok = fits.get(len(rest) + 1)
+            if ok is None or not ok.issuperset(rest):
+                continue
+        value = model.operations.get((len(fed), Word([letters[p] for p in fed])))
+        if value:
+            yield sign, rest, value
+
+
+def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
+    """The coderivation value l̂(w) as a combination of bar words."""
     letters = w.letters
     k = len(letters)
     if k == 0:
         raise ModelError("the empty word is not part of the reduced bar complex")
     module = model.algebra_mode == "module"
     if module:
-        # per arity, the positions whose letter is in its key_letters
-        fits = {
-            size: {p for p, l in enumerate(letters) if l in allowed}
-            for size, allowed in model.key_letters.items()
-            if size <= k
-        }
+        fed_values = _operation_splits(model, letters)
+    else:
+        fed_values = (
+            (sign, rest, model.apply_operation([letters[p] for p in fed]))
+            for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters)))
+        )
     out: Combo = {}
-    for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters))):
-        if module:
-            ok = fits.get(len(fed))
-            if ok is None or not ok.issuperset(fed):
-                continue
-            value = model.operations.get((len(fed), Word([letters[p] for p in fed])))
-        else:
-            value = model.apply_operation([letters[p] for p in fed])
-        if not value:
-            continue
+    for sign, rest, value in fed_values:
         rest_letters = [letters[p] for p in rest]
         for v, coeff in value.items():
             letter = v.letters[0] if module else v
@@ -469,14 +490,52 @@ def coderivation_on_combo(model: LInfinityModel, combo: Combo) -> Combo:
     return _extend_linearly(lambda w: extend_coderivation(model, w), combo)
 
 
+def _relation_residual(model: LInfinityModel, w: Word) -> Combo:
+    """The word-length-1 part of l̂(l̂(w)): Σ ±ℓ(ℓ(fed) ⊙ rest) over the
+    splits of ``w``, as a combination of output words."""
+    if model.algebra_mode == "cdga":
+        return _extend_linearly(
+            lambda u: model.apply_operation(u.letters), extend_coderivation(model, w)
+        )
+    letters = w.letters
+    out: Combo = {}
+    for sign, rest, value in _operation_splits(model, letters, outer=True):
+        allowed = model.key_letters[len(rest) + 1]
+        rest_letters = [letters[p] for p in rest]
+        for v, coeff in value.items():
+            letter = v.letters[0]
+            if letter not in allowed:
+                continue
+            sign2, key = normalize_word([letter] + rest_letters)
+            if key is None:
+                continue
+            for u, d in model.operations.get((len(key), key), {}).items():
+                add_into(out, u, (coeff * d).scale(sign * sign2))
+    return out
+
+
 def check_linfty_relations(
     model: LInfinityModel, max_word_len: int
 ) -> list[tuple[Word, Combo]]:
-    """l̂(l̂(w)) for every basis word up to the length bound; empty iff all vanish."""
+    """(w, l̂(l̂(w))) for every basis word w up to the length bound on which
+    the residual is nonzero; empty iff all vanish.
+
+    Emptiness is decided on word length one.  l̂ is an odd coderivation
+    (every operation has degree +1), so l̂² = ½[l̂, l̂] is a coderivation too,
+    and l̂²(w) = Σ ±pr₁l̂²(fed) ⊙ rest over the splits of w.  Every fed word
+    of a basis word is a basis word, so l̂² vanishes on all basis words up to
+    the bound iff its word-length-1 part Σ ±ℓ(ℓ(fed) ⊙ rest), the classical
+    list of L-infinity relations, does (Lada-Markl, 1995).  That part is read
+    from the operation table; the full residuals are computed only when some
+    relation fails.
+    """
     if max_word_len < 1:
         raise ModelError("max_word_len must be >= 1")
+    words = model.basis_words(max_word_len)
+    if not any(_relation_residual(model, w) for w in words):
+        return []
     violations = []
-    for w in model.basis_words(max_word_len):
+    for w in words:
         residual = coderivation_on_combo(model, extend_coderivation(model, w))
         if residual:
             violations.append((w, residual))

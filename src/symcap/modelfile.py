@@ -79,7 +79,15 @@ def _split_terms(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def _parse_term(term: str) -> tuple[NovikovPolynomial, str]:
+def _number(parse, text: str, line: str):
+    """``parse(text)``, where a ValueError is malformed content of ``line``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ModelError(f"bad number {text!r} in line {line!r}") from None
+
+
+def _parse_term(term: str, line: str) -> tuple[NovikovPolynomial, str]:
     """Split '(<coefficient>) * <rest>' and parse the coefficient."""
     term = term.strip()
     if not term.startswith("("):
@@ -91,7 +99,7 @@ def _parse_term(term: str) -> tuple[NovikovPolynomial, str]:
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                coeff = parse_novikov(term[1:i])
+                coeff = _number(parse_novikov, term[1:i], line)
                 rest = term[i + 1 :].strip()
                 if not rest.startswith("*"):
                     raise ModelError(f"expected '*' after coefficient in {term!r}")
@@ -157,7 +165,12 @@ def parse_model(text: str) -> LInfinityModel:
         if key not in flags:
             raise ModelError(f"unknown flag {key!r}")
         flags[key] = value.strip()
-    cutoff = None if flags["cutoff"].lower() == "none" else parse_rational(flags["cutoff"])
+    given = flags["cutoff"]
+    cutoff = (
+        None
+        if given.lower() == "none"
+        else _number(parse_rational, given, f"cutoff = {given}")
+    )
     if flags["filtered"].lower() not in ("true", "false"):
         raise ModelError(f"filtered must be true or false, got {flags['filtered']!r}")
     filtered = flags["filtered"].lower() == "true"
@@ -170,7 +183,9 @@ def parse_model(text: str) -> LInfinityModel:
         name, degree, action = fields
         if name in gens:
             raise ModelError(f"duplicate generator {name!r}")
-        gens[name] = Generator(name, int(degree), parse_rational(action))
+        gens[name] = Generator(
+            name, _number(int, degree, line), _number(parse_rational, action, line)
+        )
 
     operations: dict[tuple[int, Word], dict] = {}
     for line in sections["operations"]:
@@ -179,11 +194,11 @@ def parse_model(text: str) -> LInfinityModel:
             raise ModelError(
                 f"operation lines look like 'arity | inputs | combination': {line!r}"
             )
-        arity = int(fields[0])
+        arity = _number(int, fields[0], line)
         word = _parse_input_word(fields[1], gens)
         combo: dict[Word, NovikovPolynomial] = {}
         for term in _split_terms(fields[2]):
-            coeff, rest = _parse_term(term)
+            coeff, rest = _parse_term(term, line)
             sign, out = _parse_word_part(rest, gens)
             if sign != 0:
                 add_into(combo, out, coeff.scale(sign))
@@ -203,10 +218,10 @@ def parse_model(text: str) -> LInfinityModel:
         word = _parse_input_word(fields[1], gens)
         tpoly: dict[int, NovikovPolynomial] = {}
         for term in _split_terms(fields[2]):
-            coeff, rest = _parse_term(term)
+            coeff, rest = _parse_term(term, line)
             if not rest.startswith("t^"):
                 raise ModelError(f"augmentation terms end in t^<power>: {term!r}")
-            add_into(tpoly, int(rest[2:]), coeff)
+            add_into(tpoly, _number(int, rest[2:], line), coeff)
         comp = augmentations.setdefault(name, {})
         if word in comp:
             raise ModelError(f"duplicate augmentation component {fields[1]!r} for {name}")

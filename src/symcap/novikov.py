@@ -31,9 +31,14 @@ _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
+    """``-p/q`` or ``p`` as a ``Fraction``; ValueError on anything else,
+    including a zero denominator."""
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"not a rational: {text!r}")
+    _, slash, denominator = text.partition("/")
+    if slash and int(denominator) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(text)
 
 

@@ -276,6 +276,40 @@ def test_check_locates_broken_relation(capsys, fixtures_dir):
     assert out == ""
     assert "first at word (x)" in err
     assert "residual (z): 1*T^0" in err
+    # the whole report, with the word length cap spelled out
+    report = run(
+        capsys, "linf", "check", str(fixtures_dir / "broken.model"), "--l", "3"
+    )
+    assert report == (
+        3,
+        "",
+        "fail: 9 violated relations up to word length 3; first at word (x)\n"
+        "  residual (z): 1*T^0\n",
+    )
+
+
+def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
+    model = tmp_path / "bad.model"
+    for body, line, number in (
+        ("[generators]\nx | a | 0\n", "x | a | 0", "a"),
+        ("[generators]\nx | 0 | 1/0\n", "x | 0 | 1/0", "1/0"),
+        (
+            "[generators]\nx | 0 | 0\n[operations]\nabc | x | (1*T^0) * (x)\n",
+            "abc | x | (1*T^0) * (x)",
+            "abc",
+        ),
+        (
+            "[generators]\nx | 0 | 0\n[augmentations]\neps | x | (1*T^0) * t^a\n",
+            "eps | x | (1*T^0) * t^a",
+            "a",
+        ),
+    ):
+        model.write_text(body)
+        assert run(capsys, "linf", "check", str(model)) == (
+            3,
+            "",
+            f"cap: integrity: bad number {number!r} in line {line!r}\n",
+        ), body
 
 
 def test_solver_levels(capsys, fixtures_dir):
@@ -428,6 +462,8 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             assert err == (
                 "cap: error: cannot parse 't^3,t^4': expected t-powers like t^0*t^3\n"
             ), argv
+    zero_table = tmp_path / "zero.tbl"
+    zero_table.write_text("CP2 | 1 | 1,1 | 1/0 | a zero denominator\n")
     capacity = ["capacity", "--family"]
     mc = ["linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1*T^1,y:1*T^1"]
     three_axes = "ellipsoid needs 2 parameters, got 3"
@@ -440,6 +476,24 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         (capacity + ["ech", "--domain", "E:1,2", "--k", "abc"], "bad index range 'abc'"),
         (mc + ["--max-terms", "0"], "--max-terms must be >= 1"),
         (mc + ["--max-terms", "-1"], "--max-terms must be >= 1"),
+        # a zero denominator is refused before any Fraction is built
+        (
+            ["linf", "solve-gb", b2_lin, "--b", "t^3", "--action-cutoff", "1/0"],
+            "argument --action-cutoff: invalid rational value: '1/0'",
+        ),
+        (mc[:-1] + ["x:1/0*T^1"], "zero denominator in '1/0'"),
+        (
+            capacity + ["eh", "--domain", "B:1/0", "--k", "1"],
+            "cannot parse domain 'B:1/0': zero denominator in '1/0'",
+        ),
+        (
+            capacity + ["eh", "--domain", "E:1,1/0", "--k", "1"],
+            "cannot parse domain 'E:1,1/0': zero denominator in '1/0'",
+        ),
+        (
+            ["gw", "evaluate", "CP2 d=1 <(T^1 p)>", "--table", str(zero_table)],
+            "zero denominator in '1/0'",
+        ),
     ]
     for argv, message in with_messages:
         code, out, err = run(capsys, *argv)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcap.linfty import (
     Augmentation,
@@ -18,6 +20,7 @@ from symcap.linfty import (
     augmentation_pushforward_mc,
     check_linfty_relations,
     check_morphism,
+    coderivation_on_combo,
     compose_morphisms,
     deform,
     exp_mc,
@@ -30,9 +33,13 @@ from symcap.linfty import (
     mc_check,
     mc_pushforward,
     morphism_on_combo,
+    _relation_residual,
 )
+from symcap.modelfile import parse_model
 from symcap.novikov import NovikovPolynomial, add_into, parse_novikov
 from symcap.words import Generator, Word, coproduct, normalize_word, reorder_sign
+
+from conftest import FIXTURES, MODEL_NAMES
 
 N = parse_novikov
 ONE = NovikovPolynomial.unit()
@@ -68,6 +75,151 @@ def test_broken_model_fails_at_x(models):
     assert broken.word("x") in words
     residual = dict(violations)[broken.word("x")]
     assert residual == {broken.word("z"): ONE}
+
+
+# ---------------------------------------------------------------------------
+# the word-length-1 relation check against the full square l̂∘l̂
+
+
+def _full_square(model, max_len):
+    """(w, l̂(l̂(w))) for each basis word with a nonzero square."""
+    out = []
+    for w in model.basis_words(max_len):
+        residual = coderivation_on_combo(model, extend_coderivation(model, w))
+        if residual:
+            out.append((w, residual))
+    return out
+
+
+def _length_one_part(model, combo):
+    """The word-length-1 terms of a bar combination, keyed by the output
+    word of the operation that made them."""
+    cdga = model.algebra_mode == "cdga"
+    return {(w.letters[0] if cdga else w): c for w, c in combo.items() if len(w) == 1}
+
+
+def _assert_matches_full_square(model, max_len):
+    want = _full_square(model, max_len)
+    assert check_linfty_relations(model, max_len) == want
+    squares = dict(want)
+    for w in model.basis_words(max_len):
+        assert _relation_residual(model, w) == _length_one_part(
+            model, squares.get(w, {})
+        ), w
+    return want
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+def test_relations_equal_the_full_square_on_fixtures(models, name, max_len):
+    want = _assert_matches_full_square(models[name], max_len)
+    assert bool(want) == (name == "broken")
+
+
+@st.composite
+def _module_models(draw):
+    """2-5 generators, Z or Z2 grading, keys of up to three letters (even
+    letters may repeat) with degree +1 outputs, cutoff none or finite."""
+    z2 = draw(st.booleans())
+    actions = st.sampled_from([0, 1, Fraction(1, 2)])
+    gens = [
+        Generator(f"g{i}", draw(st.integers(-1, 2)), draw(actions))
+        for i in range(draw(st.integers(2, 5)))
+    ]
+    step = (lambda a, b: (a - b) % 2 == 0) if z2 else (lambda a, b: a == b)
+    keys = []
+    for size in (1, 2, 3):
+        for picks in combinations_with_replacement(gens, size):
+            _, key = normalize_word(list(picks))
+            outs = [
+                g for g in gens if key is not None and step(g.degree, key.degree + 1)
+            ]
+            if outs:
+                keys.append((key, outs))
+    picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4)) if keys else []
+    ops = {}
+    for key, outs in picked:
+        combo = ops.setdefault((len(key), key), {})
+        for g in draw(st.lists(st.sampled_from(outs), min_size=1, max_size=2)):
+            coeff = NovikovPolynomial.monomial(
+                draw(st.integers(0, 2)), draw(st.sampled_from([-2, -1, 1, 2]))
+            )
+            add_into(combo, Word([g]), coeff)
+    return LInfinityModel(
+        gens,
+        ops,
+        grading_mode="Z2" if z2 else "Z",
+        cutoff=draw(st.sampled_from([None, 2, 3])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_module_models(), max_len=st.integers(1, 3))
+def test_relations_equal_the_full_square_on_random_models(model, max_len):
+    _assert_matches_full_square(model, max_len)
+
+
+def _perturbed_cdga_aug(*lines):
+    """cdga_aug plus a generator e of degree -2 and the given operations."""
+    text = (FIXTURES / "cdga_aug.model").read_text()
+    return text + "[generators]\ne | -2 | 1/2\n[operations]\n" + "\n".join(lines)
+
+
+_EVENS = "[generators]\nw | 0 | 0\nx | 0 | 0\ny | 0 | 0\n"
+
+FIRST_AT_TWO_OR_THREE = {
+    # ℓ¹ℓ² + ℓ²ℓ¹ on (x,y): ℓ²(x,y) = z but ℓ¹z = u
+    "l1_l2": (
+        _EVENS + "z | 1 | 0\nu | 2 | 0\n[operations]\n"
+        "2 | x , y | (1*T^0) * (z)\n1 | z | (1*T^0) * (u)\n",
+        2,
+        (("x", "y"), "1"),
+    ),
+    # ℓ²ℓ¹ on two odd letters: pulling p in front of o gives the sign -1
+    "l2_l1_odd": (
+        "[generators]\no | 1 | 0\np | 1 | 0\nz | 2 | 0\nu | 4 | 0\n[operations]\n"
+        "1 | p | (1*T^0) * (z)\n2 | o , z | (1*T^0) * (u)\n",
+        2,
+        (("o", "p"), "-1"),
+    ),
+    # ℓ²ℓ¹ again: sorting the odd output q after the odd o gives the sign -1
+    "l2_l1_sorted": (
+        "[generators]\no | 1 | 0\np | 0 | 0\nq | 1 | 0\nu | 3 | 0\n[operations]\n"
+        "1 | p | (1*T^0) * (q)\n2 | o , q | (1*T^0) * (u)\n",
+        2,
+        (("o", "p"), "-1"),
+    ),
+    # ℓ¹ℓ³ on (w,x,y): ℓ³(w,x,y) = z but ℓ¹z = u
+    "l1_l3": (
+        _EVENS + "z | 1 | 0\nu | 2 | 0\n[operations]\n"
+        "3 | w , x , y | (1*T^0) * (z)\n1 | z | (1*T^0) * (u)\n",
+        3,
+        (("w", "x", "y"), "1"),
+    ),
+    # the Jacobi identity of ℓ² on (w,x,y): ℓ²(ℓ²(x,y),w) = u alone
+    "l2_l2": (
+        _EVENS + "z | 1 | 0\nu | 2 | 0\n[operations]\n"
+        "2 | x , y | (1*T^0) * (z)\n2 | w , z | (1*T^0) * (u)\n",
+        3,
+        (("w", "x", "y"), "1"),
+    ),
+    # cdga: ℓ²(b,e) = a, and ℓ¹a = bc + T
+    "cdga_l1_l2": (_perturbed_cdga_aug("2 | b , e | (1*T^0) * (a)"), 2, None),
+    # cdga: ℓ³(b,c,e) = T^(1/2) a, and ℓ¹a = bc + T
+    "cdga_l1_l3": (_perturbed_cdga_aug("3 | b , c , e | (1*T^(1/2)) * (a)"), 3, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_AT_TWO_OR_THREE))
+def test_first_violation_at_word_length_two_or_three(case):
+    text, length, only = FIRST_AT_TWO_OR_THREE[case]
+    model = parse_model(text)
+    assert _assert_matches_full_square(model, length - 1) == []
+    violations = _assert_matches_full_square(model, length)
+    assert violations and all(len(w) == length for w, _ in violations)
+    if only is not None:  # module mode: exactly one word, onto u
+        letters, coeff = only
+        assert violations == [(model.word(*letters), {model.word("u"): N(coeff)})]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +371,9 @@ def test_basis_words_are_the_canonical_multisets(models, name, max_action):
         assert normalize_word(list(w.letters)) == (1, w)
 
 
-def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
-    model = models["b2"]
+def _indexed_table_reads(model, monkeypatch, run):
+    """Run ``run()`` and assert every operation-table read was at a canonical
+    word all of whose letters are ``key_letters`` of its arity."""
     index = {}
     for arity, key in model.operations:
         index.setdefault(arity, set()).update(key.letters)
@@ -234,12 +387,29 @@ def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
             return super().get(key, default)
 
     monkeypatch.setattr(model, "operations", Spy(model.operations))
-    for w in model.basis_words(4):
-        extend_coderivation(model, w)
+    run()
     assert fed
     for arity, word in fed:
         assert arity == len(word) and normalize_word(list(word.letters)) == (1, word)
         assert arity in index and index[arity].issuperset(word.letters)
+
+
+def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
+    model = models["b2"]
+    _indexed_table_reads(
+        model,
+        monkeypatch,
+        lambda: [extend_coderivation(model, w) for w in model.basis_words(4)],
+    )
+
+
+@pytest.mark.parametrize("name", ["dgla", "l2_l2"])
+def test_relation_check_reads_only_indexed_words(models, monkeypatch, name):
+    # the second read, at ℓ(fed) ⊙ rest, is pruned on the rest letters too
+    model = models.get(name) or parse_model(FIRST_AT_TWO_OR_THREE[name][0])
+    _indexed_table_reads(
+        model, monkeypatch, lambda: check_linfty_relations(model, 4)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,10 +109,26 @@ def test_odd_square_output_terms_vanish():
             "[generators]\nx | 0 | 0\n[operations]\n1 | x | 1*T^0 * (x)\n",
             "parenthesized coefficient",
         ),
+        # a number that does not parse is malformed content of its line
+        ("[flags]\ncutoff = 1/0\n", "bad number '1/0' in line 'cutoff = 1/0'"),
+        ("[generators]\nx | a | 0\n", "bad number 'a' in line 'x | a | 0'"),
+        ("[generators]\nx | 0 | 1/0\n", "bad number '1/0' in line 'x | 0 | 1/0'"),
+        (
+            "[generators]\nx | 0 | 0\n[operations]\nabc | x | (1*T^0) * (x)\n",
+            "bad number 'abc' in line 'abc | x | (1*T^0) * (x)'",
+        ),
+        (
+            "[generators]\nx | 0 | 0\ny | 1 | 0\n[operations]\n1 | x | (1/0*T^0) * (y)\n",
+            "bad number '1/0*T^0' in line '1 | x | (1/0*T^0) * (y)'",
+        ),
+        (
+            "[generators]\nx | 0 | 0\n[augmentations]\neps | x | (1*T^0) * t^a\n",
+            "bad number 'a' in line 'eps | x | (1*T^0) * t^a'",
+        ),
     ],
 )
 def test_malformed_files_are_rejected(text, message):
-    with pytest.raises(ModelError, match=message):
+    with pytest.raises(ModelError, match=re.escape(message)):
         parse_model(text)
 
 

@@ -147,7 +147,9 @@ def test_parse_shorthands():
     assert parse_novikov("1*T^1", cutoff=5).cutoff == 5
 
 
-@pytest.mark.parametrize("bad", ["T^1", "1*T", "x", "1*T^1 * 2", ""])
+@pytest.mark.parametrize(
+    "bad", ["T^1", "1*T", "x", "1*T^1 * 2", "", "1/0", "1/0*T^1", "1*T^(1/00)"]
+)
 def test_parse_rejects_malformed_terms(bad):
     with pytest.raises(ValueError):
         parse_novikov(bad)
