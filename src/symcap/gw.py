@@ -28,6 +28,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .linfty import ModelError
 from .novikov import add_into, parse_rational
 
 SURFACES = ("CP2", "CP1xCP1", "CP1")
@@ -320,7 +321,8 @@ def _format_table_key(tkey: tuple) -> str:
 
 
 def load_table(path) -> BaseInvariantTable:
-    """One record per line: surface | class | group sizes | value | provenance."""
+    """One record per line: surface | class | group sizes | value | provenance;
+    a line that breaks this contract raises ``ModelError`` quoting it."""
     entries: dict = {}
     provenance: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -330,22 +332,31 @@ def load_table(path) -> BaseInvariantTable:
                 continue
             fields = [f.strip() for f in line.split("|")]
             if len(fields) != 5:
-                raise ValueError(f"malformed table line: {raw!r}")
+                raise ModelError(
+                    "table lines look like 'surface | class | group sizes | "
+                    f"value | provenance': {line!r}"
+                )
             surface, cls_text, sizes_text, value_text, source = fields
             if surface not in SURFACES:
-                raise ValueError(f"unknown surface in table: {surface!r}")
-            if surface == "CP1xCP1":
-                d1, d2 = (int(x) for x in cls_text.split(","))
-                cls: Union[int, tuple] = (d1, d2)
-            else:
-                cls = int(cls_text)
-            sizes = tuple(
-                sorted((int(s) for s in sizes_text.split(",")), reverse=True)
-            )
+                raise ModelError(f"unknown surface {surface!r} in line {line!r}")
+            try:
+                if surface == "CP1xCP1":
+                    d1, d2 = (int(x) for x in cls_text.split(","))
+                    cls: Union[int, tuple] = (d1, d2)
+                else:
+                    cls = int(cls_text)
+                sizes = tuple(
+                    sorted((int(s) for s in sizes_text.split(",")), reverse=True)
+                )
+                value = parse_rational(value_text)
+            except ValueError:
+                raise ModelError(
+                    f"bad class, group sizes or value in line {line!r}"
+                ) from None
             tkey = (surface, cls, sizes)
             if tkey in entries:
-                raise ValueError(f"duplicate table entry {tkey}")
-            entries[tkey] = parse_rational(value_text)
+                raise ModelError(f"duplicate table entry {tkey} in line {line!r}")
+            entries[tkey] = value
             provenance[tkey] = source
     return BaseInvariantTable(entries, provenance)
 

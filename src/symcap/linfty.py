@@ -6,16 +6,21 @@ In ``module`` mode outputs are single generators (``l^k: ⊙^k V -> V``); in
 operations are extended to monomial inputs by the Leibniz rule in each slot.
 
 Bar-complex elements are linear combinations of :class:`~symcap.words.Word`
-objects with :class:`~symcap.novikov.NovikovPolynomial` coefficients.  In
-module mode bar letters are generators; in cdga mode bar letters are
-monomials, i.e. the bar words are words of words.
+objects with :class:`~symcap.novikov.NovikovPolynomial` coefficients.  A bar
+letter is a generator in module mode and a nonempty monomial in cdga mode,
+where bar words are words of words.  Both modes take one engine path: the
+basis words come from one enumeration with a budget on the generators they
+hold, and the coderivation and the relation check feed ℓ through one split
+loop.  The model makes the three choices that depend on the mode: what ℓ is
+on a canonical word of bar letters, which bar letters can feed an operation
+of a given arity, and how an output word becomes a bar letter.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
 from .novikov import NovikovPolynomial, add_into, fmt_rational
@@ -61,13 +66,13 @@ def _extend_linearly(f, combo: Combo) -> dict:
     return out
 
 
-def _signed_lookup(table: dict, letters: Sequence) -> Combo:
-    """The entry of an (arity, canonical word)-keyed table at the canonical
-    form of ``letters``, times the sign of sorting them."""
+def _signed_lookup(value, letters: Sequence) -> Combo:
+    """``value`` at the canonical form of ``letters``, times the sign of
+    sorting them."""
     sign, key = normalize_word(letters)
     if key is None:
         return {}
-    combo = table.get((len(key), key), {})
+    combo = value(key)
     return dict(combo) if sign == 1 else {w: -c for w, c in combo.items()}
 
 
@@ -291,7 +296,7 @@ class LInfinityModel:
         return w
 
     def bar_letter(self, g: Generator):
-        return Word([g]) if self.algebra_mode == "cdga" else g
+        return self.output_letter(Word([g]))
 
     def nov(self, terms) -> NovikovPolynomial:
         return NovikovPolynomial(terms, self.cutoff)
@@ -312,111 +317,108 @@ class LInfinityModel:
         return next(iter(self.augmentations.values()))
 
     def basis_words(self, max_len: int, max_action=None) -> list[Word]:
-        """Canonical bar words up to the given length (and action bound)."""
+        """Canonical bar words of at most ``max_len`` generators (and the
+        action bound), by number of letters; a monomial letter spends one
+        generator of the budget per letter of its own."""
         cap = self.cutoff if max_action is None else Fraction(max_action)
-        letters = (
-            [Word([g]) for g in self.ordered_generators]
-            if self.algebra_mode == "cdga"
-            else list(self.ordered_generators)
-        )
-        if self.algebra_mode == "cdga":
-            monos: list[Word] = []
-            for size in range(1, max_len + 1):
-                monos.extend(self._multisets(self.ordered_generators, size, cap))
-            letters = sorted(monos, key=lambda w: w.sort_key)
-            out: list[Word] = []
-            for size in range(1, max_len + 1):
-                for w in self._multisets(letters, size, cap):
-                    if sum(len(l) for l in w.letters) <= max_len:
-                        out.append(w)
-            return out
-        out = []
-        for size in range(1, max_len + 1):
-            out.extend(self._multisets(letters, size, cap))
-        return out
+        return self._multisets(*self._bar_alphabet(max_len, cap), max_len, cap)
+
+    def _bar_alphabet(self, max_len: int, cap) -> tuple[list, list[int]]:
+        """The sorted bar letters of at most ``max_len`` generators within
+        ``cap``, and how many generators each holds: the generators, or in
+        cdga mode the nonempty monomials."""
+        gens = self.ordered_generators
+        ones = [1] * len(gens)
+        if self.algebra_mode == "module":
+            return gens, ones
+        monos = self._multisets(gens, ones, max_len, cap)
+        monos.sort(key=lambda w: w.sort_key)
+        return monos, [len(m) for m in monos]
 
     @staticmethod
-    def _multisets(letters: Sequence, size: int, cap) -> Iterable[Word]:
-        """Canonical words of ``size`` letters drawn from the sorted ``letters``.
+    def _multisets(
+        letters: Sequence, sizes: Sequence[int], budget: int, cap
+    ) -> list[Word]:
+        """Canonical words drawn from the sorted ``letters`` whose ``sizes``
+        sum to at most ``budget``, by number of letters.
 
         Letters are taken in nondecreasing position and an odd letter never
-        twice, so every word is already canonical with sign 1.
+        twice, so every word is already canonical with sign 1.  A letter is
+        skipped when the letters still to come, of size at least 1 each, no
+        longer fit the budget.
         """
-        n = len(letters)
+        out: list[Word] = []
 
-        def rec(start: int, left: int, acc: list, action: Fraction):
+        def rec(start: int, left: int, budget: int, acc: list, action: Fraction):
             if left == 0:
-                yield Word(acc)
+                out.append(Word(acc))
                 return
-            for i in range(start, n):
+            for i in range(start, len(letters)):
                 l = letters[i]
                 if l.degree % 2 and acc and acc[-1] == l:
+                    continue
+                rest = budget - sizes[i]
+                if rest < left - 1:
                     continue
                 a = action + l.action
                 if cap is not None and a > cap:
                     continue
                 acc.append(l)
-                yield from rec(i, left - 1, acc, a)
+                rec(i, left - 1, rest, acc, a)
                 acc.pop()
 
-        yield from rec(0, size, [], Fraction(0))
+        for count in range(1, budget + 1):
+            rec(0, count, budget, [], Fraction(0))
+        return out
 
     # -- applying operations -------------------------------------------------
 
     def apply_operation(self, letters: Sequence) -> Combo:
         """Apply l^k to k bar letters (generators or, in cdga mode, monomials)."""
-        if self.algebra_mode == "module":
-            return _signed_lookup(self.operations, letters)
-        return self._apply_cdga(len(letters), letters)
+        return _signed_lookup(self._operation, letters)
 
-    def _apply_cdga(self, k: int, monomials: Sequence[Word]) -> Combo:
-        """Leibniz rule in each slot: pick one letter per monomial, feed l^k."""
-        flat: list[Generator] = []
-        slots: list[list[int]] = []
-        for mono in monomials:
-            idxs = []
-            for l in mono.letters:
-                idxs.append(len(flat))
-                flat.append(l)
-            slots.append(idxs)
-        if any(not s for s in slots):
-            return {}  # a unit slot is killed by the multiderivation
+    def _operation(self, word: Word) -> Combo:
+        """ℓ on a canonical word of bar letters.
+
+        In module mode this is a table read.  In cdga mode it is the Leibniz
+        rule in each slot: pick one generator per monomial, read ℓ at the
+        picks, and multiply the output by the letters left over.  Only
+        generators of the ``key_letters`` of the arity are picked; no other
+        pick has an operation on it, and a unit slot has nothing to pick.
+        """
+        k = len(word)
+        if self.algebra_mode == "module":
+            return self.operations.get((k, word), {})
+        allowed = self.key_letters.get(k, ())
+        flat, slots = [], []
+        for mono in word.letters:
+            slots.append([len(flat) + j for j, g in enumerate(mono) if g in allowed])
+            flat.extend(mono.letters)
         degrees = [g.degree for g in flat]
         out: Combo = {}
-
-        def rec(slot: int, chosen: list[int]):
-            if slot == len(slots):
-                self._leibniz_term(flat, degrees, chosen, out)
-                return
-            for idx in slots[slot]:
-                chosen.append(idx)
-                rec(slot + 1, chosen)
-                chosen.pop()
-
-        rec(0, [])
+        for chosen in product(*slots):
+            sign, key = normalize_word([flat[i] for i in chosen])
+            combo = key and self.operations.get((k, key))
+            if not combo:
+                continue
+            leftovers = [i for i in range(len(flat)) if i not in chosen]
+            sign *= reorder_sign(degrees, list(chosen) + leftovers)
+            rest = [flat[i] for i in leftovers]
+            for u, coeff in combo.items():
+                sign2, merged = _monomial(list(u.letters) + rest)
+                if merged is not None:
+                    add_into(out, merged, coeff.scale(sign * sign2))
         return out
 
-    def _leibniz_term(
-        self,
-        flat: list[Generator],
-        degrees: list[int],
-        chosen: list[int],
-        out: Combo,
-    ) -> None:
-        leftovers = [i for i in range(len(flat)) if i not in chosen]
-        order = list(chosen) + leftovers
-        sign1 = reorder_sign(degrees, order)
-        sign2, key = normalize_word([flat[i] for i in chosen])
-        if key is None:
-            return
-        combo = self.operations.get((len(chosen), key))
-        if not combo:
-            return
-        rest = [flat[i] for i in leftovers]
-        for u, coeff in combo.items():
-            sign3, merged = _monomial(list(u.letters) + rest)
-            if merged is not None:
-                add_into(out, merged, coeff.scale(sign1 * sign2 * sign3))
+    def _feeds(self, letter, allowed: frozenset) -> bool:
+        """Whether a bar letter holds one of the ``allowed`` key generators."""
+        if self.algebra_mode == "module":
+            return letter in allowed
+        return not allowed.isdisjoint(letter.letters)
+
+    def output_letter(self, out: Word):
+        """The bar letter of an output word: its generator, or the monomial."""
+        return out if self.algebra_mode == "cdga" else out.letters[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +428,22 @@ class LInfinityModel:
 def _operation_splits(
     model: LInfinityModel, letters: tuple, outer: bool = False
 ) -> Iterable[tuple[int, tuple, Combo]]:
-    """(sign, rest, ℓ(fed)) for each split of the canonical module-mode
-    ``letters`` into fed positions and the ``rest`` on which ℓ(fed) is nonzero.
+    """(sign, rest, ℓ(fed)) for each split of the canonical ``letters`` into
+    fed positions and the ``rest`` on which ℓ(fed) is nonzero.
 
     Each fed subsequence of a canonical word is canonical with sorting sign
-    1, so the operation table is read at it directly, and only when every
-    fed letter is in the ``key_letters`` of the fed size; every other subset
-    has no operation on it.  With ``outer``, a split is also skipped unless
-    every rest letter is in the ``key_letters`` of ``len(rest) + 1``, else no
-    operation takes ℓ(fed) ⊙ rest; so a fed size is tried only if some
-    operation has arity ``len(letters) + 1 - size``.
+    1, so ℓ is taken at it directly, and only when every fed letter can feed
+    an operation of the fed size (see ``LInfinityModel._feeds``); every
+    other subset has no operation on it.  With ``outer``, a split is also
+    skipped unless every rest letter can feed an operation of arity
+    ``len(rest) + 1``, else no operation takes ℓ(fed) ⊙ rest; so a fed size
+    is tried only if some operation has arity ``len(letters) + 1 - size``.
     """
     k = len(letters)
     keys = model.key_letters
-    # per fed size tried, the positions whose letter is in its key_letters
+    # per fed size tried, the positions whose letter can feed it
     fits = {
-        size: {p for p, l in enumerate(letters) if l in allowed}
+        size: {p for p, l in enumerate(letters) if model._feeds(l, allowed)}
         for size, allowed in keys.items()
         if (k + 1 - size in keys if outer else size <= k)
     }
@@ -455,7 +457,7 @@ def _operation_splits(
             ok = fits.get(len(rest) + 1)
             if ok is None or not ok.issuperset(rest):
                 continue
-        value = model.operations.get((len(fed), Word([letters[p] for p in fed])))
+        value = model._operation(Word([letters[p] for p in fed]))
         if value:
             yield sign, rest, value
 
@@ -463,23 +465,13 @@ def _operation_splits(
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
     """The coderivation value l̂(w) as a combination of bar words."""
     letters = w.letters
-    k = len(letters)
-    if k == 0:
+    if not letters:
         raise ModelError("the empty word is not part of the reduced bar complex")
-    module = model.algebra_mode == "module"
-    if module:
-        fed_values = _operation_splits(model, letters)
-    else:
-        fed_values = (
-            (sign, rest, model.apply_operation([letters[p] for p in fed]))
-            for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters)))
-        )
     out: Combo = {}
-    for sign, rest, value in fed_values:
+    for sign, rest, value in _operation_splits(model, letters):
         rest_letters = [letters[p] for p in rest]
         for v, coeff in value.items():
-            letter = v.letters[0] if module else v
-            sign2, bar = normalize_word([letter] + rest_letters)
+            sign2, bar = normalize_word([model.output_letter(v)] + rest_letters)
             if bar is None:
                 continue
             add_into(out, bar, coeff.scale(sign * sign2))
@@ -493,23 +485,19 @@ def coderivation_on_combo(model: LInfinityModel, combo: Combo) -> Combo:
 def _relation_residual(model: LInfinityModel, w: Word) -> Combo:
     """The word-length-1 part of l̂(l̂(w)): Σ ±ℓ(ℓ(fed) ⊙ rest) over the
     splits of ``w``, as a combination of output words."""
-    if model.algebra_mode == "cdga":
-        return _extend_linearly(
-            lambda u: model.apply_operation(u.letters), extend_coderivation(model, w)
-        )
     letters = w.letters
     out: Combo = {}
     for sign, rest, value in _operation_splits(model, letters, outer=True):
         allowed = model.key_letters[len(rest) + 1]
         rest_letters = [letters[p] for p in rest]
         for v, coeff in value.items():
-            letter = v.letters[0]
-            if letter not in allowed:
+            letter = model.output_letter(v)
+            if not model._feeds(letter, allowed):
                 continue
             sign2, key = normalize_word([letter] + rest_letters)
             if key is None:
                 continue
-            for u, d in model.operations.get((len(key), key), {}).items():
+            for u, d in model._operation(key).items():
                 add_into(out, u, (coeff * d).scale(sign * sign2))
     return out
 
@@ -595,7 +583,7 @@ class LInfinityMorphism:
         return max((a for a, _ in self.components), default=0)
 
     def component(self, letters: Sequence) -> Combo:
-        return _signed_lookup(self.components, letters)
+        return _signed_lookup(lambda k: self.components.get((len(k), k), {}), letters)
 
     # -- application ---------------------------------------------------------
 
@@ -646,8 +634,7 @@ def _tensor_into(
                 add_into(acc, bar, coeff.scale(sign))
             return
         for wrd, c in factors[i].items():
-            letter = wrd if target.algebra_mode == "cdga" else wrd.letters[0]
-            rec(i + 1, letters + [letter], coeff * c)
+            rec(i + 1, letters + [target.output_letter(wrd)], coeff * c)
 
     rec(0, [], NovikovPolynomial(((0, sign),), target.cutoff))
 

@@ -166,11 +166,12 @@ def parse_model(text: str) -> LInfinityModel:
             raise ModelError(f"unknown flag {key!r}")
         flags[key] = value.strip()
     given = flags["cutoff"]
-    cutoff = (
-        None
-        if given.lower() == "none"
-        else _number(parse_rational, given, f"cutoff = {given}")
-    )
+    cutoff = None
+    if given.lower() != "none":
+        line = f"cutoff = {given}"
+        cutoff = _number(parse_rational, given, line)
+        if cutoff <= 0:
+            raise ModelError(f"cutoff must be positive in line {line!r}")
     if flags["filtered"].lower() not in ("true", "false"):
         raise ModelError(f"filtered must be true or false, got {flags['filtered']!r}")
     filtered = flags["filtered"].lower() == "true"
@@ -183,9 +184,11 @@ def parse_model(text: str) -> LInfinityModel:
         name, degree, action = fields
         if name in gens:
             raise ModelError(f"duplicate generator {name!r}")
-        gens[name] = Generator(
-            name, _number(int, degree, line), _number(parse_rational, action, line)
-        )
+        degree = _number(int, degree, line)
+        action = _number(parse_rational, action, line)
+        if action < 0:
+            raise ModelError(f"action must be >= 0 in line {line!r}")
+        gens[name] = Generator(name, degree, action)
 
     operations: dict[tuple[int, Word], dict] = {}
     for line in sections["operations"]:

@@ -152,12 +152,6 @@ class NovikovPolynomial:
             return self._canonical((), self.cutoff)
         return self._canonical(tuple((e, k * c) for e, k in self.terms), self.cutoff)
 
-    def shift(self, exponent: Rational) -> "NovikovPolynomial":
-        """Multiply by T^exponent."""
-        return NovikovPolynomial(
-            ((e + Fraction(exponent), c) for e, c in self.terms), self.cutoff
-        )
-
     def truncate(self, cutoff: Rational) -> "NovikovPolynomial":
         return NovikovPolynomial(self.terms, cutoff)
 

@@ -290,26 +290,55 @@ def test_check_locates_broken_relation(capsys, fixtures_dir):
 
 def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
     model = tmp_path / "bad.model"
-    for body, line, number in (
-        ("[generators]\nx | a | 0\n", "x | a | 0", "a"),
-        ("[generators]\nx | 0 | 1/0\n", "x | 0 | 1/0", "1/0"),
+    for body, message in (
+        ("[generators]\nx | a | 0\n", "bad number 'a' in line 'x | a | 0'"),
+        ("[generators]\nx | 0 | 1/0\n", "bad number '1/0' in line 'x | 0 | 1/0'"),
         (
             "[generators]\nx | 0 | 0\n[operations]\nabc | x | (1*T^0) * (x)\n",
-            "abc | x | (1*T^0) * (x)",
-            "abc",
+            "bad number 'abc' in line 'abc | x | (1*T^0) * (x)'",
         ),
         (
             "[generators]\nx | 0 | 0\n[augmentations]\neps | x | (1*T^0) * t^a\n",
-            "eps | x | (1*T^0) * t^a",
-            "a",
+            "bad number 'a' in line 'eps | x | (1*T^0) * t^a'",
         ),
+        ("[generators]\nx | 0 | -1\n", "action must be >= 0 in line 'x | 0 | -1'"),
+        ("[flags]\ncutoff = -1\n", "cutoff must be positive in line 'cutoff = -1'"),
     ):
         model.write_text(body)
         assert run(capsys, "linf", "check", str(model)) == (
             3,
             "",
-            f"cap: integrity: bad number {number!r} in line {line!r}\n",
+            f"cap: integrity: {message}\n",
         ), body
+
+
+def test_malformed_table_lines_exit_three(capsys, tmp_path):
+    table = tmp_path / "bad.tbl"
+    bad = "bad class, group sizes or value in line"
+    for body, message in (
+        (
+            "CP2 | 1 | 1,1 | 1",
+            "table lines look like 'surface | class | group sizes | value | "
+            "provenance': 'CP2 | 1 | 1,1 | 1'",
+        ),
+        (
+            "CP3 | 1 | 1,1 | 1 | x",
+            "unknown surface 'CP3' in line 'CP3 | 1 | 1,1 | 1 | x'",
+        ),
+        ("CP2 | d | 1,1 | 1 | x", f"{bad} 'CP2 | d | 1,1 | 1 | x'"),
+        ("CP1xCP1 | 1 | 1,1 | 1 | x", f"{bad} 'CP1xCP1 | 1 | 1,1 | 1 | x'"),
+        ("CP2 | 1 | 1,a | 1 | x", f"{bad} 'CP2 | 1 | 1,a | 1 | x'"),
+        ("CP2 | 1 | 1,1 | 1/0 | x", f"{bad} 'CP2 | 1 | 1,1 | 1/0 | x'"),
+        ("CP2 | 1 | 1,1 | one | x", f"{bad} 'CP2 | 1 | 1,1 | one | x'"),
+        (
+            "CP2 | 1 | 1,1 | 1 | one\nCP2 | 1 | 1,1 | 2 | two",
+            "duplicate table entry ('CP2', 1, (1, 1)) "
+            "in line 'CP2 | 1 | 1,1 | 2 | two'",
+        ),
+    ):
+        table.write_text(body + "\n")
+        argv = ["gw", "evaluate", "CP2 d=1 <(T^1 p)>", "--table", str(table)]
+        assert run(capsys, *argv) == (3, "", f"cap: integrity: {message}\n"), body
 
 
 def test_solver_levels(capsys, fixtures_dir):
@@ -462,8 +491,6 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             assert err == (
                 "cap: error: cannot parse 't^3,t^4': expected t-powers like t^0*t^3\n"
             ), argv
-    zero_table = tmp_path / "zero.tbl"
-    zero_table.write_text("CP2 | 1 | 1,1 | 1/0 | a zero denominator\n")
     capacity = ["capacity", "--family"]
     mc = ["linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1*T^1,y:1*T^1"]
     three_axes = "ellipsoid needs 2 parameters, got 3"
@@ -489,10 +516,6 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         (
             capacity + ["eh", "--domain", "E:1,1/0", "--k", "1"],
             "cannot parse domain 'E:1,1/0': zero denominator in '1/0'",
-        ),
-        (
-            ["gw", "evaluate", "CP2 d=1 <(T^1 p)>", "--table", str(zero_table)],
-            "zero denominator in '1/0'",
         ),
     ]
     for argv, message in with_messages:

@@ -2,7 +2,7 @@
 theory, and linearization."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +260,28 @@ def test_cdga_multilinear_leibniz_rule():
     assert out == {Word([p, r]): ONE}
 
 
+def test_cdga_leibniz_rule_signs():
+    e = Generator("e", 0, 0)
+    o, p, q, r = (Generator(n, 1, 0) for n in "opqr")
+    v, w = Generator("v", 2, 0), Generator("w", 3, 0)
+    model = LInfinityModel(
+        [e, o, p, q, r, v, w],
+        {
+            (1, Word([e])): {Word([r]): ONE},
+            (1, Word([p])): {Word([v]): ONE},
+            (2, Word([p, q])): {Word([w]): ONE},
+        },
+        algebra_mode="cdga",
+    )
+    minus = ONE.scale(-1)
+    # the pick p moves in front of the odd o it follows
+    assert model.apply_operation([Word([o, p])]) == {Word([o, v]): minus}
+    # the output r sorts behind the odd o left over
+    assert model.apply_operation([Word([e, o])]) == {Word([o, r]): minus}
+    # the picks q, p of the two slots sort to the key p, q
+    assert model.apply_operation([Word([e, q]), Word([p])]) == {Word([e, w]): minus}
+
+
 def test_unit_slot_kills_cdga_operations(models):
     model = models["cdga_aug"]
     assert model.apply_operation([Word(()), model.word("b")]) == {}
@@ -309,8 +331,37 @@ def test_coderivation_coleibniz(models, name, max_len):
 # the pruned coderivation and the canonical basis against references
 
 
+def _reference_operation(model, letters):
+    """ℓ on bar letters in any order, with no pruning: a signed table read
+    in module mode; in cdga mode the Leibniz rule over every pick of one
+    generator per monomial."""
+    if model.algebra_mode == "module":
+        sign, key = normalize_word(list(letters))
+        value = model.operations.get((len(key), key), {}) if key else {}
+        return {u: c.scale(sign) for u, c in value.items()}
+    flat = [g for mono in letters for g in mono.letters]
+    degrees = [g.degree for g in flat]
+    slots, start = [], 0
+    for mono in letters:
+        slots.append(range(start, start + len(mono)))
+        start += len(mono)
+    out = {}
+    for chosen in product(*slots):
+        rest = [i for i in range(len(flat)) if i not in chosen]
+        sign, key = normalize_word([flat[i] for i in chosen])
+        if key is None:
+            continue
+        sign *= reorder_sign(degrees, list(chosen) + rest)
+        for u, coeff in model.operations.get((len(key), key), {}).items():
+            merged = list(u.letters) + [flat[i] for i in rest]
+            sign2, mono = normalize_word(merged) if merged else (1, Word(()))
+            if mono is not None:
+                add_into(out, mono, coeff.scale(sign * sign2))
+    return out
+
+
 def _reference_coderivation(model, w):
-    """l̂(w) with every position subset fed to ``apply_operation``."""
+    """l̂(w) with every position subset fed to ``_reference_operation``."""
     letters = w.letters
     degrees = [l.degree for l in letters]
     positions = range(len(letters))
@@ -319,7 +370,7 @@ def _reference_coderivation(model, w):
         for fed in combinations(positions, size + 1):
             rest = [p for p in positions if p not in fed]
             sign = reorder_sign(degrees, list(fed) + rest)
-            value = model.apply_operation([letters[p] for p in fed])
+            value = _reference_operation(model, [letters[p] for p in fed])
             for v, coeff in value.items():
                 letter = v if model.algebra_mode == "cdga" else v.letters[0]
                 sign2, bar = normalize_word([letter] + [letters[p] for p in rest])
@@ -346,29 +397,38 @@ def _nonzero_words(letters, max_len):
     return out
 
 
+def _assert_canonical_basis(model, max_len, max_action=None):
+    """``basis_words`` is every nonzero canonical multiset of bar letters
+    with at most ``max_len`` generators in all, once each."""
+    cap = model.cutoff if max_action is None else Fraction(max_action)
+    gens = list(model.generators.values())  # file order, not canonical
+    if model.algebra_mode == "cdga":
+        monos = _nonzero_words(gens, max_len)
+        want = set()
+        for count in range(1, max_len + 1):
+            # the other count - 1 monomials hold a generator each
+            pool = [m for m in monos if len(m) <= max_len + 1 - count]
+            for combo in combinations_with_replacement(pool, count):
+                sign, w = normalize_word(list(combo))
+                if w is not None and sum(len(m) for m in combo) <= max_len:
+                    want.add(w)
+    else:
+        want = _nonzero_words(gens, max_len)
+    want = {w for w in want if cap is None or w.action <= cap}
+    got = model.basis_words(max_len, max_action)
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert [len(w) for w in got] == sorted(len(w) for w in got)
+    for w in got:
+        assert normalize_word(list(w.letters)) == (1, w)
+
+
 @pytest.mark.parametrize(
     "name,max_action",
     [(n, None) for n in GOOD_MODELS] + [("b2", 3), ("cdga_aug", 1)],
 )
 def test_basis_words_are_the_canonical_multisets(models, name, max_action):
-    model = models[name]
-    cap = model.cutoff if max_action is None else Fraction(max_action)
-    gens = list(model.generators.values())  # file order, not canonical
-    if model.algebra_mode == "cdga":
-        monos = _nonzero_words(gens, 4)
-        want = {
-            w
-            for w in _nonzero_words(monos, 4)
-            if sum(len(m) for m in w.letters) <= 4
-        }
-    else:
-        want = _nonzero_words(gens, 4)
-    want = {w for w in want if cap is None or w.action <= cap}
-    got = model.basis_words(4, max_action)
-    assert len(got) == len(set(got))
-    assert set(got) == want
-    for w in got:
-        assert normalize_word(list(w.letters)) == (1, w)
+    _assert_canonical_basis(models[name], 4, max_action)
 
 
 def _indexed_table_reads(model, monkeypatch, run):
@@ -381,7 +441,8 @@ def _indexed_table_reads(model, monkeypatch, run):
     fed = []
 
     class Spy(dict):
-        # module mode reads the operation table at each fed word directly
+        # module mode reads the table at each fed word, cdga mode at each
+        # pick of the Leibniz rule
         def get(self, key, default=None):
             fed.append(key)
             return super().get(key, default)
@@ -403,13 +464,98 @@ def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("name", ["dgla", "l2_l2"])
+@pytest.mark.parametrize("name", ["cdga_aug", "cdga_l1_l3"])
+def test_leibniz_rule_picks_only_indexed_generators(models, monkeypatch, name):
+    # cdga mode reads the table at the generators picked from the monomials
+    model = models.get(name) or parse_model(FIRST_AT_TWO_OR_THREE[name][0])
+    _indexed_table_reads(
+        model,
+        monkeypatch,
+        lambda: [extend_coderivation(model, w) for w in model.basis_words(4)],
+    )
+
+
+@pytest.mark.parametrize("name", ["dgla", "l2_l2", "cdga_aug", "cdga_l1_l2"])
 def test_relation_check_reads_only_indexed_words(models, monkeypatch, name):
     # the second read, at ℓ(fed) ⊙ rest, is pruned on the rest letters too
     model = models.get(name) or parse_model(FIRST_AT_TWO_OR_THREE[name][0])
     _indexed_table_reads(
         model, monkeypatch, lambda: check_linfty_relations(model, 4)
     )
+
+
+# ---------------------------------------------------------------------------
+# cdga models under every oracle
+
+
+@st.composite
+def _cdga_models(draw):
+    """2-4 generators, Z or Z2 grading, a differential of g0 with a product
+    and a constant term like cdga_aug's, plus up to three more operations on
+    keys of one or two letters with outputs of up to two letters."""
+    z2 = draw(st.booleans())
+    actions = st.sampled_from([0, Fraction(1, 2), 1])
+    gens = [Generator("g0", -1, draw(actions)), Generator("g1", 0, draw(actions))]
+    gens += [
+        Generator(f"g{i}", draw(st.integers(-1, 1)), draw(actions))
+        for i in range(2, draw(st.integers(2, 4)))
+    ]
+    step = (lambda a, b: (a - b) % 2 == 0) if z2 else (lambda a, b: a == b)
+    monos = [Word(())] + sorted(_nonzero_words(gens, 2), key=lambda w: w.sort_key)
+    keys = sorted(_nonzero_words(gens, 2), key=lambda w: w.sort_key)
+
+    def coeff():
+        return NovikovPolynomial.monomial(
+            draw(st.integers(0, 2)), draw(st.sampled_from([-2, -1, 1, 2]))
+        )
+
+    g0, g1 = gens[0], gens[1]
+    products = [m for m in monos if len(m) == 2 and step(m.degree, 0)]
+    ops = {
+        (1, Word([g0])): {
+            Word(()): coeff(),
+            draw(st.sampled_from(products)): coeff(),
+        }
+    }
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        outs = [m for m in monos if step(m.degree, key.degree + 1)]
+        if key == Word([g0]) or not outs:
+            continue
+        combo = ops.setdefault((len(key), key), {})
+        for out in draw(st.lists(st.sampled_from(outs), min_size=1, max_size=2)):
+            add_into(combo, out, coeff())
+    return LInfinityModel(
+        gens,
+        ops,
+        grading_mode="Z2" if z2 else "Z",
+        algebra_mode="cdga",
+        cutoff=draw(st.sampled_from([None, 1, 2])),
+    )
+
+
+def _assert_cdga_oracles(model, max_len):
+    """The relation check against the full square, the pruned coderivation
+    and ℓ against unpruned references, co-Leibniz, and the budgeted basis."""
+    _assert_canonical_basis(model, max_len)
+    _assert_matches_full_square(model, max_len)
+    for w in model.basis_words(max_len):
+        assert model.apply_operation(list(w.letters)) == _reference_operation(
+            model, w.letters
+        ), w
+        assert extend_coderivation(model, w) == _reference_coderivation(model, w), w
+        assert _coleibniz_residual(model, w) == {}, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_cdga_models(), max_len=st.integers(1, 3))
+def test_cdga_oracles_on_random_models(model, max_len):
+    _assert_cdga_oracles(model, max_len)
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+def test_cdga_oracles_on_cdga_aug(models, max_len):
+    _assert_cdga_oracles(models["cdga_aug"], max_len)
+    _assert_canonical_basis(models["cdga_aug"], max_len, 1)
 
 
 # ---------------------------------------------------------------------------

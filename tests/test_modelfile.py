@@ -125,6 +125,10 @@ def test_odd_square_output_terms_vanish():
             "[generators]\nx | 0 | 0\n[augmentations]\neps | x | (1*T^0) * t^a\n",
             "bad number 'a' in line 'eps | x | (1*T^0) * t^a'",
         ),
+        # numbers that parse but break the format's contract
+        ("[generators]\nx | 0 | -1\n", "action must be >= 0 in line 'x | 0 | -1'"),
+        ("[flags]\ncutoff = -1\n", "cutoff must be positive in line 'cutoff = -1'"),
+        ("[flags]\ncutoff = 0\n", "cutoff must be positive in line 'cutoff = 0'"),
     ],
 )
 def test_malformed_files_are_rejected(text, message):

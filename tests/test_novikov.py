@@ -116,7 +116,6 @@ def test_valuation_and_at_one():
 
 def test_shift_scale_monomial():
     p = NovikovPolynomial.monomial(1, 2)
-    assert p.shift(Fraction(1, 2)) == nov((Fraction(3, 2), 2))
     assert p.scale(Fraction(1, 2)) == nov((1, 1))
     assert p.scale(0).is_zero()
 
