@@ -489,7 +489,7 @@ def cmd_gw(args) -> int:
     if args.gw_cmd == "reduce":
         trace: list = []
         reduced = gw.reduce_combination(expr, rng=rng, trace=trace)
-        name = functools.cache(gw.format_key)  # a term recurs in many expansions
+        name = gw.key_formatter()  # a term recurs in many expansions
         lines = []
         for key, expansion in trace:
             lines.append(f"{name(key)} ->")

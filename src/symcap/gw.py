@@ -20,16 +20,25 @@ rewrite DAG.  The expand pass visits each reachable term once, depth first,
 and records its expansion; the propagate pass walks the terms parents first
 and pushes each term's accumulated coefficient down to its sub-terms, so no
 term's reduced combination is ever built or summed again by its parents.
+A rewrite's coefficients are integers over the one denominator 1+z, and the
+accumulated coefficients are integer (numerator, denominator) pairs, so
+``Fraction`` is built only for result terms and trace entries.  A rewrite
+keeps the codimension counted 2+2m per order, so on CP2 and CP1xCP1 every
+sub-term of a rigid term is rigid; on CP1, counted 2m per order, a sub-term
+that gains an order-zero point loses 2, so only CP1 sub-terms are checked
+again.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import gcd
+from typing import Callable, Optional, Sequence, Union
 
 from .linfty import ModelError
-from .novikov import add_into, parse_rational
+from .novikov import parse_rational
 
 SURFACES = ("CP2", "CP1xCP1", "CP1")
 
@@ -62,19 +71,26 @@ def make_key(
     if surface is not None:
         if surface not in SURFACES:
             raise ValueError(f"unknown surface {surface!r}")
-        if surface == "CP1xCP1":
-            if not isinstance(cls, (tuple, list)) or len(cls) != 2:
-                raise ValueError("CP1xCP1 classes are bidegree pairs (d1, d2)")
-            cls = (int(cls[0]), int(cls[1]))
-            if min(cls) < 0:
-                raise ValueError("bidegree components must be >= 0")
-        else:
-            cls = int(cls)
-            if cls < 1:
-                raise ValueError("degree must be >= 1")
+        cls = _check_class(surface, cls)
     elif cls is not None:
         raise ValueError("a class needs a surface")
     return (surface, cls, canonical_groups(groups))
+
+
+def _check_class(surface: str, cls):
+    """The class on a known surface as keys hold it: a bidegree pair of
+    components >= 0 on CP1xCP1, else a degree >= 1."""
+    if surface == "CP1xCP1":
+        if not isinstance(cls, (tuple, list)) or len(cls) != 2:
+            raise ValueError("CP1xCP1 classes are bidegree pairs (d1, d2)")
+        cls = (int(cls[0]), int(cls[1]))
+        if min(cls) < 0:
+            raise ValueError("bidegree components must be >= 0")
+        return cls
+    cls = int(cls)
+    if cls < 1:
+        raise ValueError("degree must be >= 1")
+    return cls
 
 
 def make_term(groups, surface=None, cls=None, coeff=1) -> Combination:
@@ -144,17 +160,18 @@ def push_point(
     return out
 
 
-def _canon(rest: list, *fresh) -> tuple:
+def _canon(rest: list, *fresh: tuple) -> tuple:
     """``canonical_groups(rest + fresh)`` for validated integer groups, with
-    ``rest`` already canonical: only sorts."""
-    groups = rest + [tuple(sorted(g, reverse=True)) for g in fresh]
+    ``rest`` already canonical and each fresh group descending: only sorts
+    the groups."""
+    groups = rest + list(fresh)
     groups.sort(reverse=True)
     return tuple(groups)
 
 
 def _expand_group(
     key: Key, group_idx: int, order: int
-) -> list[tuple[Key, Fraction]]:
+) -> tuple[int, list[tuple[Key, int]]]:
     """Solve the pushing relation for the group containing a positive order.
 
     Writing the chosen group as {M} ∪ R and pushing T^{M-1} onto R ∪ {0},
@@ -163,36 +180,47 @@ def _expand_group(
 
       (1+z)·<{M}∪R, rest> = <(M-1),(R∪{0}), rest> - <{M-1}∪R∪{0}, rest>
                             - Σ_{r∈R, r>0} <(R\\r)∪{0, r+M}, rest>
+
+    Returns the denominator 1+z and the sub-terms with their integer
+    multipliers, so sub-term i carries coefficient multiplier_i / (1+z).
     """
     surface, cls, groups = key
-    grp = groups[group_idx]
     M = order
-    r_rest = list(grp)
+    r_rest = list(groups[group_idx])  # descending, so R ∪ {0} is too
     r_rest.remove(M)
-    rest = [g for i, g in enumerate(groups) if i != group_idx]
-    z = r_rest.count(0)
-    scale = Fraction(1, 1 + z)
-    out: list[tuple[Key, Fraction]] = []
-    out.append(((surface, cls, _canon(rest, (M - 1,), r_rest + [0])), scale))
-    out.append(((surface, cls, _canon(rest, r_rest + [M - 1, 0])), -scale))
-    seen = set()
+    rest = list(groups)
+    del rest[group_idx]
+    joined = sorted(r_rest + [M - 1], reverse=True)
+    out: list[tuple[Key, int]] = [
+        ((surface, cls, _canon(rest, (M - 1,), (*r_rest, 0))), 1),
+        ((surface, cls, _canon(rest, (*joined, 0))), -1),
+    ]
+    prev = None
     for r in r_rest:
-        if r <= 0 or r in seen:
+        if r <= 0 or r == prev:
             continue
-        seen.add(r)
-        mult = r_rest.count(r)
+        prev = r
         swapped = list(r_rest)
         swapped.remove(r)
-        term = _canon(rest, swapped + [0, r + M])
-        out.append(((surface, cls, term), -scale * mult))
-    return out
+        swapped.append(r + M)
+        term = _canon(rest, (*sorted(swapped, reverse=True), 0))
+        out.append(((surface, cls, term), -r_rest.count(r)))
+    return 1 + r_rest.count(0), out
 
 
 def _positive_slots(key: Key) -> list[tuple[int, int]]:
-    _, _, groups = key
-    return [
-        (gi, m) for gi, g in enumerate(groups) for m in sorted(set(g)) if m > 0
-    ]
+    """(group index, order) for each distinct positive order, groups in
+    order and orders ascending within a group."""
+    slots = []
+    for gi, g in enumerate(key[2]):
+        if not g[0]:
+            break  # groups descend, so every later group is all zeros
+        prev = 0
+        for m in reversed(g):
+            if m > prev:
+                slots.append((gi, m))
+                prev = m
+    return slots
 
 
 def reduce_combination(
@@ -205,26 +233,32 @@ def reduce_combination(
     Terms carrying a surface must be rigid (codimension equal to the index
     dimension of the class) and intermediate terms violating rigidity are
     dropped; without a surface the rewrite is purely formal and keeps
-    everything.  ``rng`` randomizes which group/order is expanded first;
-    any choice is admissible, and fixtures assert the result is invariant.
-    A ``trace`` list, when given, collects (term, expansion) pairs, one per
-    rewrite step.
+    everything.  Every rewrite keeps the codimension on CP2 and CP1xCP1
+    (2+2m per order), so only CP1 sub-terms (2m per order), which lose 2
+    with an added point, are checked again.  ``rng`` randomizes which
+    group/order is expanded first; any choice is admissible, and fixtures
+    assert the result is invariant.  A ``trace`` list, when given, collects
+    (term, [(sub-term, Fraction)]) pairs, one per rewrite step.
 
     Two passes, each term handled once:
 
     1. *Expand.*  A depth-first search from the input terms records each
-       reachable term's expansion: a list of (sub-term, c), empty for a
-       dropped non-rigid term and ``None`` for an order-zero base term.  It
-       draws from ``rng`` and appends to ``trace`` at a term's first visit,
-       then visits the sub-terms in expansion order: the order in which a
-       recursion that reduces each sub-term before returning reaches them,
-       so draws and traces are those of reducing each term recursively.
+       reachable term's expansion: a denominator and (sub-term, integer
+       multiplier) pairs, no pairs for a dropped non-rigid term, and
+       ``None`` for an order-zero base term.  It draws from ``rng`` and
+       appends to ``trace`` at a term's first visit, then visits the
+       sub-terms in expansion order: the order in which a recursion that
+       reduces each sub-term before returning reaches them, so draws and
+       traces are those of reducing each term recursively.
     2. *Propagate.*  Reverse post-order is topological, parents first
        (every rewrite strictly lowers the (order sum, positive orders)
-       measure), so a term's weight is complete when it is reached.  It
-       passes weight times c to each sub-term; a weight that cancels to
-       zero, or reaches a dropped term, stops there, and base terms collect
-       into the result.
+       measure), so a term's weight is complete when it is reached.  A
+       weight is an integer pair (n, d), reduced by its gcd when the term
+       is reached; with expansion denominator D, the term passes
+       (n·c, d·D) to the sub-term of multiplier c.  A weight that cancels
+       to zero, or reaches a dropped term, stops there, and base terms
+       collect into the result as ``Fraction``s.  The trace's
+       ``Fraction``s are shared per (multiplier, denominator).
     """
     for key in expr:
         surface = key[0]
@@ -233,44 +267,79 @@ def reduce_combination(
                 f"non-rigid input term: codimension {codimension(key)} != "
                 f"index dimension {index_dimension(surface, key[1])}"
             )
-    expansions: dict[Key, Optional[list]] = {}
+    expansions: dict[Key, Optional[tuple[int, list]]] = {}
     post_order: list[Key] = []
+    dropped = (1, [])
+    trace_coeffs: dict[tuple[int, int], Fraction] = {}
 
     def expand(key: Key) -> None:
-        if key[0] is not None and not is_rigid(key):
-            expansion = []
+        if key[0] == "CP1" and not is_rigid(key):
+            expansion = dropped
         elif slots := _positive_slots(key):
             gi, m = rng.choice(slots) if rng is not None else slots[-1]
             expansion = _expand_group(key, gi, m)
             if trace is not None:
-                trace.append((key, expansion))
+                den, subs = expansion
+                steps = []
+                for sub, c in subs:
+                    coeff = trace_coeffs.get((c, den))
+                    if coeff is None:
+                        coeff = trace_coeffs[c, den] = Fraction(c, den)
+                    steps.append((sub, coeff))
+                trace.append((key, steps))
         else:
             expansion = None
         expansions[key] = expansion
-        for sub, _ in expansion or ():
-            if sub not in expansions:
-                expand(sub)
+        if expansion is not None:
+            for sub, _ in expansion[1]:
+                if sub not in expansions:
+                    expand(sub)
         post_order.append(key)
 
     for key in expr:
         if key not in expansions:
             expand(key)
 
-    weights: Combination = {}
+    weights: dict[Key, tuple[int, int]] = {}
     for key, coeff in expr.items():
-        add_into(weights, key, Fraction(coeff))
+        coeff = Fraction(coeff)
+        if coeff:
+            _add_weight(weights, key, coeff.numerator, coeff.denominator)
     result: Combination = {}
     for key in reversed(post_order):
         w = weights.pop(key, None)
         if w is None:
             continue
+        num, den = w
+        g = gcd(num, den)
+        num, den = num // g, den // g
         expansion = expansions[key]
         if expansion is None:
-            result[key] = w
+            result[key] = Fraction(num, den)
             continue
-        for sub, c in expansion:
-            add_into(weights, sub, w * c)
+        sub_den, subs = expansion
+        den *= sub_den
+        for sub, c in subs:
+            _add_weight(weights, sub, num * c, den)
     return result
+
+
+def _add_weight(weights: dict, key: Key, num: int, den: int) -> None:
+    """``weights[key] += num/den`` on integer pairs, over the lcm of the
+    denominators, dropping a weight that cancels to zero."""
+    prev = weights.get(key)
+    if prev is not None:
+        a, b = prev
+        if b == den:
+            num += a
+        else:
+            g = gcd(b, den)
+            num = a * (den // g) + num * (b // g)
+            den = b // g * den
+        if not num:
+            del weights[key]
+            return
+    weights[key] = (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +422,13 @@ def load_table(path) -> BaseInvariantTable:
                 raise ModelError(
                     f"bad class, group sizes or value in line {line!r}"
                 ) from None
+            # a row no constraint key can reach would never be read
+            try:
+                cls = _check_class(surface, cls)
+            except ValueError as exc:
+                raise ModelError(f"{exc} in line {line!r}") from None
+            if sizes[-1] < 1:
+                raise ModelError(f"group sizes must be >= 1 in line {line!r}")
             tkey = (surface, cls, sizes)
             if tkey in entries:
                 raise ModelError(f"duplicate table entry {tkey} in line {line!r}")
@@ -365,24 +441,41 @@ def load_table(path) -> BaseInvariantTable:
 # the bracketed constraint syntax
 
 
+def key_formatter() -> Callable[[Key], str]:
+    """A :func:`format_key` for one command: each distinct key, and each
+    distinct group across all keys, is formatted once."""
+    group_texts: dict[Group, str] = {}
+
+    @functools.cache
+    def name(key: Key) -> str:
+        surface, cls, groups = key
+        parts = []
+        for g in groups:
+            text = group_texts.get(g)
+            if text is None:
+                orders = ",".join(["p" if m == 0 else f"T^{m} p" for m in g])
+                text = group_texts[g] = f"({orders})"
+            parts.append(text)
+        body = ",".join(parts)
+        if surface is None:
+            return f"<{body}>"
+        cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
+        return f"{surface} d={cls_text} <{body}>"
+
+    return name
+
+
 def format_key(key: Key) -> str:
-    surface, cls, groups = key
-    body = ",".join(
-        "(" + ",".join("p" if m == 0 else f"T^{m} p" for m in g) + ")"
-        for g in groups
-    )
-    if surface is None:
-        return f"<{body}>"
-    cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
-    return f"{surface} d={cls_text} <{body}>"
+    return key_formatter()(key)
 
 
 def format_combination(expr: Combination) -> str:
     if not expr:
         return "0"
+    name = key_formatter()
     parts = []
     for key in sorted(expr, key=repr):
-        parts.append(f"{expr[key]} * {format_key(key)}")
+        parts.append(f"{expr[key]} * {name(key)}")
     return "  +  ".join(parts)
 
 
@@ -401,10 +494,13 @@ def parse_constraint_expression(text: str) -> Combination:
             )
         surface = parts[0]
         cls_text = parts[1][2:]
-        if "," in cls_text:
-            cls = tuple(int(x) for x in cls_text.split(","))
-        else:
-            cls = int(cls_text)
+        try:
+            if "," in cls_text:
+                cls = tuple(int(x) for x in cls_text.split(","))
+            else:
+                cls = int(cls_text)
+        except ValueError:
+            raise ValueError(f"cannot parse class {cls_text!r}") from None
         text = rest.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise ValueError("constraint expression must be bracketed: <...>")
@@ -447,7 +543,10 @@ def _parse_group(text: str) -> list[int]:
                 if body.endswith(label):
                     body = body[: -len(label)].strip()
                     break
-            orders.append(int(body))
+            try:
+                orders.append(int(body))
+            except ValueError:
+                raise ValueError(f"cannot parse constraint {chunk!r}") from None
             continue
         raise ValueError(f"cannot parse constraint {chunk!r}")
     if not orders:

@@ -315,6 +315,7 @@ def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
 def test_malformed_table_lines_exit_three(capsys, tmp_path):
     table = tmp_path / "bad.tbl"
     bad = "bad class, group sizes or value in line"
+    degree = "degree must be >= 1 in line"
     for body, message in (
         (
             "CP2 | 1 | 1,1 | 1",
@@ -330,6 +331,17 @@ def test_malformed_table_lines_exit_three(capsys, tmp_path):
         ("CP2 | 1 | 1,a | 1 | x", f"{bad} 'CP2 | 1 | 1,a | 1 | x'"),
         ("CP2 | 1 | 1,1 | 1/0 | x", f"{bad} 'CP2 | 1 | 1,1 | 1/0 | x'"),
         ("CP2 | 1 | 1,1 | one | x", f"{bad} 'CP2 | 1 | 1,1 | one | x'"),
+        # rows no constraint key can reach
+        ("CP2 | 0 | 1,1 | 1 | x", f"{degree} 'CP2 | 0 | 1,1 | 1 | x'"),
+        ("CP1 | -2 | 1 | 1 | x", f"{degree} 'CP1 | -2 | 1 | 1 | x'"),
+        (
+            "CP1xCP1 | -1,2 | 1 | 1 | z",
+            "bidegree components must be >= 0 in line 'CP1xCP1 | -1,2 | 1 | 1 | z'",
+        ),
+        (
+            "CP2 | 1 | 0,-3 | 1 | y",
+            "group sizes must be >= 1 in line 'CP2 | 1 | 0,-3 | 1 | y'",
+        ),
         (
             "CP2 | 1 | 1,1 | 1 | one\nCP2 | 1 | 1,1 | 2 | two",
             "duplicate table entry ('CP2', 1, (1, 1)) "
@@ -517,6 +529,9 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             capacity + ["eh", "--domain", "E:1,1/0", "--k", "1"],
             "cannot parse domain 'E:1,1/0': zero denominator in '1/0'",
         ),
+        (["gw", "reduce", "CP2 d=x <(p)>"], "cannot parse class 'x'"),
+        (["gw", "reduce", "CP1xCP1 d=1,x <(p)>"], "cannot parse class '1,x'"),
+        (["gw", "reduce", "CP2 d=1 <(T^x p)>"], "cannot parse constraint 'T^x p'"),
     ]
     for argv, message in with_messages:
         code, out, err = run(capsys, *argv)

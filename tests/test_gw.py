@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,12 @@ def test_reduce_trace_structure():
 # the two-pass reduction against the memoized recursion it replaced
 
 
+def _reference_slots(key):
+    """The slots the rng draws from: distinct positive orders, groups in
+    order and orders ascending within a group."""
+    return [(gi, m) for gi, g in enumerate(key[2]) for m in sorted(set(g)) if m > 0]
+
+
 def _reference_reduce(expr, rng=None, trace=None):
     """Reduce each term bottom up, every parent summing its sub-terms'
     reduced combinations."""
@@ -204,14 +211,15 @@ def _reference_reduce(expr, rng=None, trace=None):
         if key[0] is not None and not is_rigid(key):
             memo[key] = {}
             return {}
-        slots = _positive_slots(key)
+        slots = _reference_slots(key)
         if not slots:
             memo[key] = {key: Fraction(1)}
             return memo[key]
         gi, m = rng.choice(slots) if rng is not None else slots[-1]
-        expansion = _expand_group(key, gi, m)
+        den, subs = _expand_group(key, gi, m)
+        expansion = [(sub, Fraction(c, den)) for sub, c in subs]
         if trace is not None:
-            trace.append((key, list(expansion)))
+            trace.append((key, expansion))
         acc = {}
         for sub, c in expansion:
             for base, d in reduce_key(sub).items():
@@ -237,19 +245,76 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("surface,cls,order", REFERENCE_CASES)
+# two surface/class pairs and a surface-free term in one combination, so
+# that rng draws and the trace run across classes
+MIXED = {
+    make_key([(10,)], surface="CP2", cls=4): Fraction(1),
+    make_key([(6,)], surface="CP1xCP1", cls=(2, 2)): Fraction(-2, 3),
+    make_key([(3,), (2, 0)]): Fraction(5),
+}
+
+
+@pytest.mark.parametrize(
+    "surface,cls,order",
+    REFERENCE_CASES + [pytest.param("mixed", None, None, id="mixed")],
+)
 @pytest.mark.parametrize("seed", [None, 0, 3, 7])
 def test_reduce_matches_the_memoized_recursion(surface, cls, order, seed):
-    groups = [(order,)] if surface else [(order,), (2, 0)]
-    expr = make_term(groups, surface=surface, cls=cls)
+    if surface == "mixed":
+        expr = MIXED
+    else:
+        groups = [(order,)] if surface else [(order,), (2, 0)]
+        expr = make_term(groups, surface=surface, cls=cls)
     rng = lambda: None if seed is None else random.Random(seed)
     want_trace, got_trace = [], []
     want = _reference_reduce(expr, rng=rng(), trace=want_trace)
-    assert reduce_combination(expr, rng=rng(), trace=got_trace) == want
+    got = reduce_combination(expr, rng=rng(), trace=got_trace)
+    assert got == want
     assert got_trace == want_trace
     for _, expansion in got_trace:
-        for sub, _ in expansion:
+        for sub, coeff in expansion:
             assert sub[2] == canonical_groups(sub[2])
+            assert type(coeff) is Fraction
+    for coeff in got.values():
+        assert type(coeff) is Fraction
+        assert gcd(coeff.numerator, coeff.denominator) == 1
+
+
+def _codimension_by_formula(surface, groups):
+    return sum((0 if surface == "CP1" else 2) + 2 * m for g in groups for m in g)
+
+
+rewritable_keys = st.tuples(
+    st.sampled_from(["CP2", "CP1xCP1", "CP1", None]),
+    st.lists(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4), min_size=1, max_size=4
+    ).filter(lambda groups: any(m > 0 for g in groups for m in g)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rewritable_keys)
+def test_expand_group_keeps_codimension_except_points_on_cp1(surface_groups):
+    """Only CP1 sub-terms need the rigidity check: every rewrite keeps the
+    codimension 2+2m per order, and on CP1 (2m per order) a sub-term loses
+    2 for each order it adds."""
+    surface, groups = surface_groups
+    cls = {"CP1xCP1": (1, 1), None: None}.get(surface, 1)
+    key = make_key(groups, surface=surface, cls=cls)
+    slots = _positive_slots(key)
+    assert slots == _reference_slots(key)
+    codim = _codimension_by_formula(surface, key[2])
+    n_orders = sum(map(len, key[2]))
+    for gi, m in slots:
+        den, subs = _expand_group(key, gi, m)
+        assert den == 1 + key[2][gi].count(0)
+        for sub, c in subs:
+            assert type(c) is int and c != 0
+            assert sub[2] == canonical_groups(sub[2])
+            added = sum(map(len, sub[2])) - n_orders
+            assert added in (0, 1)
+            want = codim - 2 * added if surface == "CP1" else codim
+            assert _codimension_by_formula(surface, sub[2]) == want
 
 
 symbolic_keys = st.lists(
@@ -291,6 +356,35 @@ def test_reduce_trace_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "12751eb2641c9df827a0e4fb544400c09b3e5eb0f2c0431283a2979fbe1dfa35"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,lines,digest",
+    [
+        (
+            ["CP1xCP1 d=3,3 <(T^10 p)>", "--seed", "2"],
+            853,
+            "5fd0a1eb5c4f7894068aa6c8d25a9ba6942a67fb52eda09cdbe9b67e4bcd9e9a",
+        ),
+        (
+            ["CP1 d=3 <(T^4 p)>"],  # both sub-terms are non-rigid and dropped
+            4,
+            "62fb9ca5ca867d4a32a6a897ed097a259eb4b59dd07e96ca612b7276d3b389e9",
+        ),
+        (
+            ["<(T^3 p),(T^1 p)>"],
+            43,
+            "59aa5bc25cc61ce183ae3c0534e4e7b25f6a3fc345757ceb2ff99be4d059da22",
+        ),
+    ],
+)
+def test_reduce_output_golden_digests(capsys, argv, lines, digest):
+    """Printed reductions off CP2, byte for byte, as recorded before the
+    reduction moved to integer weights."""
+    assert main(["gw", "reduce", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
