@@ -87,6 +87,8 @@ def _check_class(surface: str, cls):
         if min(cls) < 0:
             raise ValueError("bidegree components must be >= 0")
         return cls
+    if isinstance(cls, (tuple, list)):
+        raise ValueError(f"{surface} classes are degrees")
     cls = int(cls)
     if cls < 1:
         raise ValueError("degree must be >= 1")

@@ -109,12 +109,13 @@ def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
     Blocks are ordered by first position, and ``lookup`` gets each block's
     letters as a word.
     """
-    degrees = [l.degree for l in w.letters]
+    degrees = [l.degree for l in w]
+    pick = w.__getitem__
     for part in set_partitions(range(len(w))):
         blocks = sorted(part, key=lambda b: b[0])
         values = []
         for b in blocks:
-            value = lookup(Word([w.letters[p] for p in b]))
+            value = lookup(Word(map(pick, b)))
             if not value:
                 break
             values.append(value)
@@ -391,9 +392,9 @@ class LInfinityModel:
             return self.operations.get((k, word), {})
         allowed = self.key_letters.get(k, ())
         flat, slots = [], []
-        for mono in word.letters:
+        for mono in word:
             slots.append([len(flat) + j for j, g in enumerate(mono) if g in allowed])
-            flat.extend(mono.letters)
+            flat.extend(mono)
         degrees = [g.degree for g in flat]
         out: Combo = {}
         for chosen in product(*slots):
@@ -405,7 +406,7 @@ class LInfinityModel:
             sign *= reorder_sign(degrees, list(chosen) + leftovers)
             rest = [flat[i] for i in leftovers]
             for u, coeff in combo.items():
-                sign2, merged = _monomial(list(u.letters) + rest)
+                sign2, merged = _monomial([*u, *rest])
                 if merged is not None:
                     add_into(out, merged, coeff.scale(sign * sign2))
         return out
@@ -414,11 +415,11 @@ class LInfinityModel:
         """Whether a bar letter holds one of the ``allowed`` key generators."""
         if self.algebra_mode == "module":
             return letter in allowed
-        return not allowed.isdisjoint(letter.letters)
+        return not allowed.isdisjoint(letter)
 
     def output_letter(self, out: Word):
         """The bar letter of an output word: its generator, or the monomial."""
-        return out if self.algebra_mode == "cdga" else out.letters[0]
+        return out if self.algebra_mode == "cdga" else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +441,7 @@ def _operation_splits(
     is tried only if some operation has arity ``len(letters) + 1 - size``.
     """
     k = len(letters)
+    pick = letters.__getitem__
     keys = model.key_letters
     # per fed size tried, the positions whose letter can feed it
     fits = {
@@ -457,19 +459,18 @@ def _operation_splits(
             ok = fits.get(len(rest) + 1)
             if ok is None or not ok.issuperset(rest):
                 continue
-        value = model._operation(Word([letters[p] for p in fed]))
+        value = model._operation(Word(map(pick, fed)))
         if value:
             yield sign, rest, value
 
 
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
     """The coderivation value l̂(w) as a combination of bar words."""
-    letters = w.letters
-    if not letters:
+    if not w:
         raise ModelError("the empty word is not part of the reduced bar complex")
     out: Combo = {}
-    for sign, rest, value in _operation_splits(model, letters):
-        rest_letters = [letters[p] for p in rest]
+    for sign, rest, value in _operation_splits(model, w):
+        rest_letters = [w[p] for p in rest]
         for v, coeff in value.items():
             sign2, bar = normalize_word([model.output_letter(v)] + rest_letters)
             if bar is None:
@@ -485,11 +486,10 @@ def coderivation_on_combo(model: LInfinityModel, combo: Combo) -> Combo:
 def _relation_residual(model: LInfinityModel, w: Word) -> Combo:
     """The word-length-1 part of l̂(l̂(w)): Σ ±ℓ(ℓ(fed) ⊙ rest) over the
     splits of ``w``, as a combination of output words."""
-    letters = w.letters
     out: Combo = {}
-    for sign, rest, value in _operation_splits(model, letters, outer=True):
+    for sign, rest, value in _operation_splits(model, w, outer=True):
         allowed = model.key_letters[len(rest) + 1]
-        rest_letters = [letters[p] for p in rest]
+        rest_letters = [w[p] for p in rest]
         for v, coeff in value.items():
             letter = model.output_letter(v)
             if not model._feeds(letter, allowed):
@@ -590,12 +590,12 @@ class LInfinityMorphism:
     def apply_to_monomial(self, mono: Word) -> Combo:
         """Multiplicative extension to a cdga monomial (algebra-map mode)."""
         result: Combo = {Word(()): NovikovPolynomial.unit(self.target.cutoff)}
-        for g in mono.letters:
+        for g in mono:
             image = self.component([g])
             merged: Combo = {}
             for w1, c1 in result.items():
                 for w2, c2 in image.items():
-                    sign, u = _monomial(w1.letters + w2.letters)
+                    sign, u = _monomial(w1 + w2)
                     if u is not None:
                         add_into(merged, u, (c1 * c2).scale(sign))
             result = merged
@@ -609,7 +609,7 @@ def extend_morphism(m: LInfinityMorphism, w: Word) -> Combo:
     out: Combo = {}
     if m.source.algebra_mode == "cdga":
         # algebra map: letterwise images, multiplied out at the bar level
-        parts = [m.apply_to_monomial(mono) for mono in w.letters]
+        parts = [m.apply_to_monomial(mono) for mono in w]
         _tensor_into(out, parts, m.target)
         return out
     for sign, values in _partition_blocks(

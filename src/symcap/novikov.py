@@ -124,8 +124,35 @@ class NovikovPolynomial:
         return min(a.cutoff, b.cutoff)
 
     def __add__(self, other: "NovikovPolynomial") -> "NovikovPolynomial":
+        """Merge the two sorted term tuples; exponents shared by both are
+        summed, zero sums dropped, and exponents at or above the smaller
+        cutoff cut from the end."""
         cutoff = self._merge_cutoff(self, other)
-        return NovikovPolynomial(self.terms + other.terms, cutoff)
+        a, b = self.terms, other.terms
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            ta, tb = a[i], b[j]
+            ea, eb = ta[0], tb[0]
+            if ea is eb or ea == eb:
+                c = ta[1] + tb[1]
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+            elif ea < eb:
+                out.append(ta)
+                i += 1
+            else:
+                out.append(tb)
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        if cutoff is not None and self.cutoff is not other.cutoff:
+            while out and out[-1][0] >= cutoff:
+                out.pop()
+        return self._canonical(tuple(out), cutoff)
 
     def __neg__(self) -> "NovikovPolynomial":
         return self._canonical(tuple((e, -c) for e, c in self.terms), self.cutoff)

@@ -7,6 +7,13 @@ the sign produced while sorting is handed back by :func:`normalize_word`
 rather than stored.  Equal letters are neighbours after the sort, so a word
 with a repeated odd-degree letter is recognised, and is zero.
 
+Both are built so that hashing and comparing them, which the engine does for
+every term of every combination, runs in C.  :class:`Generator` instances
+are interned, one live object per (name, degree, action), so they compare
+and hash by identity; ``copy``, ``deepcopy`` and ``pickle`` hand back the
+interned object.  A ``Word`` is a ``tuple`` subclass holding its letters,
+so it hashes and compares as that tuple.
+
 Splitting a word of length k into chosen positions and the rest, as the
 coproduct and the coderivation extension do, reads one constant table:
 :func:`splits` lists every nonempty position subset with its complement
@@ -21,109 +28,101 @@ algebra are represented (words of monomials).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .novikov import fmt_rational
 
 
 class Generator:
-    """An immutable graded basis symbol with an action weight.
+    """An immutable, interned graded basis symbol with an action weight.
 
-    The hash and the sort key are computed once, so the sort in
-    :func:`normalize_word` and every dict lookup keyed by words reuse them
-    instead of hashing and comparing ``Fraction`` tuples again.
+    Constructing a generator whose (name, degree, action) matches a live one
+    returns that object, so equal generators are the same object: equality
+    and hashing are ``object``'s identity slots, run in C.  The sort key is
+    computed once, so the sort in :func:`normalize_word` reuses it instead
+    of comparing ``Fraction`` tuples built again.
     """
 
-    __slots__ = ("name", "degree", "action", "sort_key", "_hash")
+    __slots__ = ("name", "degree", "action", "sort_key", "__weakref__")
 
-    def __init__(self, name: str, degree: int, action):
+    def __new__(cls, name: str, degree: int, action):
         action = Fraction(action)
         if action < 0:
             raise ValueError(f"generator {name}: action must be >= 0")
         degree = int(degree)
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "degree", degree)
-        init(self, "action", action)
-        init(self, "sort_key", (action, name, degree))
-        init(self, "_hash", hash((name, degree, action)))
+        key = (name, degree, action)
+        with _INTERN_LOCK:  # two equal live generators would compare unequal
+            g = _GENERATORS.get(key)
+            if g is None:
+                g = object.__new__(cls)
+                init = object.__setattr__
+                init(g, "name", name)
+                init(g, "degree", degree)
+                init(g, "action", action)
+                init(g, "sort_key", (action, name, degree))
+                _GENERATORS[key] = g
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Generator)
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.degree == other.degree
-            and self.action == other.action
-        )
+    def __delattr__(self, name):
+        raise AttributeError("Generator is immutable")
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__: the interned object
+        return Generator, (self.name, self.degree, self.action)
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.degree}, {fmt_rational(self.action)})"
 
 
-class Word:
-    """Canonical sorted word; also usable as a letter of an outer word.
+# every live generator by (name, degree, action)
+_GENERATORS = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
+
+class Word(tuple):
+    """Canonical sorted word, the tuple of its letters; also usable as a
+    letter of an outer word.
+
+    Hashing, equality, length and iteration are the tuple's own.  A word
+    therefore equals, and hashes like, the plain tuple of its letters; no
+    combination or table keys both, so the two never meet (``gb_solver``'s
+    rows are ``("d", Word)`` and ``("a", tuple of t-powers)``).
     ``degree``, ``action`` and ``sort_key`` are computed on first access and
     kept: most words are only hashed, but those that are sorted as letters
     of outer words are compared many times.
     """
 
-    __slots__ = ("letters", "_hash", "_degree", "_action", "_sort_key")
-
-    def __init__(self, letters: Sequence):
-        self.letters = tuple(letters)
-        self._hash = hash(self.letters)
+    def __init__(self, letters: Iterable):
+        # tuple.__new__ has built the word; the benchmark's trace counts
+        # words built by wrapping this method, so it stays in the class
+        pass
 
     @property
+    def letters(self) -> "Word":
+        return self
+
+    @cached_property
     def degree(self) -> int:
-        try:
-            return self._degree
-        except AttributeError:
-            self._degree = sum(l.degree for l in self.letters)
-            return self._degree
+        return sum(l.degree for l in self)
 
-    @property
+    @cached_property
     def action(self) -> Fraction:
-        try:
-            return self._action
-        except AttributeError:
-            self._action = sum((l.action for l in self.letters), Fraction(0))
-            return self._action
+        return sum((l.action for l in self), Fraction(0))
 
-    @property
+    @cached_property
     def sort_key(self):
-        try:
-            return self._sort_key
-        except AttributeError:
-            self._sort_key = (self.action, tuple(l.sort_key for l in self.letters))
-            return self._sort_key
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
+        return (self.action, tuple(l.sort_key for l in self))
 
     def __repr__(self):
-        return f"Word({self.letters!r})"
+        return f"Word({tuple.__repr__(self)})"
 
 
 def koszul_sign(degrees: Sequence[int], sigma: Sequence[int]) -> int:
@@ -221,13 +220,13 @@ def coproduct(w: Word) -> list[tuple[Word, Word, int]]:
     by proper nonempty position subsets, so duplicate letters contribute
     repeated (left, right) pairs rather than coefficients.
     """
-    letters = w.letters
-    k = len(letters)
+    k = len(w)
     if k < 2:
         return []
+    pick = w.__getitem__
     return [
-        (Word([letters[p] for p in left]), Word([letters[p] for p in right]), sign)
-        for (left, right), sign in zip(splits(k)[:-1], split_signs(k, odd_mask(letters)))
+        (Word(map(pick, left)), Word(map(pick, right)), sign)
+        for (left, right), sign in zip(splits(k)[:-1], split_signs(k, odd_mask(w)))
     ]
 
 
@@ -235,7 +234,7 @@ def word_multiplicity_factor(w: Word) -> int:
     """The factor i_1! ... i_m! of repeated-letter multiplicities."""
     fact = 1
     run = 1
-    for a, b in zip(w.letters, w.letters[1:]):
+    for a, b in zip(w, w[1:]):
         run = run + 1 if a == b else 1
         fact *= run if run > 1 else 1
     # the product above multiplies 2,3,...,i for each run, i.e. i!

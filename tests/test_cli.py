@@ -1,8 +1,11 @@
 """End-to-end tests for the ``cap`` command line tool."""
 
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -531,6 +534,8 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         ),
         (["gw", "reduce", "CP2 d=x <(p)>"], "cannot parse class 'x'"),
         (["gw", "reduce", "CP1xCP1 d=1,x <(p)>"], "cannot parse class '1,x'"),
+        (["gw", "reduce", "CP2 d=1,2 <(p)>"], "CP2 classes are degrees"),
+        (["gw", "reduce", "CP1 d=1,2 <(p)>"], "CP1 classes are degrees"),
         (["gw", "reduce", "CP2 d=1 <(T^x p)>"], "cannot parse constraint 'T^x p'"),
     ]
     for argv, message in with_messages:
@@ -545,3 +550,43 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == f"cap {__version__}\n"
+
+
+HASH_SEED_SCRIPT = """
+from symcap.cli import main
+for argv in {commands!r}:
+    print("$ cap", " ".join(argv))
+    print("exit", main(argv))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
+    """Generators hash by identity and str hashes are randomized per process,
+    so nothing printed may follow a set or hash order."""
+    fx = str(fixtures_dir)
+    commands = [
+        ["linf", "check", f"{fx}/b2.model", "--l", "4"],
+        ["linf", "linearize", f"{fx}/cdga_aug.model"],
+        ["linf", "mc", f"{fx}/dgla.model", "--m", "x:1*T^1,y:1*T^1,w:1*T^2"],
+        ["linf", "solve-gb", f"{fx}/b2_lin.model", "--b", "t^3", "--l", "2"]
+        + ["--action-cutoff", "12"],
+    ]
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(src),
+            SYMCAP_CACHE_DIR=str(tmp_path / f"cache{seed}"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT.format(commands=commands)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("exit 0") == len(commands)

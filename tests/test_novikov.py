@@ -185,3 +185,50 @@ def test_results_equal_the_constructor_on_expanded_terms(p, q, c, mixed):
     for got, expanded, cutoff in cases:
         assert got.terms == NovikovPolynomial(expanded, cutoff).terms
         assert_canonical(got, cutoff)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(p, q) where q negates some terms of p, shifts others, and adds its
+    own; q's exponents are equal copies of p's, not the same objects."""
+    p = draw(cut_polys)
+    q_terms = []
+    for e, c in p.terms:
+        kind = draw(st.sampled_from(["negate", "shift", "skip"]))
+        e_copy = Fraction(e.numerator, e.denominator)
+        if kind == "negate":
+            q_terms.append((e_copy, -c))
+        elif kind == "shift":
+            q_terms.append((e_copy, -c + draw(rationals)))
+    q_terms += draw(st.lists(st.tuples(exponents, rationals), max_size=3))
+    q = NovikovPolynomial(q_terms, draw(cutoffs))
+    return p, q
+
+
+@given(cancelling_pairs())
+def test_merged_sum_equals_the_constructor_on_both_term_lists(pair):
+    p, q = pair
+    cutoff = finer(p.cutoff, q.cutoff)
+    for a, b in ((p, q), (q, p)):
+        got = a + b
+        want = NovikovPolynomial(a.terms + b.terms, cutoff)
+        assert got.terms == want.terms and got.cutoff == want.cutoff
+        assert_canonical(got, cutoff)
+    assert (p + (-p)).terms == () and (p - p).is_zero()
+
+
+def test_merged_sum_edge_cases():
+    half = Fraction(1, 2)
+    # cancellation to zero, with and without cutoffs
+    assert (nov((half, 2)) + nov((half, -2))).terms == ()
+    assert (nov((half, 2), cutoff=3) + nov((half, -2), cutoff=1)).terms == ()
+    # the smaller cutoff drops the other side's high exponents
+    s = nov((0, 1), (2, 1), cutoff=5) + nov((1, 1), cutoff=2)
+    assert s.terms == ((0, 1), (1, 1)) and s.cutoff == 2
+    s = nov((0, 1), (3, 1)) + nov((1, 1), cutoff=3)
+    assert s.terms == ((0, 1), (1, 1)) and s.cutoff == 3
+    # zero on either side, and None cutoffs on both
+    p = nov((1, 3), (2, -1))
+    assert (p + NovikovPolynomial.zero()).terms == p.terms
+    assert (NovikovPolynomial.zero() + p).terms == p.terms
+    assert (p + p).terms == ((1, 6), (2, -2)) and (p + p).cutoff is None

@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symcap.modelfile import load_model
 from symcap.words import (
     Generator,
     Word,
@@ -192,7 +197,8 @@ def generator_pools(draw):
 @st.composite
 def letter_lists(draw):
     """Generators, or cdga monomials (words of generators), possibly repeated;
-    a repeat is sometimes an equal copy rather than the same object."""
+    a repeated monomial is sometimes an equal copy rather than the same
+    object (an equal copy of a generator is the interned object itself)."""
     pool = draw(generator_pools())
     if draw(st.booleans()):
         monos = draw(
@@ -283,8 +289,10 @@ def test_generator_is_immutable():
     assert (g.name, g.degree, g.action) == ("g", 1, Fraction(1, 2))
     assert g.sort_key == (Fraction(1, 2), "g", 1)
     twin = Generator("g", 1, Fraction(1, 2))
-    assert twin == g and hash(twin) == hash(g)
+    assert twin is g
     assert g != Generator("g", 3, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        del g.name
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (2, 3), (0, 2), (3, 0)])
@@ -373,3 +381,102 @@ def test_word_degree_action_and_sort_key():
     assert w.action == Fraction(3, 2)
     assert len(w) == 2
     assert Word([a]).sort_key < w.sort_key
+
+
+# -- interning and the tuple-backed word ------------------------------------
+
+
+def test_generators_are_interned_on_their_fields():
+    g = Generator("g", 1, Fraction(1, 2))
+    assert Generator("g", 1.0, Fraction(2, 4)) is g
+    assert Generator("g", 1, Fraction(1, 3)) is not g
+    assert Generator("g", 2, Fraction(1, 2)) is not g
+    assert Generator("h", 1, Fraction(1, 2)) is not g
+    assert Generator("n", 0, 2) is Generator("n", 0, Fraction(2))
+
+
+def test_two_loads_of_one_model_share_their_generators(fixtures_dir):
+    first = load_model(fixtures_dir / "b2.model")
+    second = load_model(fixtures_dir / "b2.model")
+    assert first is not second
+    assert first.generators.keys() == second.generators.keys()
+    for name, g in first.generators.items():
+        assert second.generators[name] is g
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_generator_are_the_interned_object(clone):
+    g = Generator("g", 3, Fraction(5, 7))
+    assert clone(g) is g
+    w = Word([g, Generator("h", 0, 1)])
+    assert clone(w) == w and clone(w)[0] is g
+
+
+def test_threads_building_one_generator_get_one_object():
+    threads_n, rounds, keys_n = 8, 20, 50
+    made = []
+
+    def build(r):
+        made.extend(Generator(f"r{r}t{i}", 1, Fraction(i, 3)) for i in range(keys_n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            threads = [threading.Thread(target=build, args=(r,)) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(made) == rounds * threads_n * keys_n
+    assert len({id(g) for g in made}) == rounds * keys_n
+
+
+def test_negative_action_still_raises():
+    with pytest.raises(ValueError):
+        Generator("neg", 0, Fraction(-1, 2))
+    with pytest.raises(ValueError):
+        Generator("neg", 0, -1)
+
+
+def test_word_repr_is_pinned():
+    x = Generator("x", 1, Fraction(1, 2))
+    y = Generator("y", 0, 2)
+    assert repr(Word([x, y])) == (
+        "Word((Generator('x', 1, 1/2), Generator('y', 0, 2)))"
+    )
+    assert repr(Word([x])) == "Word((Generator('x', 1, 1/2),))"
+    assert repr(Word(())) == "Word(())"
+    assert repr(Word([Word([x]), Word([x, y])])) == (
+        "Word((Word((Generator('x', 1, 1/2),)), "
+        "Word((Generator('x', 1, 1/2), Generator('y', 0, 2)))))"
+    )
+    # gb_solver sorts its rows by repr
+    assert repr(("d", Word([x]))) == "('d', Word((Generator('x', 1, 1/2),)))"
+
+
+def test_words_from_any_iterable_are_equal():
+    a = Generator("a", 0, 1)
+    b = Generator("b", 1, 2)
+    words = [Word([a, b]), Word((a, b)), Word(g for g in (a, b)), Word(iter([a, b]))]
+    assert all(type(w) is Word for w in words)
+    assert len({hash(w) for w in words}) == 1
+    assert all(w == words[0] for w in words)
+    assert words[0].letters is words[0]
+    assert list(words[0]) == [a, b] and len(words[0]) == 2
+
+
+def test_a_word_equals_the_plain_tuple_of_its_letters():
+    # documented: no combination or table keys both, so they never collide
+    a = Generator("a", 0, 1)
+    w = Word([a])
+    assert w == (a,) and hash(w) == hash((a,))
+    assert Word(()) == ()
+    assert "plain tuple" in Word.__doc__
