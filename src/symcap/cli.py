@@ -27,7 +27,8 @@ Subcommands
     which may be left out when the model has exactly one; an unknown name,
     or a left-out name on a model without exactly one, is a usage error.
     So are an unknown generator in ``mc --m``, a word length cap ``--l``
-    below 1 and an ``mc --max-terms`` below 1.
+    below 1, a negative ``solve-gb --action-cutoff`` and an ``mc
+    --max-terms`` below 1.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
@@ -381,6 +382,13 @@ def _word_text(word) -> str:
 def cmd_linf(args) -> int:
     if args.linf_cmd in ("check", "solve-gb") and args.l < 1:
         raise CliUsageError("--l must be >= 1")
+    if (
+        args.linf_cmd == "solve-gb"
+        and args.action_cutoff is not None
+        and args.action_cutoff < 0
+    ):
+        # actions are >= 0, so no level lies below a negative cutoff
+        raise CliUsageError("--action-cutoff must be >= 0")
     if args.linf_cmd == "mc" and args.max_terms is not None and args.max_terms < 1:
         raise CliUsageError("--max-terms must be >= 1")
     model = load_model(args.model)

@@ -14,6 +14,10 @@ hold, and the coderivation and the relation check feed ℓ through one split
 loop.  The model makes the three choices that depend on the mode: what ℓ is
 on a canonical word of bar letters, which bar letters can feed an operation
 of a given arity, and how an output word becomes a bar letter.
+
+A model is immutable after construction, so the coderivation l̂, a function
+of the model and the word only, is computed once per word and model: each
+model memoizes it (see :func:`extend_coderivation`).
 """
 
 from __future__ import annotations
@@ -167,6 +171,13 @@ class Augmentation:
 
 
 class LInfinityModel:
+    """Generators, the operations ℓ^k on canonical words, and augmentations.
+
+    A model is immutable after construction: nothing rebinds or changes its
+    operations, ``key_letters``, cutoff or mode.  That makes l̂ a function of
+    the word alone, and the model memoizes it per word.
+    """
+
     def __init__(
         self,
         generators: Sequence[Generator],
@@ -237,6 +248,9 @@ class LInfinityModel:
                                 "violates the filtration"
                             )
             self.augmentations[name] = aug
+
+        # l̂ on canonical bar words, filled by ``extend_coderivation``
+        self._coderivation_memo: dict[Word, Combo] = {}
 
     # -- validation helpers ------------------------------------------------
 
@@ -465,7 +479,20 @@ def _operation_splits(
 
 
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
-    """The coderivation value l̂(w) as a combination of bar words."""
+    """The coderivation value l̂(w) as a combination of bar words.
+
+    l̂(w) depends on the model and the word only, so each model keeps it per
+    word.  An entry is stored only once complete, so a thread never reads a
+    half-built one; two threads may both compute a missing entry, and they
+    store equal values.  Every caller gets its own copy of the entry.
+    """
+    value = model._coderivation_memo.get(w)
+    if value is None:
+        value = model._coderivation_memo[w] = _coderivation(model, w)
+    return dict(value)
+
+
+def _coderivation(model: LInfinityModel, w: Word) -> Combo:
     if not w:
         raise ModelError("the empty word is not part of the reduced bar complex")
     out: Combo = {}

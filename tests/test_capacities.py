@@ -37,7 +37,7 @@ from symcap.linfty import (
     check_linfty_relations,
     extend_coderivation,
 )
-from symcap.modelfile import parse_model
+from symcap.modelfile import load_model, parse_model
 from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (
     OrbitRecord,
@@ -433,6 +433,22 @@ def test_gb_solver_closedness_raises_the_level():
     # (a + b)^2 would be closed at level 6 without l^2; with it, g is needed
     assert _kernel_then_image_level(model, [0, 0], 2, 12, closed=False) == 2
     assert gb_solver(model, [0, 0], 2, 12) == 7
+
+
+@pytest.mark.parametrize("name", ["closedness", "e1x"])
+def test_gb_solver_on_one_model_matches_fresh_models(fixtures_dir, name):
+    # l̂ is memoized per model: levels on a model reused across word caps
+    # and cutoffs equal those on a model built for each query
+    def fresh():
+        if name == "closedness":
+            return _closedness_model()
+        return load_model(fixtures_dir / f"{name}.model")
+
+    shared = fresh()
+    for word_cap, cutoff in itertools.product((3, 1, 2), (12, 4, 7, 2)):
+        for b in ([0], [3], [0, 0], [0, 1]):
+            want = gb_solver(fresh(), b, word_cap, cutoff)
+            assert gb_solver(shared, b, word_cap, cutoff) == want, (b, word_cap, cutoff)
 
 
 @pytest.mark.parametrize("name", ["closedness", "b2_lin", "e1x"])

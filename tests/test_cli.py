@@ -369,6 +369,11 @@ def test_solver_levels(capsys, fixtures_dir):
     )
     assert code == 2
     assert out == "not-found-below-cutoff (word cap 3, action cutoff 5)\n"
+    # a zero cutoff is valid: no word has action 0, so no level is found
+    code, out, _ = run(
+        capsys, "linf", "solve-gb", model, "--b", "t^0", "--action-cutoff", "0"
+    )
+    assert (code, out) == (2, "not-found-below-cutoff (word cap 3, action cutoff 0)\n")
 
 
 def test_mc_check(capsys, fixtures_dir):
@@ -491,6 +496,8 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         ["linf", "check", b2_lin, "--l", "0"],
         ["linf", "solve-gb", b2_lin, "--b", "t^0", "--l", "0"],
         ["linf", "solve-gb", b2_lin, "--b", "t^3,t^4"],
+        ["linf", "solve-gb", b2_lin, "--b", "t^0", "--action-cutoff", "-1"],
+        ["linf", "solve-gb", b2_lin, "--b", "t^0", "--action-cutoff=-1/2"],
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -502,6 +509,8 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
             assert err == "cap: error: unknown generator 'zz'\n", argv
         if "--l" in argv:
             assert err == "cap: error: --l must be >= 1\n", argv
+        if any(a.startswith("--action-cutoff") for a in argv):
+            assert err == "cap: error: --action-cutoff must be >= 0\n", argv
         if "t^3,t^4" in argv:
             assert err == (
                 "cap: error: cannot parse 't^3,t^4': expected t-powers like t^0*t^3\n"

@@ -1,6 +1,9 @@
 """Tests for the L-infinity layer: operations, morphisms, Maurer-Cartan
 theory, and linearization."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -35,7 +38,7 @@ from symcap.linfty import (
     morphism_on_combo,
     _relation_residual,
 )
-from symcap.modelfile import parse_model
+from symcap.modelfile import load_model, parse_model
 from symcap.novikov import NovikovPolynomial, add_into, parse_novikov
 from symcap.words import Generator, Word, coproduct, normalize_word, reorder_sign
 
@@ -431,6 +434,29 @@ def test_basis_words_are_the_canonical_multisets(models, name, max_action):
     _assert_canonical_basis(models[name], 4, max_action)
 
 
+def _fresh_model(name):
+    """A newly built model, so no l̂ value of an earlier test is memoized."""
+    if name in MODEL_NAMES:
+        return load_model(FIXTURES / f"{name}.model")
+    return parse_model(FIRST_AT_TWO_OR_THREE[name][0])
+
+
+def _spy_table_reads(model, monkeypatch):
+    """Swap the model's operation table for a copy that records the key of
+    every read, and return the list of those keys."""
+    reads = []
+
+    class Spy(dict):
+        # module mode reads the table at each fed word, cdga mode at each
+        # pick of the Leibniz rule
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(model, "operations", Spy(model.operations))
+    return reads
+
+
 def _indexed_table_reads(model, monkeypatch, run):
     """Run ``run()`` and assert every operation-table read was at a canonical
     word all of whose letters are ``key_letters`` of its arity."""
@@ -438,16 +464,7 @@ def _indexed_table_reads(model, monkeypatch, run):
     for arity, key in model.operations:
         index.setdefault(arity, set()).update(key.letters)
     assert model.key_letters == index
-    fed = []
-
-    class Spy(dict):
-        # module mode reads the table at each fed word, cdga mode at each
-        # pick of the Leibniz rule
-        def get(self, key, default=None):
-            fed.append(key)
-            return super().get(key, default)
-
-    monkeypatch.setattr(model, "operations", Spy(model.operations))
+    fed = _spy_table_reads(model, monkeypatch)
     run()
     assert fed
     for arity, word in fed:
@@ -455,8 +472,8 @@ def _indexed_table_reads(model, monkeypatch, run):
         assert arity in index and index[arity].issuperset(word.letters)
 
 
-def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
-    model = models["b2"]
+def test_coderivation_feeds_only_indexed_letters(monkeypatch):
+    model = _fresh_model("b2")
     _indexed_table_reads(
         model,
         monkeypatch,
@@ -465,9 +482,9 @@ def test_coderivation_feeds_only_indexed_letters(models, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["cdga_aug", "cdga_l1_l3"])
-def test_leibniz_rule_picks_only_indexed_generators(models, monkeypatch, name):
+def test_leibniz_rule_picks_only_indexed_generators(monkeypatch, name):
     # cdga mode reads the table at the generators picked from the monomials
-    model = models.get(name) or parse_model(FIRST_AT_TWO_OR_THREE[name][0])
+    model = _fresh_model(name)
     _indexed_table_reads(
         model,
         monkeypatch,
@@ -482,6 +499,54 @@ def test_relation_check_reads_only_indexed_words(models, monkeypatch, name):
     _indexed_table_reads(
         model, monkeypatch, lambda: check_linfty_relations(model, 4)
     )
+
+
+@pytest.mark.parametrize("name", GOOD_MODELS)
+def test_memoized_coderivation_equals_the_reference_on_every_call(
+    monkeypatch, name
+):
+    model = _fresh_model(name)
+    words = model.basis_words(4)
+    want = [_reference_coderivation(model, w) for w in words]
+    assert [extend_coderivation(model, w) for w in words] == want
+    # the second call is served from the model's memo: no table read
+    reads = _spy_table_reads(model, monkeypatch)
+    assert [extend_coderivation(model, w) for w in words] == want
+    assert reads == []
+    # every caller owns its combination: changing one changes no later call
+    for w, value in zip(words, want):
+        got = extend_coderivation(model, w)
+        got.clear()
+        got[w] = ONE
+        assert extend_coderivation(model, w) == value, w
+
+
+def test_threads_computing_the_coderivation_get_the_serial_values():
+    threads_n, rounds = 8, 5
+    serial = _fresh_model("b2")
+    words = serial.basis_words(4)
+    want = {w: extend_coderivation(serial, w) for w in words}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            model = _fresh_model("b2")
+            got = [None] * threads_n
+
+            def run(i, model=model, got=got):
+                order = list(words)
+                random.Random(f"{r}:{i}").shuffle(order)
+                got[i] = {w: extend_coderivation(model, w) for w in order}
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(values == want for values in got), r
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
