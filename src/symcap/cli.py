@@ -32,7 +32,9 @@ Subcommands
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
-    expansion, ``evaluate`` reduces and evaluates against ``--table``.
+    expansion, ``evaluate`` reduces and evaluates against ``--table``.  An
+    ``evaluate`` expression without a surface and class is a usage error:
+    no table row could match it.
 
 Machine-readable output (CSV cells, solver levels, evaluated counts) uses
 exact rationals; decimal renderings only appear in human-facing summaries.
@@ -492,6 +494,9 @@ def _parse_mc_element(model, text: str) -> MaurerCartanElement:
 
 def cmd_gw(args) -> int:
     expr = gw.parse_constraint_expression(args.expression)
+    if args.gw_cmd == "evaluate" and any(surface is None for surface, _, _ in expr):
+        # table rows are keyed by surface and class: nothing could match
+        raise CliUsageError("evaluate needs a surface and class")
     table = gw.load_table(args.table) if args.table else gw.BaseInvariantTable({})
     rng = random.Random(args.seed) if args.seed is not None else None
     if args.gw_cmd == "reduce":

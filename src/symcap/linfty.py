@@ -17,7 +17,9 @@ of a given arity, and how an output word becomes a bar letter.
 
 A model is immutable after construction, so the coderivation l̂, a function
 of the model and the word only, is computed once per word and model: each
-model memoizes it (see :func:`extend_coderivation`).
+model memoizes it (see :func:`extend_coderivation`).  A morphism is
+immutable after construction too, and memoizes Φ̂ per word the same way
+(see :func:`extend_morphism`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from .words import (
     Word,
     normalize_word,
     odd_mask,
+    partition_getters,
+    partition_signs,
     reorder_sign,
+    split_getters,
     split_signs,
     splits,
     word_multiplicity_factor,
@@ -85,27 +90,6 @@ def _monomial(letters: Sequence) -> tuple[int, Optional[Word]]:
     return normalize_word(letters) if letters else (1, Word(()))
 
 
-def set_partitions(items: Sequence) -> Iterable[list[list]]:
-    """All partitions of ``items`` into unordered nonempty blocks.
-
-    Blocks preserve the input order internally; with sorted input, every
-    block is ascending and blocks can be canonically ordered by first entry.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield [[first]] + [list(b) for b in part]
-        for i in range(len(part)):
-            yield (
-                [list(b) for b in part[:i]]
-                + [[first] + list(part[i])]
-                + [list(b) for b in part[i + 1 :]]
-            )
-
-
 def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
     """(Koszul sign, per-block values) for each set partition of the letter
     positions of ``w`` on whose every block ``lookup`` is nonzero.
@@ -113,18 +97,16 @@ def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
     Blocks are ordered by first position, and ``lookup`` gets each block's
     letters as a word.
     """
-    degrees = [l.degree for l in w]
-    pick = w.__getitem__
-    for part in set_partitions(range(len(w))):
-        blocks = sorted(part, key=lambda b: b[0])
+    k = len(w)
+    for getters, sign in zip(partition_getters(k), partition_signs(k, odd_mask(w))):
         values = []
-        for b in blocks:
-            value = lookup(Word(map(pick, b)))
+        for get in getters:
+            value = lookup(Word(get(w)))
             if not value:
                 break
             values.append(value)
         else:
-            yield reorder_sign(degrees, [p for b in blocks for p in b]), values
+            yield sign, values
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +426,8 @@ def _operation_splits(
     model: LInfinityModel, letters: tuple, outer: bool = False
 ) -> Iterable[tuple[int, tuple, Combo]]:
     """(sign, rest, ℓ(fed)) for each split of the canonical ``letters`` into
-    fed positions and the ``rest`` on which ℓ(fed) is nonzero.
+    fed positions and the rest on which ℓ(fed) is nonzero; ``rest`` is the
+    tuple of the rest letters.
 
     Each fed subsequence of a canonical word is canonical with sorting sign
     1, so ℓ is taken at it directly, and only when every fed letter can feed
@@ -455,7 +438,6 @@ def _operation_splits(
     is tried only if some operation has arity ``len(letters) + 1 - size``.
     """
     k = len(letters)
-    pick = letters.__getitem__
     keys = model.key_letters
     # per fed size tried, the positions whose letter can feed it
     fits = {
@@ -465,7 +447,9 @@ def _operation_splits(
     }
     if not fits:
         return
-    for (fed, rest), sign in zip(splits(k), split_signs(k, odd_mask(letters))):
+    for (fed, rest), (fed_get, rest_get), sign in zip(
+        splits(k), split_getters(k), split_signs(k, odd_mask(letters))
+    ):
         ok = fits.get(len(fed))
         if ok is None or not ok.issuperset(fed):
             continue
@@ -473,9 +457,9 @@ def _operation_splits(
             ok = fits.get(len(rest) + 1)
             if ok is None or not ok.issuperset(rest):
                 continue
-        value = model._operation(Word(map(pick, fed)))
+        value = model._operation(Word(fed_get(letters)))
         if value:
-            yield sign, rest, value
+            yield sign, rest_get(letters), value
 
 
 def extend_coderivation(model: LInfinityModel, w: Word) -> Combo:
@@ -497,9 +481,8 @@ def _coderivation(model: LInfinityModel, w: Word) -> Combo:
         raise ModelError("the empty word is not part of the reduced bar complex")
     out: Combo = {}
     for sign, rest, value in _operation_splits(model, w):
-        rest_letters = [w[p] for p in rest]
         for v, coeff in value.items():
-            sign2, bar = normalize_word([model.output_letter(v)] + rest_letters)
+            sign2, bar = normalize_word((model.output_letter(v),) + rest)
             if bar is None:
                 continue
             add_into(out, bar, coeff.scale(sign * sign2))
@@ -516,12 +499,11 @@ def _relation_residual(model: LInfinityModel, w: Word) -> Combo:
     out: Combo = {}
     for sign, rest, value in _operation_splits(model, w, outer=True):
         allowed = model.key_letters[len(rest) + 1]
-        rest_letters = [w[p] for p in rest]
         for v, coeff in value.items():
             letter = model.output_letter(v)
             if not model._feeds(letter, allowed):
                 continue
-            sign2, key = normalize_word([letter] + rest_letters)
+            sign2, key = normalize_word((letter,) + rest)
             if key is None:
                 continue
             for u, d in model._operation(key).items():
@@ -567,6 +549,10 @@ class LInfinityMorphism:
     In cdga mode only arity-1 components on generators are supported and the
     morphism is the induced algebra map (this covers the linearization maps
     F^ε, which are substitutions x -> x + ε(x)).
+
+    A morphism is immutable after construction: nothing rebinds or changes
+    its source, target or components.  That makes Φ̂ a function of the word
+    alone, and the morphism memoizes it per word.
     """
 
     def __init__(
@@ -606,6 +592,9 @@ class LInfinityMorphism:
             if clean:
                 self.components[(arity, word)] = clean
 
+        # Φ̂ on bar words, filled by ``extend_morphism``
+        self._morphism_memo: dict[Word, Combo] = {}
+
     def max_arity(self) -> int:
         return max((a for a, _ in self.components), default=0)
 
@@ -630,7 +619,19 @@ class LInfinityMorphism:
 
 
 def extend_morphism(m: LInfinityMorphism, w: Word) -> Combo:
-    """Φ̂(w): sum over set partitions of the letter positions of ``w``."""
+    """Φ̂(w): sum over set partitions of the letter positions of ``w``.
+
+    Φ̂(w) depends on the morphism and the word only, so each morphism keeps
+    it per word, as a model keeps l̂ (see :func:`extend_coderivation`): an
+    entry is stored only once complete, and every caller gets its own copy.
+    """
+    value = m._morphism_memo.get(w)
+    if value is None:
+        value = m._morphism_memo[w] = _morphism(m, w)
+    return dict(value)
+
+
+def _morphism(m: LInfinityMorphism, w: Word) -> Combo:
     if len(w) == 0:
         raise ModelError("the empty word is not part of the reduced bar complex")
     out: Combo = {}

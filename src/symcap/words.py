@@ -15,10 +15,15 @@ interned object.  A ``Word`` is a ``tuple`` subclass holding its letters,
 so it hashes and compares as that tuple.
 
 Splitting a word of length k into chosen positions and the rest, as the
-coproduct and the coderivation extension do, reads one constant table:
-:func:`splits` lists every nonempty position subset with its complement
-(by size, then lexicographically), and :func:`split_signs` holds the Koszul
-sign of each split for one set of odd positions.
+coproduct and the coderivation extension do, reads constant tables built
+once per length: :func:`splits` lists every nonempty position subset with
+its complement (by size, then lexicographically), :func:`split_getters`
+holds, per split, a pair of C getters that read the chosen and the rest
+letters of a word as tuples, and :func:`split_signs` holds the Koszul sign
+of each split for one set of odd positions.  Cutting a word into blocks, as
+morphisms and augmentations do, reads the same kind of tables:
+:func:`partition_getters` and :func:`partition_signs`.  A sub-word is then
+``Word(getter(w))``, with no per-letter Python step.
 
 Letters are usually :class:`Generator` instances, but any object exposing
 ``degree``, ``action`` and ``sort_key`` works; in particular a ``Word`` can
@@ -33,6 +38,7 @@ import weakref
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .novikov import fmt_rational
@@ -192,6 +198,27 @@ def splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     )
 
 
+def _getter(positions: tuple[int, ...]):
+    """A C callable reading the letters at ``positions`` of a word as a tuple.
+
+    A run of consecutive positions, one position or none reads as a slice:
+    ``itemgetter`` of a single index would return the letter itself, and of
+    no index is not defined.
+    """
+    n = len(positions)
+    if not n or positions[-1] - positions[0] == n - 1:
+        start = positions[0] if n else 0
+        return itemgetter(slice(start, start + n))
+    return itemgetter(*positions)
+
+
+@cache
+def split_getters(k: int) -> tuple[tuple, ...]:
+    """Per split of ``splits(k)``, in order, the getters of its chosen and
+    its rest letters."""
+    return tuple((_getter(chosen), _getter(rest)) for chosen, rest in splits(k))
+
+
 @cache
 def split_signs(k: int, odd_mask: int) -> tuple[int, ...]:
     """The sign of pulling each chosen set of ``splits(k)`` to the front,
@@ -202,6 +229,47 @@ def split_signs(k: int, odd_mask: int) -> tuple[int, ...]:
     """
     degrees = [(odd_mask >> p) & 1 for p in range(k)]
     return tuple(reorder_sign(degrees, chosen + rest) for chosen, rest in splits(k))
+
+
+def _set_partitions(items: tuple) -> Iterable[tuple[tuple, ...]]:
+    """Partitions of ``items`` into nonempty blocks, each in input order:
+    those of the other items, with the first item alone in front, then
+    joined to each block in turn."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield ((first,),) + part
+        for i in range(len(part)):
+            yield part[:i] + ((first,) + part[i],) + part[i + 1 :]
+
+
+@cache
+def partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every partition of the positions ``range(k)`` into nonempty blocks,
+    each block ascending and the blocks ordered by first position.  There
+    are Bell(k) of them: 52 at k = 5, 4140 at k = 8."""
+    return tuple(tuple(sorted(part)) for part in _set_partitions(tuple(range(k))))
+
+
+@cache
+def partition_getters(k: int) -> tuple[tuple, ...]:
+    """Per partition of ``partitions(k)``, in order, the getters of its
+    blocks."""
+    return tuple(tuple(map(_getter, part)) for part in partitions(k))
+
+
+@cache
+def partition_signs(k: int, odd_mask: int) -> tuple[int, ...]:
+    """The sign of lining up the blocks of each partition of
+    ``partitions(k)``, when the odd letters sit at the set bits of
+    ``odd_mask``."""
+    degrees = [(odd_mask >> p) & 1 for p in range(k)]
+    return tuple(
+        reorder_sign(degrees, [p for block in part for p in block])
+        for part in partitions(k)
+    )
 
 
 def odd_mask(letters: Sequence) -> int:
@@ -223,10 +291,11 @@ def coproduct(w: Word) -> list[tuple[Word, Word, int]]:
     k = len(w)
     if k < 2:
         return []
-    pick = w.__getitem__
     return [
-        (Word(map(pick, left)), Word(map(pick, right)), sign)
-        for (left, right), sign in zip(splits(k)[:-1], split_signs(k, odd_mask(w)))
+        (Word(left(w)), Word(right(w)), sign)
+        for (left, right), sign in zip(
+            split_getters(k), split_signs(k, odd_mask(w))[:-1]
+        )
     ]
 
 

@@ -546,6 +546,12 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         (["gw", "reduce", "CP2 d=1,2 <(p)>"], "CP2 classes are degrees"),
         (["gw", "reduce", "CP1 d=1,2 <(p)>"], "CP1 classes are degrees"),
         (["gw", "reduce", "CP2 d=1 <(T^x p)>"], "cannot parse constraint 'T^x p'"),
+        # table rows are keyed by surface and class, so none could match
+        (
+            ["gw", "evaluate", "<(T^1 p),(p)>", "--table", str(fixtures_dir / "base.tbl")],
+            "evaluate needs a surface and class",
+        ),
+        (["gw", "evaluate", "<(p)>"], "evaluate needs a surface and class"),
     ]
     for argv, message in with_messages:
         code, out, err = run(capsys, *argv)

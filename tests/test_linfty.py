@@ -36,6 +36,8 @@ from symcap.linfty import (
     mc_check,
     mc_pushforward,
     morphism_on_combo,
+    _operation_splits,
+    _partition_blocks,
     _relation_residual,
 )
 from symcap.modelfile import load_model, parse_model
@@ -441,9 +443,10 @@ def _fresh_model(name):
     return parse_model(FIRST_AT_TWO_OR_THREE[name][0])
 
 
-def _spy_table_reads(model, monkeypatch):
-    """Swap the model's operation table for a copy that records the key of
-    every read, and return the list of those keys."""
+def _spy_table_reads(owner, monkeypatch, table="operations"):
+    """Swap a model's operation table, or another table of ``owner``, for a
+    copy that records the key of every read, and return the list of those
+    keys."""
     reads = []
 
     class Spy(dict):
@@ -453,7 +456,7 @@ def _spy_table_reads(model, monkeypatch):
             reads.append(key)
             return super().get(key, default)
 
-    monkeypatch.setattr(model, "operations", Spy(model.operations))
+    monkeypatch.setattr(owner, table, Spy(getattr(owner, table)))
     return reads
 
 
@@ -547,6 +550,150 @@ def test_threads_computing_the_coderivation_get_the_serial_values():
             assert all(values == want for values in got), r
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# the split and partition tables against position-wise references
+
+
+def _crossing_sign(degrees, order):
+    """(-1) to the number of odd-odd pairs of positions that ``order`` lists
+    out of position order."""
+    odd = [p for p in order if degrees[p] % 2]
+    inversions = sum(1 for i, p in enumerate(odd) for q in odd[i + 1 :] if p > q)
+    return -1 if inversions % 2 else 1
+
+
+def _reference_set_partitions(positions):
+    """Partitions of ``positions`` into blocks: those of the other positions,
+    with the first position alone in front, then joined to each block."""
+    if not positions:
+        yield []
+        return
+    first, rest = positions[0], positions[1:]
+    for part in _reference_set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def _reference_blocks(w):
+    """(sign, blocks) for each set partition of the positions of ``w``, the
+    blocks ordered by first position."""
+    degrees = [l.degree for l in w]
+    for part in _reference_set_partitions(list(range(len(w)))):
+        blocks = sorted(part, key=lambda b: b[0])
+        yield _crossing_sign(degrees, [p for b in blocks for p in b]), blocks
+
+
+_SPLIT_POOL = [
+    Generator(name, degree, Fraction(action))
+    for name, degree, action in (
+        ("sa", 0, 0),
+        ("sb", 1, 0),
+        ("sc", 2, 1),
+        ("sd", -1, 1),
+        ("se", 1, 2),
+    )
+]
+
+
+@st.composite
+def _split_cases(draw):
+    """A sorted word of 1-6 letters from a pool of five generators of both
+    parities, so letters repeat; in cdga form each letter is a monomial of
+    one or two of them.  Also per arity the key generators, as a model's
+    ``key_letters``."""
+    cdga = draw(st.booleans())
+    gens = st.sampled_from(_SPLIT_POOL)
+    if cdga:
+        letter = st.lists(gens, min_size=1, max_size=2).map(
+            lambda gs: Word(sorted(gs, key=lambda g: g.sort_key))
+        )
+    else:
+        letter = gens
+    letters = draw(st.lists(letter, min_size=1, max_size=6))
+    arities = draw(st.sets(st.integers(min_value=1, max_value=7), max_size=5))
+    keys = {a: frozenset(draw(st.sets(gens, min_size=1))) for a in arities}
+    return cdga, Word(sorted(letters, key=lambda l: l.sort_key)), keys
+
+
+def _some_value(word):
+    """A stand-in for ℓ or a component: nonzero on some sub-words, and then
+    naming the sub-word it was given."""
+    return {word: ONE} if (len(word) + word.degree) % 3 else {}
+
+
+class _SplitModel:
+    """What the split loop reads of a model: the key letters per arity,
+    whether a letter feeds an arity, and ℓ at a fed word."""
+
+    _feeds = LInfinityModel._feeds
+
+    def __init__(self, cdga, key_letters):
+        self.algebra_mode = "cdga" if cdga else "module"
+        self.key_letters = key_letters
+
+    def _operation(self, word):
+        return _some_value(word)
+
+
+def _reference_operation_splits(model, letters, outer):
+    k = len(letters)
+    degrees = [l.degree for l in letters]
+    keys = model.key_letters
+
+    def feed(positions, arity):
+        return arity in keys and all(
+            model._feeds(letters[p], keys[arity]) for p in positions
+        )
+
+    out = []
+    for size in range(1, k + 1):
+        for fed in combinations(range(k), size):
+            rest = tuple(p for p in range(k) if p not in fed)
+            if not feed(fed, size) or (outer and not feed(rest, len(rest) + 1)):
+                continue
+            value = model._operation(Word([letters[p] for p in fed]))
+            if value:
+                sign = _crossing_sign(degrees, fed + rest)
+                out.append((sign, tuple(letters[p] for p in rest), value))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_cases())
+def test_split_tables_match_position_wise_references(case):
+    cdga, w, keys = case
+    k = len(w)
+    degrees = [l.degree for l in w]
+    want = []
+    for size in range(1, k):
+        for left in combinations(range(k), size):
+            right = tuple(p for p in range(k) if p not in left)
+            want.append(
+                (
+                    Word([w[p] for p in left]),
+                    Word([w[p] for p in right]),
+                    _crossing_sign(degrees, left + right),
+                )
+            )
+    got = coproduct(w)
+    assert got == want
+    assert all(type(a) is Word and type(b) is Word for a, b, _ in got)
+
+    model = _SplitModel(cdga, keys)
+    for outer in (False, True):
+        got = list(_operation_splits(model, w, outer))
+        assert got == _reference_operation_splits(model, w, outer), outer
+        assert all(type(fed) is Word for _, _, value in got for fed in value)
+
+    want = []
+    for sign, blocks in _reference_blocks(w):
+        values = [_some_value(Word([w[p] for p in b])) for b in blocks]
+        if all(values):
+            want.append((sign, values))
+    assert list(_partition_blocks(w, _some_value)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +924,145 @@ def test_check_morphism_flags_dropped_generator(models):
     violations = dict(check_morphism(phi, 2))
     assert violations[dgla.word("w")] == {dgla.word("z"): ONE.scale(-1)}
     assert check_morphism(identity_morphism(dgla), 3) == []
+
+
+def _module_morphism_model():
+    """A module-mode model with no operations, on letters of both parities."""
+    gens = [Generator(n, d, Fraction(0)) for n, d in (
+        ("e", 0), ("e2", 2), ("o1", 1), ("o1p", 1), ("o2", 3), ("q", 4),
+    )]
+    return LInfinityModel(gens, {})
+
+
+def _module_morphism(model):
+    """A degree-0 morphism with components of arity 1 to 3, some on odd
+    letters, with coefficients other than 1."""
+    comps = dict(singles_identity(model))
+    for names, out, coeff in (
+        (("o1", "o1p"), "e2", "2*T^1"),
+        (("o1", "o2"), "q", "1"),
+        (("e", "e2"), "e2", "-1"),
+        (("e", "o1"), "o1p", "1*T^1"),
+        (("o1", "o1p", "e2"), "q", "1*T^2"),
+        (("e", "o1", "o1p"), "e2", "-3"),
+    ):
+        comps[(len(names), model.word(*names))] = {model.word(out): N(coeff)}
+    return LInfinityMorphism(model, model, comps)
+
+
+def _morphism_cases(name):
+    """A maker of fresh, equal morphisms, and the words to apply them to."""
+    if name == "module":
+        model = _module_morphism_model()
+        return lambda: _module_morphism(model), model.basis_words(4)
+    model = _fresh_model("cdga_aug")
+    eps = model.augmentations["eps"]
+    words = model.basis_words(4)
+    # the round trip also feeds F^ε words that hold the unit monomial
+    f_minus = f_epsilon_map(model, inverse_scalar_augmentation(model, eps))
+    halfway = [u for w in words for u in extend_morphism(f_minus, w)]
+    return lambda: f_epsilon_map(model, eps), list(dict.fromkeys(words + halfway))
+
+
+def _reference_morphism(m, w):
+    """Φ̂(w) from the components alone: in module mode the sum over set
+    partitions of the positions of ⊙ of the block images; in cdga mode the
+    ⊙ of the letter images, each the product of its generators' images."""
+    unit = NovikovPolynomial.unit(m.target.cutoff)
+
+    def multiply(picks, sign=1):
+        coeff = unit.scale(sign)
+        for _, c in picks:
+            coeff = coeff * c
+        return coeff
+
+    if m.source.algebra_mode == "cdga":
+        letter_images = []
+        for mono in w:
+            image = {}
+            for picks in product(
+                *(m.components.get((1, Word([g])), {}).items() for g in mono)
+            ):
+                merged = [g for u, _ in picks for g in u]
+                sign, u = normalize_word(merged) if merged else (1, Word(()))
+                if u is not None:
+                    add_into(image, u, multiply(picks, sign))
+            letter_images.append(image)
+        terms = [(1, letter_images)]
+    else:
+        terms = []
+        for sign, blocks in _reference_blocks(w):
+            images = [
+                m.components.get((len(b), Word([w[p] for p in b])), {}) for b in blocks
+            ]
+            if all(images):
+                terms.append((sign, images))
+    out = {}
+    for sign, images in terms:
+        for picks in product(*(image.items() for image in images)):
+            sign2, bar = normalize_word([m.target.output_letter(u) for u, _ in picks])
+            if bar is not None:
+                add_into(out, bar, multiply(picks, sign * sign2))
+    return out
+
+
+@pytest.mark.parametrize("name", ["cdga_aug", "module"])
+def test_memoized_morphism_equals_the_reference_on_every_call(monkeypatch, name):
+    make, words = _morphism_cases(name)
+    m = make()
+    want = [_reference_morphism(m, w) for w in words]
+    assert any(len(value) > 1 for value in want)
+    assert [extend_morphism(m, w) for w in words] == want
+    # the second call is served from the morphism's memo: no component read
+    reads = _spy_table_reads(m, monkeypatch, "components")
+    assert [extend_morphism(m, w) for w in words] == want
+    assert [morphism_on_combo(m, {w: ONE}) for w in words] == want
+    assert reads == []
+    # every caller owns its combination: changing one changes no later call
+    for w, value in zip(words, want):
+        got = extend_morphism(m, w)
+        got.clear()
+        got[w] = ONE
+        assert extend_morphism(m, w) == value, w
+
+
+def test_composing_reads_the_memoized_morphism(monkeypatch):
+    model = _module_morphism_model()
+    phi, psi = _module_morphism(model), _module_morphism(model)
+    want = compose_morphisms(psi, phi, 3).components
+    assert any(arity > 1 for arity, _ in want)
+    # a warm phi serves compose_morphisms from its memo alone
+    monkeypatch.setattr(phi, "components", {})
+    assert compose_morphisms(psi, phi, 3).components == want
+
+
+@pytest.mark.parametrize("name", ["cdga_aug", "module"])
+def test_threads_computing_the_morphism_get_the_serial_values(name):
+    threads_n, rounds = 8, 5
+    make, words = _morphism_cases(name)
+    serial = make()
+    want = {w: extend_morphism(serial, w) for w in words}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            m = make()
+            got = [None] * threads_n
+
+            def run(i, m=m, got=got):
+                order = list(words)
+                random.Random(f"{r}:{i}").shuffle(order)
+                got[i] = {w: extend_morphism(m, w) for w in order}
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(values == want for values in got), r
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

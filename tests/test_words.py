@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symcap.modelfile import load_model
+from symcap.novikov import NovikovPolynomial
 from symcap.words import (
     Generator,
     Word,
@@ -333,6 +334,28 @@ def test_coproduct_counts_duplicates_positionally():
     terms = coproduct(w)
     assert len(terms) == 2**3 - 2
     assert all(s == 1 for _, _, s in terms)
+
+
+def test_words_and_coefficients_keep_the_init_the_trace_counts(monkeypatch):
+    """The benchmark's traced runs count the words and Novikov coefficients
+    built by wrapping ``__init__`` in each class's own dict, so both keep
+    one, and a coproduct builds both sub-words of every split through it."""
+    assert "__init__" in Word.__dict__
+    assert "__init__" in NovikovPolynomial.__dict__
+    built = []
+    init = Word.__dict__["__init__"]
+
+    def counted(self, letters):
+        built.append(self)
+        init(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    gens = make_gens([0, 1, 2, -1, 1, 0])
+    for k in range(1, 7):
+        w = Word(gens[:k])
+        built.clear()
+        coproduct(w)
+        assert len(built) == 2 * (2**k - 2), k
 
 
 @given(st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=5))
