@@ -84,6 +84,7 @@ from .linfty import (
 from .modelfile import load_model, print_model
 from .novikov import fmt_rational, parse_novikov, parse_rational
 from .spectra import INF, ech_sequence, eh_sequence
+from .words import Word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -373,9 +374,9 @@ def cmd_obstruct(args) -> int:
 
 def _word_text(word) -> str:
     names = []
-    for letter in word.letters:
-        if hasattr(letter, "letters"):  # cdga: letters are monomials
-            names.append("*".join(g.name for g in letter.letters) or "1")
+    for letter in word:
+        if isinstance(letter, Word):  # cdga: letters are monomials
+            names.append("*".join(g.name for g in letter) or "1")
         else:
             names.append(letter.name)
     return "(" + ",".join(names) + ")"

@@ -15,6 +15,11 @@ loop.  The model makes the three choices that depend on the mode: what ℓ is
 on a canonical word of bar letters, which bar letters can feed an operation
 of a given arity, and how an output word becomes a bar letter.
 
+The bar extensions l̂, Φ̂ and ε̂ and the algebra map on a monomial are each
+a sum of products of per-block combinations: one term picked from each
+block, the picks kept in order and their coefficients multiplied.
+:func:`_products` is the one routine that multiplies them out.
+
 A model is immutable after construction, so the coderivation l̂, a function
 of the model and the word only, is computed once per word and model: each
 model memoizes it (see :func:`extend_coderivation`).  A morphism is
@@ -59,13 +64,6 @@ class IntegrityError(RuntimeError):
 # linear-combination helpers
 
 
-def combo_sub(a: Combo, b: Combo) -> Combo:
-    out = dict(a)
-    for w, c in b.items():
-        add_into(out, w, -c)
-    return out
-
-
 def _extend_linearly(f, combo: Combo) -> dict:
     """Σ c·f(w) over the terms c·w of ``combo``; ``f`` returns combinations."""
     out: dict = {}
@@ -73,6 +71,22 @@ def _extend_linearly(f, combo: Combo) -> dict:
         for u, d in f(w).items():
             add_into(out, u, c * d)
     return out
+
+
+def _products(factors: Sequence[dict], unit) -> list[tuple[tuple, NovikovPolynomial]]:
+    """(keys, coefficient) for each pick of one term from every factor, in
+    order: the tuple of the picked keys, and ``unit`` times the picked
+    coefficients.  Partial products are extended one factor at a time, and
+    a zero one is dropped as soon as it appears."""
+    partial = [((), unit)]
+    for factor in factors:
+        partial = [
+            (keys + (key,), p)
+            for keys, coeff in partial
+            for key, c in factor.items()
+            if (p := coeff * c)
+        ]
+    return partial
 
 
 def _signed_lookup(value, letters: Sequence) -> Combo:
@@ -137,15 +151,6 @@ class Augmentation:
 
     def max_arity(self) -> int:
         return max((len(w) for w in self.components), default=0)
-
-    def scalar_on_generator(self, g: Generator) -> NovikovPolynomial:
-        """The t^0 value on a single generator; errors on higher t-powers."""
-        tpoly = self.component(Word([g]))
-        if any(m != 0 for m in tpoly):
-            raise ModelError(
-                f"augmentation {self.name} is not scalar-valued on {g.name}"
-            )
-        return tpoly.get(0, NovikovPolynomial.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,7 @@ class LInfinityModel:
         self.key_letters: dict[int, frozenset] = {}
         for arity, word in self.operations:
             self.key_letters[arity] = self.key_letters.get(arity, frozenset()).union(
-                word.letters
+                word
             )
 
         self.augmentations: dict[str, Augmentation] = {}
@@ -237,25 +242,25 @@ class LInfinityModel:
     # -- validation helpers ------------------------------------------------
 
     def _word_str(self, w: Word) -> str:
-        if self.algebra_mode == "cdga" and w.letters and isinstance(w.letters[0], Word):
-            return " , ".join(self._mono_str(m) for m in w.letters)
+        if self.algebra_mode == "cdga" and w and isinstance(w[0], Word):
+            return " , ".join(self._mono_str(m) for m in w)
         return self._mono_str(w)
 
     @staticmethod
     def _mono_str(w: Word) -> str:
-        if not w.letters:
+        if not w:
             return "1"
-        return "*".join(l.name for l in w.letters)
+        return "*".join(l.name for l in w)
 
     def _check_key(self, arity: int, word: Word) -> None:
         if arity != len(word):
             raise ModelError(f"arity {arity} does not match word length {len(word)}")
         if arity < 1:
             raise ModelError("operations need arity >= 1")
-        for l in word.letters:
+        for l in word:
             if not isinstance(l, Generator) or self.generators.get(l.name) != l:
                 raise ModelError(f"unknown generator in key {self._word_str(word)}")
-        sign, canon = normalize_word(word.letters)
+        sign, canon = normalize_word(word)
         if canon != word or sign != 1:
             raise ModelError(f"non-canonical key word {self._word_str(word)}")
 
@@ -263,7 +268,7 @@ class LInfinityModel:
         if self.algebra_mode == "module":
             if len(w) != 1:
                 raise ModelError("module-mode outputs must be single generators")
-        for l in w.letters:
+        for l in w:
             if not isinstance(l, Generator) or self.generators.get(l.name) != l:
                 raise ModelError(f"unknown generator in output {self._mono_str(w)}")
 
@@ -605,17 +610,14 @@ class LInfinityMorphism:
 
     def apply_to_monomial(self, mono: Word) -> Combo:
         """Multiplicative extension to a cdga monomial (algebra-map mode)."""
-        result: Combo = {Word(()): NovikovPolynomial.unit(self.target.cutoff)}
-        for g in mono:
-            image = self.component([g])
-            merged: Combo = {}
-            for w1, c1 in result.items():
-                for w2, c2 in image.items():
-                    sign, u = _monomial(w1 + w2)
-                    if u is not None:
-                        add_into(merged, u, (c1 * c2).scale(sign))
-            result = merged
-        return result
+        images = [self.component([g]) for g in mono]
+        unit = NovikovPolynomial.unit(self.target.cutoff)
+        out: Combo = {}
+        for keys, coeff in _products(images, unit):
+            sign, u = _monomial([g for key in keys for g in key])
+            if u is not None:
+                add_into(out, u, coeff.scale(sign))
+        return out
 
 
 def extend_morphism(m: LInfinityMorphism, w: Word) -> Combo:
@@ -652,19 +654,11 @@ def _tensor_into(
 ) -> None:
     """``sign`` times the ⊙-product of per-block output combinations,
     normalized at bar level."""
-
-    def rec(i: int, letters: list, coeff: NovikovPolynomial):
-        if coeff.is_zero():
-            return
-        if i == len(factors):
-            sign, bar = normalize_word(letters)
-            if bar is not None:
-                add_into(acc, bar, coeff.scale(sign))
-            return
-        for wrd, c in factors[i].items():
-            rec(i + 1, letters + [target.output_letter(wrd)], coeff * c)
-
-    rec(0, [], NovikovPolynomial(((0, sign),), target.cutoff))
+    unit = NovikovPolynomial(((0, sign),), target.cutoff)
+    for keys, coeff in _products(factors, unit):
+        sign2, bar = normalize_word([target.output_letter(u) for u in keys])
+        if bar is not None:
+            add_into(acc, bar, coeff.scale(sign2))
 
 
 def morphism_on_combo(m: LInfinityMorphism, combo: Combo) -> Combo:
@@ -713,9 +707,9 @@ def check_morphism(
     """Violations of Φ̂∘l̂ = l̂'∘Φ̂ on basis words up to the length bound."""
     violations = []
     for w in m.source.basis_words(max_word_len):
-        lhs = morphism_on_combo(m, extend_coderivation(m.source, w))
-        rhs = coderivation_on_combo(m.target, extend_morphism(m, w))
-        residual = combo_sub(lhs, rhs)
+        residual = morphism_on_combo(m, extend_coderivation(m.source, w))
+        for u, c in coderivation_on_combo(m.target, extend_morphism(m, w)).items():
+            add_into(residual, u, -c)
         if residual:
             violations.append((w, residual))
     return violations
@@ -761,31 +755,23 @@ def _mc_multisets(m: MaurerCartanElement, max_size: int) -> dict:
     return out
 
 
-def _mc_size_cap(m: MaurerCartanElement, cap: int, cutoff) -> int:
-    """``cap``, lowered to the most factors of ``m`` that fit below ``cutoff``."""
+def _mc_size(m: MaurerCartanElement, cap: Optional[int], cutoff) -> int:
+    """How many factors of ``m`` an MC sum takes: ``cap``, lowered to
+    ``cutoff // v`` when the least valuation v of ``m`` is positive.  The
+    lowering is exact: every longer product truncates to zero.  Without a
+    ``cap``, that bound must exist; an empty ``m`` takes no factors."""
     if not m.value:
-        return cap
-    v = m.min_valuation()
-    if v <= 0:
-        raise ModelError("MC element coefficients need strictly positive valuation")
-    return cap if cutoff is None else min(cap, int(cutoff // v))
-
-
-def _max_mc_size(m: MaurerCartanElement, cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    v = m.min_valuation()
-    if v == math.inf:
         return 0
-    if v <= 0:
+    v = m.min_valuation()
+    if v > 0 and cutoff is not None:
+        bound = int(cutoff // v)
+        return bound if cap is None else min(cap, bound)
+    if cap is None:
         raise ModelError(
-            "MC element needs strictly positive valuation (or pass a size cap)"
+            "MC sums need strictly positive valuation and a model cutoff or an "
+            "explicit size cap to converge"
         )
-    if m.model.cutoff is None:
-        raise ModelError(
-            "MC sums need a model cutoff or an explicit size cap to converge"
-        )
-    return int(m.model.cutoff // v)
+    return cap
 
 
 def mc_check(
@@ -798,12 +784,12 @@ def mc_check(
     if max_terms is not None and max_terms < 1:
         raise ModelError("max_terms must be >= 1")
     max_arity = max((a for a, _ in model.operations), default=0)
-    size_cap = max_arity if max_terms is None else min(max_terms, max_arity)
-    if not assume_nilpotent:
-        size_cap = _mc_size_cap(m, size_cap, model.cutoff)
+    if not assume_nilpotent and m.min_valuation() <= 0:
+        raise ModelError("MC element coefficients need strictly positive valuation")
+    cap = max_arity if max_terms is None else min(max_terms, max_arity)
     residual = _extend_linearly(
         lambda letters: model.apply_operation([model.bar_letter(g) for g in letters]),
-        _mc_multisets(m, size_cap),
+        _mc_multisets(m, _mc_size(m, cap, model.cutoff)),
     )
     return (not residual), residual
 
@@ -816,9 +802,11 @@ def mc_pushforward(
         raise ModelError("MC element does not live in the morphism source")
     if phi.target.algebra_mode != "module":
         raise ModelError("mc_pushforward needs a module-mode target")
-    size_cap = _mc_size_cap(m, phi.max_arity(), m.model.cutoff)
-    image = _extend_linearly(phi.component, _mc_multisets(m, size_cap))
-    value = {u.letters[0]: c for u, c in image.items()}
+    if m.min_valuation() <= 0:
+        raise ModelError("MC element coefficients need strictly positive valuation")
+    size = _mc_size(m, phi.max_arity(), m.model.cutoff)
+    image = _extend_linearly(phi.component, _mc_multisets(m, size))
+    value = {u[0]: c for u, c in image.items()}
     result = MaurerCartanElement(phi.target, value)
     ok, residual = mc_check(phi.target, result)
     if not ok:
@@ -831,9 +819,9 @@ def mc_pushforward(
 
 def exp_mc(m: MaurerCartanElement, max_terms: Optional[int] = None) -> Combo:
     """exp(m) = Σ_{k>=1} m^{⊙k}/k! as a bar-complex combination."""
-    cap = _max_mc_size(m, max_terms)
+    size = _mc_size(m, max_terms, m.model.cutoff)
     out: Combo = {}
-    for letters, weight in _mc_multisets(m, cap).items():
+    for letters, weight in _mc_multisets(m, size).items():
         sign, w = normalize_word([m.model.bar_letter(g) for g in letters])
         add_into(out, w, weight.scale(sign))
     return out
@@ -850,42 +838,26 @@ def deform(model: LInfinityModel, m: MaurerCartanElement) -> LInfinityModel:
         raise IntegrityError(
             f"deform: MC residual nonzero on {len(residual)} words"
         )
-    support = set(m.value)
     new_ops: dict[tuple[int, Word], Combo] = {}
     for (arity, word), combo in model.operations.items():
-        slots = sorted(
-            {g for g in word.letters if g in support}, key=lambda g: g.sort_key
-        )
-        counts = {g: sum(1 for l in word.letters if l == g) for g in slots}
-
-        def rec(i: int, taken: list[tuple[Generator, int]]):
-            removed = sum(t for _, t in taken)
-            if i == len(slots):
-                if removed == arity:
-                    return
-                weight = NovikovPolynomial.unit(model.cutoff)
-                for g, t in taken:
-                    for _ in range(t):
-                        weight = weight * m.value[g]
-                    weight = weight.scale(Fraction(1, math.factorial(t)))
-                if weight.is_zero():
-                    return
-                remaining = list(word.letters)
-                for g, t in taken:
-                    for _ in range(t):
-                        remaining.remove(g)
-                sign, key = normalize_word(remaining)
-                target = new_ops.setdefault((len(remaining), key), {})
-                for u, c in combo.items():
-                    add_into(target, u, (c * weight).scale(sign))
-                return
-            g = slots[i]
-            for t in range(counts[g] + 1):
-                taken.append((g, t))
-                rec(i + 1, taken)
-                taken.pop()
-
-        rec(0, [])
+        slots = sorted(set(m.value).intersection(word), key=lambda g: g.sort_key)
+        # how many copies of each slot's generator the MC element takes
+        for taken in product(*(range(word.count(g) + 1) for g in slots)):
+            if sum(taken) == arity:
+                continue
+            weight = NovikovPolynomial.unit(model.cutoff)
+            remaining = list(word)
+            for g, t in zip(slots, taken):
+                for _ in range(t):
+                    weight = weight * m.value[g]
+                    remaining.remove(g)
+                weight = weight.scale(Fraction(1, math.factorial(t)))
+            if weight.is_zero():
+                continue
+            sign, key = normalize_word(remaining)
+            target = new_ops.setdefault((len(remaining), key), {})
+            for u, c in combo.items():
+                add_into(target, u, (c * weight).scale(sign))
     return LInfinityModel(
         list(model.generators.values()),
         new_ops,
@@ -909,17 +881,8 @@ def augmentation_hat(aug: Augmentation, w: Word) -> dict[tuple, NovikovPolynomia
     """
     out: dict[tuple, NovikovPolynomial] = {}
     for sign, tpolys in _partition_blocks(w, aug.component):
-
-        def rec(i: int, powers: list[int], coeff: NovikovPolynomial):
-            if coeff.is_zero():
-                return
-            if i == len(tpolys):
-                add_into(out, tuple(sorted(powers)), coeff)
-                return
-            for p, c in tpolys[i].items():
-                rec(i + 1, powers + [p], coeff * c)
-
-        rec(0, [], NovikovPolynomial(((0, sign),)))
+        for powers, coeff in _products(tpolys, NovikovPolynomial(((0, sign),))):
+            add_into(out, tuple(sorted(powers)), coeff)
     return out
 
 
@@ -933,57 +896,15 @@ def augmentation_pushforward_mc(
     aug: Augmentation, m: MaurerCartanElement
 ) -> dict[int, NovikovPolynomial]:
     """ε_*(m) = Σ 1/k! ε^k(m,...,m) as a t-polynomial {power: coefficient}."""
-    cap = aug.max_arity()
-    if m.value:
-        v = m.min_valuation()
-        if v > 0 and m.model.cutoff is not None:
-            cap = min(cap, int(m.model.cutoff // v))
+    size = _mc_size(m, aug.max_arity(), m.model.cutoff)
     # MC letters are even and sorted, so each multiset is a canonical word
     return _extend_linearly(
-        lambda letters: aug.component(Word(letters)), _mc_multisets(m, cap)
+        lambda letters: aug.component(Word(letters)), _mc_multisets(m, size)
     )
 
 
 # ---------------------------------------------------------------------------
 # linearization (cdga mode)
-
-
-def _scalar_augmentation_values(
-    model: LInfinityModel, eps: Augmentation
-) -> dict[Generator, NovikovPolynomial]:
-    values: dict[Generator, NovikovPolynomial] = {}
-    for word in eps.components:
-        if len(word) != 1:
-            raise ModelError(
-                "linearize needs a scalar augmentation (arity-1 components only)"
-            )
-    for g in model.ordered_generators:
-        v = eps.scalar_on_generator(g)
-        if v.is_zero():
-            continue
-        if g.degree % 2:
-            raise ModelError(
-                f"augmentation {eps.name} is nonzero on the odd generator {g.name}"
-            )
-        if not model.deg_equal(g.degree, 0):
-            raise ModelError(
-                f"augmentation {eps.name} is nonzero on {g.name} of degree "
-                f"{g.degree}; scalar augmentations live on degree 0"
-            )
-        values[g] = v
-    return values
-
-
-def _eps_of_monomial(
-    values: dict[Generator, NovikovPolynomial], w: Word, cutoff
-) -> NovikovPolynomial:
-    total = NovikovPolynomial.unit(cutoff)
-    for g in w.letters:
-        v = values.get(g)
-        if v is None:
-            return NovikovPolynomial.zero(cutoff)
-        total = total * v
-    return total
 
 
 def linearize(
@@ -994,18 +915,18 @@ def linearize(
     F^ε is the substitution x -> x + ε(x) on the symmetric algebra; the
     linearized operations are the single-generator parts of F^ε∘l^k on
     generator inputs.  The scalar parts of the conjugated differential and of
-    all higher conjugated operations are checked to vanish (this is exactly
+    all higher conjugated operations, the coefficients of the empty monomial
+    in the same images, are checked to vanish (this is exactly
     ε(l^k(...)) = 0, the chain-map condition and its higher analogues).
     """
     if model.algebra_mode != "cdga":
         raise ModelError("linearize expects a cdga-mode model")
-    values = _scalar_augmentation_values(model, eps)
-
+    f_eps = f_epsilon_map(model, eps)
+    lin_ops: dict[tuple[int, Word], Combo] = {}
     for (arity, word), combo in model.operations.items():
-        scalar = NovikovPolynomial.zero(model.cutoff)
-        for u, c in combo.items():
-            scalar = scalar + c * _eps_of_monomial(values, u, model.cutoff)
-        if not scalar.is_zero():
+        image = _extend_linearly(f_eps.apply_to_monomial, combo)
+        scalar = image.get(Word(()))
+        if scalar is not None:
             if arity == 1:
                 raise ModelError(
                     f"augmentation {eps.name} fails the chain-map check on "
@@ -1015,12 +936,6 @@ def linearize(
                 f"scalar part of the conjugated arity-{arity} operation on "
                 f"{model._word_str(word)} is nonzero: {scalar}"
             )
-
-    f_eps = f_epsilon_map(model, eps)
-
-    lin_ops: dict[tuple[int, Word], Combo] = {}
-    for (arity, word), combo in model.operations.items():
-        image = _extend_linearly(f_eps.apply_to_monomial, combo)
         lin = {v: c for v, c in image.items() if len(v) == 1}
         if lin:
             lin_ops[(arity, word)] = lin
@@ -1046,14 +961,36 @@ def inverse_scalar_augmentation(
 
 
 def f_epsilon_map(model: LInfinityModel, eps: Augmentation) -> LInfinityMorphism:
-    """Just the substitution morphism F^ε, without the conjugation checks."""
-    values = _scalar_augmentation_values(model, eps)
+    """Just the substitution morphism F^ε, without the conjugation checks.
+
+    ε must be scalar: arity-1 components at t^0 only, nonzero only on even
+    generators of degree 0.
+    """
+    for word in eps.components:
+        if len(word) != 1:
+            raise ModelError(
+                "linearize needs a scalar augmentation (arity-1 components only)"
+            )
     comps: dict[tuple[int, Word], Combo] = {}
     for g in model.ordered_generators:
         w = Word([g])
+        tpoly = eps.component(w)
+        if any(p != 0 for p in tpoly):
+            raise ModelError(
+                f"augmentation {eps.name} is not scalar-valued on {g.name}"
+            )
         combo: Combo = {w: NovikovPolynomial.unit(model.cutoff)}
-        v = values.get(g)
-        if v is not None:
+        v = tpoly.get(0)
+        if v:
+            if g.degree % 2:
+                raise ModelError(
+                    f"augmentation {eps.name} is nonzero on the odd generator {g.name}"
+                )
+            if not model.deg_equal(g.degree, 0):
+                raise ModelError(
+                    f"augmentation {eps.name} is nonzero on {g.name} of degree "
+                    f"{g.degree}; scalar augmentations live on degree 0"
+                )
             combo[Word(())] = v
         comps[(1, w)] = combo
     return LInfinityMorphism(model, model, comps)

@@ -246,7 +246,7 @@ def parse_model(text: str) -> LInfinityModel:
 def _word_text(w: Word) -> str:
     if len(w) == 0:
         return "1"
-    return "(" + "*".join(l.name for l in w.letters) + ")"
+    return "(" + "*".join(l.name for l in w) + ")"
 
 
 def _combo_text(combo: dict) -> str:
@@ -279,7 +279,7 @@ def print_model(model: LInfinityModel) -> str:
     lines.append("[operations]")
     for (arity, word) in sorted(model.operations, key=lambda k: (k[0], k[1].sort_key)):
         combo = model.operations[(arity, word)]
-        inputs = " , ".join(l.name for l in word.letters)
+        inputs = " , ".join(l.name for l in word)
         lines.append(f"{arity} | {inputs} | {_combo_text(combo)}")
     if model.augmentations:
         lines.append("")
@@ -287,7 +287,7 @@ def print_model(model: LInfinityModel) -> str:
         for name in sorted(model.augmentations):
             aug = model.augmentations[name]
             for word in sorted(aug.components, key=lambda w: w.sort_key):
-                inputs = " , ".join(l.name for l in word.letters)
+                inputs = " , ".join(l.name for l in word)
                 lines.append(f"{name} | {inputs} | {_tpoly_text(aug.components[word])}")
     return "\n".join(lines) + "\n"
 

@@ -197,13 +197,6 @@ class NovikovPolynomial:
         """Evaluate at T = 1; sums the coefficients of all T-powers."""
         return sum((c for _, c in self.terms), Fraction(0))
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        e = Fraction(exponent)
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return Fraction(0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NovikovPolynomial)

@@ -111,10 +111,6 @@ class Word(tuple):
         # words built by wrapping this method, so it stays in the class
         pass
 
-    @property
-    def letters(self) -> "Word":
-        return self
-
     @cached_property
     def degree(self) -> int:
         return sum(l.degree for l in self)

@@ -468,7 +468,7 @@ def _scaled(model, c):
     }
 
     def word(w):
-        return Word([gens[g.name] for g in w.letters])
+        return Word([gens[g.name] for g in w])
 
     def coeff(p):
         return NovikovPolynomial([(e * c, x) for e, x in p.terms])

@@ -317,6 +317,51 @@ def test_expand_group_keeps_codimension_except_points_on_cp1(surface_groups):
             assert _codimension_by_formula(surface, sub[2]) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([("CP2", 1), ("CP2", 3), ("CP1xCP1", (1, 2)), (None, None)]),
+    st.lists(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4), min_size=1, max_size=4
+    ),
+    st.integers(1, 4),
+)
+def test_expand_group_solves_the_pushing_relation(surface_cls, groups, order):
+    """Each rewrite is ``push_point`` solved for the original term.
+
+    Write the chosen group as {M} ∪ R.  Pushing the singleton (M-1) onto
+    R ∪ {0} gives the original term once per zero of R ∪ {0}, which is the
+    rewrite's denominator, and the other terms of the relation move to the
+    right with their signs flipped.
+    """
+    surface, cls = surface_cls
+    groups[0].append(order)  # some group holds a positive order
+    key = make_key(groups, surface=surface, cls=cls)
+    for gi, g in enumerate(key[2]):
+        for M in sorted(set(g) - {0}):
+            r_rest = list(g)
+            r_rest.remove(M)
+            rest = [h for i, h in enumerate(key[2]) if i != gi]
+            pushed = make_key(rest + [[M - 1], r_rest + [0]], surface=surface, cls=cls)
+            source = pushed[2].index((M - 1,))
+            target = next(
+                i
+                for i, h in enumerate(pushed[2])
+                if i != source and h == tuple(sorted(r_rest + [0], reverse=True))
+            )
+            copies, want = 0, {pushed: Fraction(1)}
+            for term, c in push_point(pushed, source, target):
+                if term == key:
+                    copies += c
+                else:
+                    add_into(want, term, -c)
+            den, subs = _expand_group(key, gi, M)
+            got = {}
+            for sub, c in subs:
+                add_into(got, sub, Fraction(c))
+            assert den == copies
+            assert got == want
+
+
 symbolic_keys = st.lists(
     st.lists(st.integers(0, 2), min_size=1, max_size=2), min_size=1, max_size=3
 ).map(make_key)

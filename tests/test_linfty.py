@@ -100,7 +100,7 @@ def _length_one_part(model, combo):
     """The word-length-1 terms of a bar combination, keyed by the output
     word of the operation that made them."""
     cdga = model.algebra_mode == "cdga"
-    return {(w.letters[0] if cdga else w): c for w, c in combo.items() if len(w) == 1}
+    return {(w[0] if cdga else w): c for w, c in combo.items() if len(w) == 1}
 
 
 def _assert_matches_full_square(model, max_len):
@@ -344,7 +344,7 @@ def _reference_operation(model, letters):
         sign, key = normalize_word(list(letters))
         value = model.operations.get((len(key), key), {}) if key else {}
         return {u: c.scale(sign) for u, c in value.items()}
-    flat = [g for mono in letters for g in mono.letters]
+    flat = [g for mono in letters for g in mono]
     degrees = [g.degree for g in flat]
     slots, start = [], 0
     for mono in letters:
@@ -358,7 +358,7 @@ def _reference_operation(model, letters):
             continue
         sign *= reorder_sign(degrees, list(chosen) + rest)
         for u, coeff in model.operations.get((len(key), key), {}).items():
-            merged = list(u.letters) + [flat[i] for i in rest]
+            merged = list(u) + [flat[i] for i in rest]
             sign2, mono = normalize_word(merged) if merged else (1, Word(()))
             if mono is not None:
                 add_into(out, mono, coeff.scale(sign * sign2))
@@ -367,18 +367,17 @@ def _reference_operation(model, letters):
 
 def _reference_coderivation(model, w):
     """l̂(w) with every position subset fed to ``_reference_operation``."""
-    letters = w.letters
-    degrees = [l.degree for l in letters]
-    positions = range(len(letters))
+    degrees = [l.degree for l in w]
+    positions = range(len(w))
     out = {}
     for size in positions:
         for fed in combinations(positions, size + 1):
             rest = [p for p in positions if p not in fed]
             sign = reorder_sign(degrees, list(fed) + rest)
-            value = _reference_operation(model, [letters[p] for p in fed])
+            value = _reference_operation(model, [w[p] for p in fed])
             for v, coeff in value.items():
-                letter = v if model.algebra_mode == "cdga" else v.letters[0]
-                sign2, bar = normalize_word([letter] + [letters[p] for p in rest])
+                letter = v if model.algebra_mode == "cdga" else v[0]
+                sign2, bar = normalize_word([letter] + [w[p] for p in rest])
                 if bar is not None:
                     add_into(out, bar, coeff.scale(sign * sign2))
     return out
@@ -425,7 +424,7 @@ def _assert_canonical_basis(model, max_len, max_action=None):
     assert set(got) == want
     assert [len(w) for w in got] == sorted(len(w) for w in got)
     for w in got:
-        assert normalize_word(list(w.letters)) == (1, w)
+        assert normalize_word(list(w)) == (1, w)
 
 
 @pytest.mark.parametrize(
@@ -465,14 +464,14 @@ def _indexed_table_reads(model, monkeypatch, run):
     word all of whose letters are ``key_letters`` of its arity."""
     index = {}
     for arity, key in model.operations:
-        index.setdefault(arity, set()).update(key.letters)
+        index.setdefault(arity, set()).update(key)
     assert model.key_letters == index
     fed = _spy_table_reads(model, monkeypatch)
     run()
     assert fed
     for arity, word in fed:
-        assert arity == len(word) and normalize_word(list(word.letters)) == (1, word)
-        assert arity in index and index[arity].issuperset(word.letters)
+        assert arity == len(word) and normalize_word(list(word)) == (1, word)
+        assert arity in index and index[arity].issuperset(word)
 
 
 def test_coderivation_feeds_only_indexed_letters(monkeypatch):
@@ -751,8 +750,8 @@ def _assert_cdga_oracles(model, max_len):
     _assert_canonical_basis(model, max_len)
     _assert_matches_full_square(model, max_len)
     for w in model.basis_words(max_len):
-        assert model.apply_operation(list(w.letters)) == _reference_operation(
-            model, w.letters
+        assert model.apply_operation(list(w)) == _reference_operation(
+            model, w
         ), w
         assert extend_coderivation(model, w) == _reference_coderivation(model, w), w
         assert _coleibniz_residual(model, w) == {}, w
@@ -1211,6 +1210,115 @@ def test_exp_mc_needs_cutoff_or_cap(models):
     assert len(out) == 9  # three singletons plus six pairs
     assert out[dgla.word("x", "y")] == N("1*T^2")
     assert out[dgla.word("x", "x")] == NovikovPolynomial.monomial(2, Fraction(1, 2))
+
+
+# -- how many factors an MC sum takes: the cases where a size cap from the
+# caller, the valuation and the model cutoff could be combined differently
+
+VALUATION_MESSAGE = "^MC element coefficients need strictly positive valuation$"
+
+
+def _cubic_dgla(dgla, cutoff):
+    """dgla with a model cutoff and one more operation, ℓ³(x, x, y) = z."""
+    ops = dict(dgla.operations)
+    ops[(3, dgla.word("x", "x", "y"))] = {dgla.word("z"): ONE}
+    return LInfinityModel(list(dgla.generators.values()), ops, cutoff=cutoff)
+
+
+def _element(model, **coeffs):
+    return MaurerCartanElement(
+        model, {model.gen(n): model.nov(((e, 1),)) for n, e in coeffs.items()}
+    )
+
+
+def test_mc_size_with_a_cap_and_valuation_zero(models):
+    dgla = models["dgla"]
+    for model in (dgla, _cubic_dgla(dgla, 4)):
+        flat = _element(model, x=0, y=0)
+        # an explicit cap is taken as it is, whatever the valuation
+        assert exp_mc(flat, max_terms=2) == {
+            model.word("x"): ONE,
+            model.word("y"): ONE,
+            model.word("x", "x"): N("1/2*T^0"),
+            model.word("x", "y"): ONE,
+            model.word("y", "y"): N("1/2*T^0"),
+        }
+        # the MC check and the push-forward refuse it, with one message
+        with pytest.raises(ModelError, match=VALUATION_MESSAGE):
+            mc_check(model, flat, max_terms=1)
+        with pytest.raises(ModelError, match=VALUATION_MESSAGE):
+            mc_pushforward(identity_morphism(model), flat)
+    with pytest.raises(ModelError, match="valuation"):
+        exp_mc(_element(dgla, x=0, y=0))
+    # the augmentation push-forward sums up to the augmentation's arity
+    model, eps, _ = _uv_model()
+    assert augmentation_pushforward_mc(eps, _element(model, u=0, v=1)) == {
+        0: model.nov(((1, 1), (3, 1))),
+        1: model.nov(((2, 1),)),
+    }
+
+
+def test_mc_size_without_a_model_cutoff(models):
+    dgla = models["dgla"]
+    repaired = _repaired_mc(dgla)
+    with pytest.raises(ModelError, match="cutoff or an explicit size cap"):
+        exp_mc(repaired)
+    assert exp_mc(repaired, max_terms=1) == {
+        dgla.word("x"): N("1*T^1"),
+        dgla.word("y"): N("1*T^1"),
+        dgla.word("w"): N("1*T^2"),
+    }
+    assert mc_check(dgla, repaired, max_terms=2) == (True, {})
+    assert mc_check(dgla, repaired, assume_nilpotent=True) == (True, {})
+    assert mc_pushforward(identity_morphism(dgla), repaired).value == repaired.value
+    u, v = Generator("u", 0, Fraction(1)), Generator("v", 0, Fraction(1))
+    model = LInfinityModel([u, v], {})
+    eps = Augmentation(
+        "eps", {Word([u]): {0: N("1*T^1")}, Word([u, v]): {0: N("1*T^2")}}
+    )
+    assert augmentation_pushforward_mc(eps, _element(model, u=1, v=2)) == {
+        0: N("1*T^2") + N("1*T^5")
+    }
+
+
+def test_mc_size_of_the_empty_element(models):
+    dgla = models["dgla"]
+    for model in (dgla, _cubic_dgla(dgla, 4)):
+        empty = MaurerCartanElement(model, {})
+        assert exp_mc(empty) == {}
+        assert exp_mc(empty, max_terms=3) == {}
+        assert mc_check(model, empty) == (True, {})
+        assert mc_check(model, empty, assume_nilpotent=True) == (True, {})
+        assert mc_pushforward(identity_morphism(model), empty).value == {}
+    model, eps, _ = _uv_model()
+    assert augmentation_pushforward_mc(eps, MaurerCartanElement(model, {})) == {}
+
+
+def test_mc_size_below_the_cutoff_and_the_nilpotent_escape(models):
+    dgla = models["dgla"]
+    # at cutoff 5/2 the cubic term T^3/2·z is truncated: the MC sums stop
+    # at two factors, and a cap or the nilpotent escape changes nothing
+    low = _cubic_dgla(dgla, Fraction(5, 2))
+    m = _element(low, x=1, y=1, w=2)
+    for nilpotent in (False, True):
+        assert mc_check(low, m, assume_nilpotent=nilpotent) == (True, {})
+        assert mc_check(low, m, assume_nilpotent=nilpotent, max_terms=3) == (True, {})
+    assert exp_mc(m, max_terms=5) == exp_mc(m)
+    assert len(exp_mc(m)) == 6  # three singletons, and the pairs of x and y
+    # at cutoff 4 it stays, and both ways report it
+    high = _cubic_dgla(dgla, 4)
+    m = _element(high, x=1, y=1, w=2)
+    for nilpotent in (False, True):
+        assert mc_check(high, m, assume_nilpotent=nilpotent) == (
+            False,
+            {high.word("z"): N("1/2*T^3")},
+        )
+    assert exp_mc(m, max_terms=5) == exp_mc(m)
+    assert max(len(w) for w in exp_mc(m)) == 3
+    # the nilpotent escape also skips the valuation guard
+    flat = _element(high, x=0, y=0)
+    ok, residual = mc_check(high, flat, assume_nilpotent=True)
+    assert not ok and residual == {high.word("z"): N("3/2*T^0")}
 
 
 def test_deform_by_repaired_element(models):

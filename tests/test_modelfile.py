@@ -73,7 +73,7 @@ def test_output_words_normalize_with_sign_folded_in():
     )
     out = model.operations[(1, model.word("u"))]
     word = next(iter(out))
-    assert [g.name for g in word.letters] == ["x", "y"]
+    assert [g.name for g in word] == ["x", "y"]
     assert out[word].at_one() == -1
 
 

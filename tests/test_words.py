@@ -126,7 +126,7 @@ def test_normalize_sorts_by_action_then_name():
     b = Generator("b", 0, 1)
     sign, w = normalize_word([a, b])
     assert sign == 1
-    assert [l.name for l in w.letters] == ["b", "a"]
+    assert [l.name for l in w] == ["b", "a"]
 
 
 def test_normalize_odd_repeat_is_zero():
@@ -141,7 +141,7 @@ def test_odd_repeat_is_zero_around_a_same_name_letter():
     a0 = Generator("a", 0, 1)
     assert normalize_word([a1, a0, a1]) == (0, None)
     sign, w = normalize_word([a1, a0])
-    assert (sign, w.letters) == (1, (a0, a1))
+    assert (sign, w) == (1, (a0, a1))
 
 
 def test_normalize_rejects_empty_input():
@@ -154,7 +154,7 @@ def test_normalize_odd_swap_sign():
     y = Generator("y", 1, 2)
     sign, w = normalize_word([y, x])
     assert sign == -1
-    assert [l.name for l in w.letters] == ["x", "y"]
+    assert [l.name for l in w] == ["x", "y"]
 
 
 @given(degree_lists, st.data())
@@ -173,7 +173,7 @@ def test_normalize_is_stable_under_shuffling(degrees, data):
 def test_normalize_is_idempotent_on_canonical_words():
     gens = make_gens([0, 1, 2])
     sign, w = normalize_word(gens)
-    again = normalize_word(list(w.letters))
+    again = normalize_word(list(w))
     assert again == (1, w)
 
 
@@ -221,11 +221,11 @@ def letter_lists(draw):
 def equal_copy(letter):
     if isinstance(letter, Generator):
         return Generator(letter.name, letter.degree, letter.action)
-    return Word(letter.letters)
+    return Word(letter)
 
 
 def oracle_gens(letter):
-    return [letter] if isinstance(letter, Generator) else list(letter.letters)
+    return [letter] if isinstance(letter, Generator) else list(letter)
 
 
 def oracle_degree(letter):
@@ -235,17 +235,17 @@ def oracle_degree(letter):
 def oracle_key(letter):
     if isinstance(letter, Generator):
         return (letter.action, letter.name, letter.degree)
-    total = sum((g.action for g in letter.letters), Fraction(0))
-    return (total, tuple(oracle_key(g) for g in letter.letters))
+    total = sum((g.action for g in letter), Fraction(0))
+    return (total, tuple(oracle_key(g) for g in letter))
 
 
 def check_cached_word_keys(w):
     for _ in range(2):  # computed on first access, then read back
-        assert w.degree == sum(oracle_degree(l) for l in w.letters)
+        assert w.degree == sum(oracle_degree(l) for l in w)
         assert w.action == sum(
-            (oracle_key(l)[0] for l in w.letters), Fraction(0)
+            (oracle_key(l)[0] for l in w), Fraction(0)
         )
-        assert w.sort_key == (w.action, tuple(oracle_key(l) for l in w.letters))
+        assert w.sort_key == (w.action, tuple(oracle_key(l) for l in w))
 
 
 @given(letter_lists())
@@ -266,7 +266,7 @@ def test_normalize_word_against_an_exact_sort(letters):
     for slot, src in enumerate(order):
         inverse[src] = slot
     assert sign == koszul_sign(degrees, inverse)
-    assert w.letters == tuple(letters[i] for i in order)
+    assert w == tuple(letters[i] for i in order)
     check_cached_word_keys(w)
     for letter in letters:
         if isinstance(letter, Word):
@@ -279,7 +279,7 @@ def test_near_float_actions_sort_exactly():
     a = Generator("a", 1, hi)
     b = Generator("b", 1, lo)
     sign, w = normalize_word([a, b])
-    assert (sign, w.letters) == (-1, (b, a))
+    assert (sign, w) == (-1, (b, a))
 
 
 def test_generator_is_immutable():
@@ -323,7 +323,7 @@ def test_coproduct_count_and_hand_signs():
     w = normalize_word([x, y])[1]
     terms = coproduct(w)
     assert len(terms) == 2
-    as_set = {(l.letters, r.letters, s) for l, r, s in terms}
+    as_set = {(l, r, s) for l, r, s in terms}
     # pulling y in front of x crosses one odd-odd pair
     assert as_set == {((x,), (y,), 1), ((y,), (x,), -1)}
 
@@ -370,13 +370,13 @@ def test_coproduct_is_coassociative(degrees):
         if len(a) < 2:
             continue
         for a1, a2, s2 in coproduct(a):
-            left.append((a1.letters, a2.letters, b.letters, s * s2))
+            left.append((a1, a2, b, s * s2))
     right = []
     for a, b, s in coproduct(w):
         if len(b) < 2:
             continue
         for b1, b2, s2 in coproduct(b):
-            right.append((a.letters, b1.letters, b2.letters, s * s2))
+            right.append((a, b1, b2, s * s2))
 
     def collect(terms):
         acc: dict = {}
@@ -492,7 +492,6 @@ def test_words_from_any_iterable_are_equal():
     assert all(type(w) is Word for w in words)
     assert len({hash(w) for w in words}) == 1
     assert all(w == words[0] for w in words)
-    assert words[0].letters is words[0]
     assert list(words[0]) == [a, b] and len(words[0]) == 2
 
 
