@@ -13,6 +13,7 @@ from .capacities import (
     NO_OBSTRUCTION,
     NOT_FOUND,
     DomainDescriptor,
+    SearchResult,
     ech_sequence,
     g_tangency,
     gb_solver,
@@ -23,6 +24,7 @@ from .capacities import (
     polydisk_slice_rule,
     r_points_ball,
     spectral_lower_bound,
+    spectral_search,
     stabilized_obstruction,
     weight_decomposition,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "NOT_FOUND",
     "NovikovPolynomial",
     "OrbitSpectrum",
+    "SearchResult",
     "Word",
     "capacity_sequence_ECH",
     "capacity_sequence_EH",
@@ -99,6 +102,7 @@ __all__ = [
     "r_points_ball",
     "save_model",
     "spectral_lower_bound",
+    "spectral_search",
     "stabilized_obstruction",
     "weight_decomposition",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .linfty import (
     LInfinityModel,
@@ -134,6 +134,19 @@ def polydisk_slice_rule(ends: Sequence[OrbitRecord]) -> bool:
     return True
 
 
+class SearchResult(NamedTuple):
+    """A spectral search's answer with what backs it and what it cost:
+    ``witness`` is the accepted end multiset in search order (``()`` when
+    ``value`` is INFINITE), ``nodes`` counts the DFS nodes entered, and
+    ``pruned`` the cuts by the action-per-index bound, each of which drops
+    the rest of one node's children."""
+
+    value: Value
+    witness: tuple
+    nodes: int
+    pruned: int
+
+
 def spectral_lower_bound(
     spectrum: OrbitSpectrum,
     constraint_codim: int,
@@ -149,7 +162,33 @@ def spectral_lower_bound(
     index-zero multiset competes.  Returns INFINITE when no configuration
     exists below the cutoff.  Orbit actions must be exact rationals
     (``Fraction`` or ``int``); the search runs on their common denominator.
+
+    The search is a depth-first branch and bound over orbits sorted by
+    action a_j.  When every index cost c_j = CZ_j + 1 is positive, ends
+    taken from orbits j >= i that add the R index points still missing act
+    at least R * min_{j>=i} a_j / c_j, so a branch that cannot then stay
+    below the best action accepted so far is cut.  When some c_j <= 0 that
+    bound does not hold and is skipped: only the action cut and the end count
+    remain, and a partial multiset may overshoot the index.  The bound
+    drops only branches holding no leaf below the best, so the
+    admissibility rule is asked about the same multisets, in the same
+    order, as without it.  spectral_search also returns the witness and
+    the work done.
     """
+    return spectral_search(
+        spectrum, constraint_codim, action_cutoff, max_ends, admissible
+    ).value
+
+
+def spectral_search(
+    spectrum: OrbitSpectrum,
+    constraint_codim: int,
+    action_cutoff,
+    max_ends: Optional[int] = None,
+    admissible: Optional[Callable[[Sequence[OrbitRecord]], bool]] = None,
+) -> SearchResult:
+    """spectral_lower_bound, returning the accepted end multiset and the
+    number of DFS nodes entered and of branches cut by the bound."""
     if constraint_codim < 0 or constraint_codim % 2:
         raise ValueError("constraint codimension must be even and >= 0")
     cutoff = Fraction(action_cutoff)
@@ -178,16 +217,34 @@ def spectral_lower_bound(
     if cheapest > 0:
         derived = min(derived, target // cheapest)
     ends_cap = derived if max_ends is None else min(max_ends, derived)
+    # rate[i] = (a, c): the least action per index point, a / c, over the
+    # orbits i..n-1; 0 / 1 bounds nothing when some cost is not positive
+    rate = [(0, 1)] * n
+    if cheapest > 0:
+        low = rate[n - 1] = (actions[n - 1], costs[n - 1])
+        for i in range(n - 2, -1, -1):
+            if actions[i] * low[1] < low[0] * costs[i]:
+                low = (actions[i], costs[i])
+            rate[i] = low
+    # a partial multiset may overshoot the index only if later ends can
+    # bring it back down
+    ceiling = target if cheapest >= 0 else target - cheapest * ends_cap
     best = limit + 1  # above the cutoff: nothing accepted yet
+    witness: tuple = ()
+    nodes = pruned = 0
     chosen: list[OrbitRecord] = []
 
     def dfs(start: int, cost: int, action: int) -> None:
-        nonlocal best
+        nonlocal best, witness, nodes, pruned
+        nodes += 1
         if cost == target and chosen:
             # a leaf is only entered below best, so accepting it improves best
             if admissible is None or admissible(chosen):
                 best = action
-            return
+                witness = tuple(chosen)
+                return
+            if cheapest > 0:
+                return  # every extension overshoots the index
         if len(chosen) >= ends_cap:
             return
         for i in range(start, n):
@@ -195,15 +252,23 @@ def spectral_lower_bound(
             # orbits are sorted by action, so no later sibling fits either
             if new_action >= best:
                 break
+            a, c = rate[i]
+            # nor can ends from orbits i.. add the missing index, which costs
+            # at least (target - cost) * a / c, and stay below best
+            if (best - action) * c <= (target - cost) * a:
+                pruned += 1
+                break
             new_cost = cost + costs[i]
-            if new_cost > target:
+            if new_cost > ceiling:
                 continue
             chosen.append(orbits[i])
             dfs(i, new_cost, new_action)
             chosen.pop()
 
     dfs(0, 0, 0)
-    return INFINITE if best > limit else Fraction(best, scale)
+    if best > limit:
+        return SearchResult(INFINITE, (), nodes, pruned)
+    return SearchResult(Fraction(best, scale), witness, nodes, pruned)
 
 
 # ---------------------------------------------------------------------------

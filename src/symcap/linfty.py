@@ -969,7 +969,8 @@ def f_epsilon_map(model: LInfinityModel, eps: Augmentation) -> LInfinityMorphism
     for word in eps.components:
         if len(word) != 1:
             raise ModelError(
-                "linearize needs a scalar augmentation (arity-1 components only)"
+                f"F^ε needs a scalar augmentation (arity-1 components only); "
+                f"{eps.name} has an arity-{len(word)} component"
             )
     comps: dict[tuple[int, Word], Combo] = {}
     for g in model.ordered_generators:

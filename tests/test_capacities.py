@@ -26,6 +26,7 @@ from symcap.capacities import (
     polydisk_slice_rule,
     r_points_ball,
     spectral_lower_bound,
+    spectral_search,
     stabilized_obstruction,
     weight_decomposition,
 )
@@ -193,28 +194,55 @@ def _rescaled(spectrum, c):
     )
 
 
-def _brute_force_bound(spectrum, codim, cutoff, max_ends, admissible):
-    """Minimum action over every end multiset, enumerated outright."""
+def _index_zero_ends(spectrum, codim, cutoff, max_ends):
+    """Every end multiset of index zero within the cutoff, enumerated outright."""
     orbits = sorted(
         (o for o in spectrum.orbits if o.action <= cutoff), key=lambda o: o.action
     )
     target = codim + 2
-    # every end costs at least the cheapest CZ + 1 > 0 and acts at least the
-    # smallest action > 0, which bounds the number of ends
+    # every end acts at least the smallest action > 0, which bounds the
+    # number of ends; when every end also costs CZ + 1 > 0, so does the index
+    size = int(cutoff / orbits[0].action)
     cheapest = min(o.cz + 1 for o in orbits)
-    assert cheapest > 0
-    size = min(target // cheapest, int(cutoff / orbits[0].action))
+    if cheapest > 0:
+        size = min(size, target // cheapest)
     if max_ends is not None:
         size = min(size, max_ends)
-    actions = [
-        sum(o.action for o in ends)
+    return [
+        ends
         for r in range(1, size + 1)
         for ends in itertools.combinations_with_replacement(orbits, r)
         if sum(o.cz + 1 for o in ends) == target
         and sum(o.action for o in ends) <= cutoff
-        and (admissible is None or admissible(ends))
+    ]
+
+
+def _least_action(candidates, admissible):
+    actions = [
+        sum(o.action for o in ends)
+        for ends in candidates
+        if admissible is None or admissible(ends)
     ]
     return min(actions) if actions else INFINITE
+
+
+def _brute_force_bound(spectrum, codim, cutoff, max_ends, admissible):
+    """Minimum action over every admissible end multiset."""
+    candidates = _index_zero_ends(spectrum, codim, cutoff, max_ends)
+    return _least_action(candidates, admissible)
+
+
+def _assert_witness(result, codim, cutoff, max_ends, admissible):
+    """The witness alone certifies the value: index zero, its action, the
+    rule and the end cap, checked without the search."""
+    if result.value == INFINITE:
+        assert result.witness == ()
+        return
+    ends = result.witness
+    assert sum(o.cz + 1 for o in ends) == codim + 2
+    assert sum(o.action for o in ends) == result.value <= cutoff
+    assert admissible is None or admissible(ends)
+    assert max_ends is None or len(ends) <= max_ends
 
 
 @st.composite
@@ -250,6 +278,119 @@ def test_spectral_bound_against_brute_force(admissible, spectrum_cutoff, k, max_
         spectrum, 2 * k, cutoff, max_ends=max_ends, admissible=admissible
     )
     assert got == _brute_force_bound(spectrum, 2 * k, cutoff, max_ends, admissible)
+
+
+@st.composite
+def _hand_queries(draw):
+    """Up to six orbits with p/q actions in [1, 3], some sharing one
+    action-per-index ratio exactly, and an index target k.  Half the time
+    one more orbit, above all the others in action, makes a drawn multiset
+    of one or two of them index zero.  Its CZ + 1 is often <= 0, which
+    switches the action-per-index bound off and lets partial multisets
+    overshoot the index."""
+    q = draw(st.integers(1, 6))
+    tie = Fraction(draw(st.integers(q, 2 * q)), 2 * q)
+    drawn = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(q, 3 * q), st.integers(0, 5)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # a tied orbit takes CZ 1 or 2, which keeps its action in [1, 3]
+    ends = [  # (action, cz)
+        (tie * (2 + cz % 2), 1 + cz % 2) if tied else (Fraction(p, q), cz)
+        for tied, p, cz in drawn
+    ]
+    floor = min(a for a, _ in ends)
+    k, times, plant, low_k, top_p, slack = draw(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(1, 6),
+            st.booleans(),
+            st.booleans(),
+            st.integers(q, 3 * q),
+            st.integers(0, 2),
+        )
+    )
+    planted = floor * times
+    if plant:
+        chosen = draw(st.lists(st.sampled_from(ends), min_size=1, max_size=2))
+        cost = sum(cz + 1 for _, cz in chosen)
+        if low_k:
+            k = min(k, max(0, cost // 2 - 1))
+        top = 3 + Fraction(top_p, 3 * q)
+        ends.append((top, 2 * k + 1 - cost))
+        planted = sum(a for a, _ in chosen) + top
+    cutoff = planted + floor * Fraction(slack, 2)
+    orbits = [OrbitRecord(f"o{j}", a, cz, j, (1,)) for j, (a, cz) in enumerate(ends)]
+    return OrbitSpectrum("hand", orbits), cutoff, k
+
+
+def _labels(ends):
+    return tuple(sorted(o.label for o in ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=_hand_queries(),
+    max_ends=st.none() | st.integers(1, 3),
+    picks=st.lists(st.integers(0, 7), max_size=3),
+)
+def test_spectral_search_on_hand_built_spectra(query, max_ends, picks):
+    spectrum, cutoff, k = query
+    # the rule turns away the picked cheapest multisets, so the search must
+    # step past leaves that beat every admissible one
+    candidates = _index_zero_ends(spectrum, 2 * k, cutoff, max_ends)
+    floor = _least_action(candidates, None)
+    cheapest = [
+        _labels(ends) for ends in candidates if sum(o.action for o in ends) == floor
+    ]
+    rejected = {cheapest[i % len(cheapest)] for i in picks} if cheapest else set()
+
+    def admissible(ends):
+        return _labels(ends) not in rejected
+
+    result = spectral_search(
+        spectrum, 2 * k, cutoff, max_ends=max_ends, admissible=admissible
+    )
+    assert result.value == _least_action(candidates, admissible)
+    _assert_witness(result, 2 * k, cutoff, max_ends, admissible)
+    assert result.value == spectral_lower_bound(
+        spectrum, 2 * k, cutoff, max_ends=max_ends, admissible=admissible
+    )
+
+
+def test_spectral_search_work_and_witness():
+    ball = ellipsoid_orbits([1, 1], 15)
+    polydisk = polydisk_orbits(2, 15)
+    for spectrum, k, rule in (
+        (ball, 44, None),
+        (polydisk, 27, polydisk_slice_rule),
+    ):
+        result = spectral_search(spectrum, 2 * k, 15, admissible=rule)
+        assert result.nodes <= 700 and result.pruned > 0
+        assert result.value == spectral_lower_bound(spectrum, 2 * k, 15, admissible=rule)
+        _assert_witness(result, 2 * k, 15, None, rule)
+    capped = spectral_search(ball, 10, 15, max_ends=1)
+    assert capped.value == 3 and len(capped.witness) == 1
+    _assert_witness(capped, 10, 15, 1, None)
+    empty = spectral_search(ellipsoid_orbits([1, 1], 2), 100, 2)
+    assert empty.value == INFINITE and empty.witness == () and empty.nodes >= 1
+
+
+def test_spectral_bound_with_nonpositive_costs():
+    x = OrbitRecord("x", Fraction(1), 2, 1, (1,))
+    # x alone overshoots the index, and z (CZ + 1 = -1) brings it back
+    z = OrbitRecord("z", Fraction(2), -2, 2, (1,))
+    assert spectral_lower_bound(OrbitSpectrum("xz", [x, z]), 0, 10) == 3
+    # the rule rejects the leaf y, but y plus the index-free w is admissible
+    y = OrbitRecord("y", Fraction(1), 1, 1, (1,))
+    w = OrbitRecord("w", Fraction(1), -1, 2, (1,))
+    result = spectral_search(
+        OrbitSpectrum("yw", [y, w]), 0, 10, admissible=lambda ends: len(ends) > 1
+    )
+    assert result.value == 2 and _labels(result.witness) == ("w", "y")
 
 
 def test_spectral_bound_on_the_action_lattice():

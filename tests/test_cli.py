@@ -417,6 +417,16 @@ def test_linearize_prints_a_model_file(capsys, fixtures_dir, tmp_path):
     assert "algebra_mode = module" in dest.read_text()
 
 
+def test_linearize_rejects_a_non_scalar_augmentation(capsys, fixtures_dir, tmp_path):
+    text = (fixtures_dir / "cdga_aug.model").read_text()
+    text = text.replace("eps |", "a2 |") + "a2 | b , c | (1*T^2) * t^0\n"
+    path = tmp_path / "arity2.model"
+    path.write_text(text)
+    code, out, err = run(capsys, "linf", "linearize", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("cap: integrity: F^ε needs a scalar augmentation")
+
+
 # ---------------------------------------------------------------------------
 # tangency counts
 

@@ -1123,6 +1123,15 @@ def test_linearize_rejects_scalar_higher_operation():
         linearize(model, Augmentation("zero", {}))
 
 
+def test_f_epsilon_map_names_itself_for_a_non_scalar_augmentation(models):
+    model = models["cdga_aug"]
+    pair = Word([model.gen("b"), model.gen("c")])
+    with pytest.raises(
+        ModelError, match=r"^F\^ε needs a scalar augmentation .*a2 has an arity-2"
+    ):
+        f_epsilon_map(model, Augmentation("a2", {pair: {0: N("1*T^2")}}))
+
+
 def test_linearize_needs_cdga_mode(models):
     with pytest.raises(ModelError, match="cdga"):
         linearize(models["dgla"], Augmentation("zero", {}))
