@@ -300,38 +300,24 @@ def gb_solver(
         raise ModelError("b must be a nonempty word of nonnegative t-powers")
     aug = model.augmentation(augmentation)
 
-    cutoff = Fraction(action_cutoff)
-    words = model.basis_words(word_cap, cutoff)
-    if not words:
+    # by action, so the solution's last nonzero entry sits on the least
+    # level whose words reach b (see ``linsolve``)
+    words = sorted(
+        model.basis_words(word_cap, Fraction(action_cutoff)), key=lambda w: w.action
+    )
+    rows: dict = {("a", target): {}}  # first: (0; b) is the unit vector e_0
+    for i, w in enumerate(words):
+        for u, c in _scalarize(extend_coderivation(model, w)).items():
+            rows.setdefault(("d", u), {})[i] = c
+        for t, c in _scalarize(augmentation_hat(aug, w)).items():
+            rows.setdefault(("a", t), {})[i] = c
+    n, zero = len(words), Fraction(0)
+    matrix = [[row.get(i, zero) for i in range(n)] for row in rows.values()]
+    rhs = [Fraction(1)] + [zero] * (len(rows) - 1)
+    x = solve_linear_system(matrix, rhs)
+    if x is None:
         return NOT_FOUND
-    diff_cols = []
-    aug_cols = []
-    for w in words:
-        diff_cols.append(_scalarize(extend_coderivation(model, w)))
-        aug_cols.append(_scalarize(augmentation_hat(aug, w)))
-
-    levels = sorted({w.action for w in words})
-    for level in levels:
-        idx = [i for i, w in enumerate(words) if w.action <= level]
-        rows: dict = {}
-        for pos, i in enumerate(idx):
-            for u, c in diff_cols[i].items():
-                rows.setdefault(("d", u), {})[pos] = c
-            for t, c in aug_cols[i].items():
-                rows.setdefault(("a", t), {})[pos] = c
-        if ("a", target) not in rows:
-            continue
-        row_keys = sorted(rows, key=repr)
-        matrix = [
-            [rows[r].get(pos, Fraction(0)) for pos in range(len(idx))]
-            for r in row_keys
-        ]
-        rhs = [
-            Fraction(1) if r == ("a", target) else Fraction(0) for r in row_keys
-        ]
-        if solve_linear_system(matrix, rhs) is not None:
-            return level
-    return NOT_FOUND
+    return max(w.action for w, v in zip(words, x) if v)
 
 
 def _scalarize(combo: dict) -> dict:

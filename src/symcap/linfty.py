@@ -783,7 +783,7 @@ def mc_check(
     """Truncated Maurer-Cartan sum Σ 1/k! l^k(m,...,m); (pass, residual)."""
     if max_terms is not None and max_terms < 1:
         raise ModelError("max_terms must be >= 1")
-    max_arity = max((a for a, _ in model.operations), default=0)
+    max_arity = max(model.key_letters, default=0)
     if not assume_nilpotent and m.min_valuation() <= 0:
         raise ModelError("MC element coefficients need strictly positive valuation")
     cap = max_arity if max_terms is None else min(max_terms, max_arity)

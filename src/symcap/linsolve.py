@@ -1,8 +1,10 @@
-"""Exact rational linear solving by Gaussian elimination.
+"""Exact rational linear solving by sparse Gaussian elimination.
 
-Small dense systems only; coefficients are ``fractions.Fraction`` throughout,
-so solvability verdicts are exact.  Underdetermined systems return one
-solution with free variables set to zero.
+Coefficients are ``fractions.Fraction`` throughout, so solvability verdicts
+are exact, and rows are eliminated as dicts of their nonzero entries.  The
+pivot columns are the leftmost basis of the column space and free variables
+are zero, so a solution lives on the shortest prefix of columns whose span
+holds the right-hand side.
 """
 
 from __future__ import annotations
@@ -14,37 +16,44 @@ from typing import Optional
 def solve_linear_system(
     matrix: list[list[Fraction]], rhs: list[Fraction]
 ) -> Optional[list[Fraction]]:
-    """Solve ``matrix @ x = rhs`` exactly; ``None`` when inconsistent."""
+    """Solve ``matrix @ x = rhs`` exactly; ``None`` when inconsistent.
+
+    Pivot columns are taken left to right, each the first column outside
+    the span of those before it, and every other entry of x is zero: the
+    last nonzero entry of x ends the shortest prefix of columns whose span
+    holds ``rhs``.
+    """
     m = len(matrix)
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
     n = len(matrix[0]) if m else 0
-    rows = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(matrix, rhs)]
-    for row in rows:
-        if len(row) != n + 1:
-            raise ValueError("ragged matrix")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [
+        ({j: Fraction(v) for j, v in enumerate(row) if v}, Fraction(r))
+        for row, r in zip(matrix, rhs)
+    ]
 
-    pivot_cols: list[int] = []
-    rank = 0
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot is None:
+        k = next((i for i, (row, _) in enumerate(rows) if col in row), None)
+        if k is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == m:
-            break
-    for r in range(rank, m):
-        if rows[r][n] != 0:
-            return None
+        prow, pr = rows.pop(k)
+        for i, (row, r) in enumerate(rows):
+            if col in row:
+                f = row[col] / prow[col]
+                for j, v in prow.items():
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                rows[i] = (row, r - f * pr)
+        pivots.append((col, prow, pr))
+    if any(r for _, r in rows):
+        return None
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        x[col] = rows[r][n]
+    for col, row, r in reversed(pivots):
+        x[col] = (r - sum(v * x[j] for j, v in row.items() if j != col)) / row[col]
     return x

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symcap import capacities
 from symcap.capacities import (
     INFINITE,
     NO_FORMULA,
@@ -38,6 +39,7 @@ from symcap.linfty import (
     check_linfty_relations,
     extend_coderivation,
 )
+from symcap.linsolve import solve_linear_system
 from symcap.modelfile import load_model, parse_model
 from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (
@@ -48,7 +50,7 @@ from symcap.spectra import (
     ellipsoid_orbits,
     polydisk_orbits,
 )
-from symcap.words import Generator, Word
+from symcap.words import Generator, Word, normalize_word
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +594,114 @@ def test_gb_solver_on_one_model_matches_fresh_models(fixtures_dir, name):
             assert gb_solver(shared, b, word_cap, cutoff) == want, (b, word_cap, cutoff)
 
 
-@pytest.mark.parametrize("name", ["closedness", "b2_lin", "e1x"])
+def _cheaper_pair_model():
+    # x reaches t^0 at level 3, and the longer but cheaper y·y at level 2
+    return parse_model(
+        "[flags]\nfiltered = true\n"
+        "[generators]\nx | 0 | 3\ny | 0 | 1\n"
+        "[augmentations]\n"
+        "eps | x | (1*T^3) * t^0\n"
+        "eps | y,y | (1*T^2) * t^0\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["closedness", "b2_lin", "e1x", "cheaper_pair"])
 def test_gb_solver_matches_kernel_then_image(models, name):
-    model = _closedness_model() if name == "closedness" else models[name]
-    for word_cap in (1, 2, 3):
+    hand = {"closedness": _closedness_model, "cheaper_pair": _cheaper_pair_model}
+    model = hand[name]() if name in hand else models[name]
+    for word_cap, cutoff in itertools.product((1, 2, 3), (4, 7, 10)):
         for b in ([0], [1], [3], [0, 0], [0, 1], [0, 0, 0]):
-            expected = _kernel_then_image_level(model, b, word_cap, 10)
-            assert gb_solver(model, b, word_cap, 10) == expected, (b, word_cap)
+            expected = _kernel_then_image_level(model, b, word_cap, cutoff)
+            got = gb_solver(model, b, word_cap, cutoff)
+            assert got == expected, (b, word_cap, cutoff)
+
+
+@st.composite
+def _filtered_module_models(draw):
+    """A filtered module model with degree +1 operations of arity 1 and 2
+    that respect the filtration, and one augmentation; actions are drawn
+    from a few values, so many words tie in action.
+
+    Each generator g gets a weight φ(g) = action + s with s in {0, 1},
+    additive on words, and every T-power is a difference of weights: the
+    terms of l̂ and ε̂ that meet on one word then share one T-power, as
+    the solver needs.
+    """
+    n = draw(st.integers(min_value=3, max_value=5))
+    offset = st.integers(min_value=0, max_value=2)
+    phi = {}
+    for i in range(n):
+        # offsets shrink to 0, which still alternates the degrees
+        g = Generator(f"h{i}", (i + draw(offset)) % 2, 1 + (i + draw(offset)) % 3)
+        phi[g] = g.action + draw(st.integers(min_value=0, max_value=1))
+    gens = list(phi)
+
+    def weight(word):
+        return sum(phi[g] for g in word)
+
+    coeff = st.sampled_from([1, -1, 2, 0])  # 0 leaves the term out
+
+    def some_outputs(key):
+        # T^(φ(key) - φ(h)) h: a T-power >= 0, at level >= key.action
+        return {
+            Word([h]): NovikovPolynomial([(weight(key) - phi[h], draw(coeff))])
+            for h in gens
+            if h.degree == key.degree + 1
+            and phi[h] <= weight(key)
+            and phi[h] - h.action <= weight(key) - key.action
+        }
+
+    keys = [Word([g]) for g in gens]
+    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
+        sign, word = normalize_word([g1, g2])
+        if sign == 1 and draw(st.booleans()):
+            keys.append(word)
+    operations = {(len(key), key): some_outputs(key) for key in keys}
+    components = {
+        key: {m: NovikovPolynomial([(weight(key), draw(coeff))]) for m in range(3)}
+        for key in keys
+    }
+    return LInfinityModel(
+        gens,
+        operations,
+        filtered=True,
+        augmentations={"eps": Augmentation("eps", components)},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _filtered_module_models(),
+    st.sampled_from([[0], [1], [2], [0, 0], [0, 1], [1, 2]]),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(range(8)),
+)
+def test_gb_solver_matches_kernel_then_image_on_random_models(
+    model, b, word_cap, cutoff
+):
+    expected = _kernel_then_image_level(model, b, word_cap, cutoff)
+    assert gb_solver(model, b, word_cap, cutoff) == expected
+
+
+def test_gb_solver_solves_once_per_query(models, monkeypatch):
+    calls = []
+
+    def spy(matrix, rhs):
+        calls.append(len(matrix))
+        return solve_linear_system(matrix, rhs)
+
+    monkeypatch.setattr(capacities, "solve_linear_system", spy)
+    queries = [
+        (_closedness_model(), [0, 0], 2, 12),
+        (models["b2_lin"], [10], 2, 12),
+        (models["b2_lin"], [99], 2, 12),
+        (models["e1x"], [6], 1, 8),
+        (models["e1x"], [0], 1, 0),
+    ]
+    for model, b, word_cap, cutoff in queries:
+        calls.clear()
+        gb_solver(model, b, word_cap, cutoff)
+        assert len(calls) == 1, (b, word_cap, cutoff)
 
 
 def _scaled(model, c):

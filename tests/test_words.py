@@ -481,7 +481,7 @@ def test_word_repr_is_pinned():
         "Word((Word((Generator('x', 1, 1/2),)), "
         "Word((Generator('x', 1, 1/2), Generator('y', 0, 2)))))"
     )
-    # gb_solver sorts its rows by repr
+    # a tuple holding a word reprs through Word.__repr__
     assert repr(("d", Word([x]))) == "('d', Word((Generator('x', 1, 1/2),)))"
 
 
