@@ -10,8 +10,8 @@ Subcommands
     more than two axes are accepted for the eh family only); ``--k`` a
     single index or an ``a..b`` range.  Range entries are computed in one
     pass and emitted in ascending order.  The CSV table is cached under a
-    content key of the parameters, the version and a digest of the package
-    sources (one file per command kind and key, next to its manifest);
+    content key of the parameters and a digest of the package sources (one
+    file per command kind and key, next to its manifest);
     ``--no-cache`` bypasses the cache and the ``SYMCAP_CACHE_DIR``
     environment variable overrides the cache root.
 
@@ -56,7 +56,6 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -102,25 +101,6 @@ class InfeasibleError(Exception):
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record: no timestamps, so identical runs collide."""
-
-    command: str
-    parameters: dict
-    version: str = __version__
-    outputs: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "version": self.version,
-            "outputs": self.outputs,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def cache_root() -> Path:
@@ -232,7 +212,7 @@ def _domain_text(kind: str, axes: tuple) -> str:
 
 def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> list:
     """The values at the contiguous indices ``ks``, in order."""
-    if family in ("eh", "gh"):
+    if family == "eh":
         if kind == "polydisk":
             raise CliUsageError(
                 "the eh family has closed forms for ellipsoids and balls only"
@@ -247,32 +227,23 @@ def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> list
     if family == "g-tangency":
         domain = _descriptor(kind, axes)
         return [g_tangency(domain, k) for k in ks]
-    if family == "r-points":
-        if kind != "ball":
-            raise CliUsageError("the r-points family is a ball invariant")
-        return [axes[0] * r_points_ball(k) for k in ks]
-    raise CliUsageError(f"unknown family {family!r}")
+    # r-points: argparse admits no other family
+    if kind != "ball":
+        raise CliUsageError("the r-points family is a ball invariant")
+    return [axes[0] * r_points_ball(k) for k in ks]
 
 
-def _format_cell(value) -> str:
-    return value if isinstance(value, str) else fmt_rational(value)
-
-
-def _capacity_rows(family: str, kind: str, axes: tuple, ks: list[int]):
-    values = _capacity_values(family, kind, axes, ks)
-    rows = []
-    for k, value in zip(ks, values, strict=True):
-        exact = _format_cell(value)
-        decimal = "" if isinstance(value, str) else f"{float(value):.6g}"
-        rows.append((str(k), exact, decimal))
-    return rows
-
-
-def _rows_to_csv(rows) -> bytes:
+def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
+    """The ``k,exact,decimal`` table; a string value (no formula, not found)
+    is its own exact cell and leaves the decimal cell empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("k", "exact", "decimal"))
-    writer.writerows(rows)
+    for k, value in zip(ks, _capacity_values(family, kind, axes, ks), strict=True):
+        if isinstance(value, str):
+            writer.writerow((k, value, ""))
+        else:
+            writer.writerow((k, fmt_rational(value), f"{float(value):.6g}"))
     return buf.getvalue().encode("utf-8")
 
 
@@ -285,33 +256,28 @@ def cmd_capacity(args) -> int:
         "family": family,
         "k": [ks[0], ks[-1]],
     }
-    manifest = RunManifest(command="capacity", parameters=parameters)
     key = hashlib.sha256(
         json.dumps(parameters, sort_keys=True).encode("utf-8")
-        + __version__.encode("utf-8")
         + source_digest().encode("utf-8")
     ).hexdigest()
     table_path = cache_root() / "capacity" / f"{key}.csv"
-    data: Optional[bytes] = None
-    if not args.no_cache and table_path.exists():
-        data = table_path.read_bytes()
-    if data is None:
-        rows = _capacity_rows(family, kind, axes, ks)
-        data = _rows_to_csv(rows)
-        if not args.no_cache:
-            manifest.outputs[table_path.name] = hashlib.sha256(data).hexdigest()
-            _atomic_write(table_path, data)
-            _atomic_write(
-                table_path.with_suffix(".manifest.json"),
-                manifest.to_json().encode("utf-8"),
-            )
+    cached = not args.no_cache and table_path.exists()
+    data = table_path.read_bytes() if cached else _capacity_csv(family, kind, axes, ks)
+    # the reproducibility record: no timestamps, so identical runs collide
+    manifest = {
+        "command": "capacity",
+        "parameters": parameters,
+        "version": __version__,
+        "outputs": {table_path.name: hashlib.sha256(data).hexdigest()},
+    }
+    manifest_bytes = json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n"
+    if not cached and not args.no_cache:
+        _atomic_write(table_path, data)
+        _atomic_write(table_path.with_suffix(".manifest.json"), manifest_bytes)
     if args.output:
         _atomic_write(Path(args.output), data)
     if args.manifest:
-        manifest.outputs.setdefault(
-            table_path.name, hashlib.sha256(data).hexdigest()
-        )
-        _atomic_write(Path(args.manifest), manifest.to_json().encode("utf-8"))
+        _atomic_write(Path(args.manifest), manifest_bytes)
     cells = [line.split(",")[1] for line in data.decode().splitlines()[1:]]
     if len(cells) == 1 and cells[0] in (NO_FORMULA, NOT_FOUND):
         print(cells[0])

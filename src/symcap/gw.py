@@ -525,6 +525,8 @@ def parse_constraint_expression(text: str) -> Combination:
                 continue
         if depth >= 1:
             cur.append(ch)
+        elif not ch.isspace() and ch != ",":
+            raise ValueError(f"unexpected {ch!r} outside the groups in {text!r}")
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     if not groups:

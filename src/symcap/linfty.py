@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .novikov import NovikovPolynomial, add_into, fmt_rational
@@ -565,7 +565,6 @@ class LInfinityMorphism:
         source: LInfinityModel,
         target: LInfinityModel,
         components: dict,
-        check_degree: bool = True,
     ):
         self.source = source
         self.target = target
@@ -582,7 +581,7 @@ class LInfinityMorphism:
                 target._check_output_word(out)
                 if coeff.is_zero():
                     continue
-                if check_degree and not source.deg_equal(out.degree, word.degree):
+                if not source.deg_equal(out.degree, word.degree):
                     raise ModelError(
                         f"morphism component on {source._word_str(word)} "
                         "is not degree 0"
@@ -742,16 +741,15 @@ class MaurerCartanElement:
 
 
 def _mc_multisets(m: MaurerCartanElement, max_size: int) -> dict:
-    """{sorted generator multiset: weight ∏c/∏mult!} for sizes 1..max_size."""
+    """{generator multiset as a canonical word: weight ∏c/∏mult!} for sizes
+    1..max_size.  MC letters are even, so every multiset is a word."""
     gens = sorted(m.value, key=lambda g: g.sort_key)
     out = {}
-    for size in range(1, max_size + 1):
-        for letters in combinations_with_replacement(gens, size):
-            weight = NovikovPolynomial.unit(m.model.cutoff)
-            for g in letters:
-                weight = weight * m.value[g]
-            fact = word_multiplicity_factor(Word(letters))
-            out[letters] = weight.scale(Fraction(1, fact))
+    for letters in LInfinityModel._multisets(gens, [1] * len(gens), max_size, None):
+        weight = NovikovPolynomial.unit(m.model.cutoff)
+        for g in letters:
+            weight = weight * m.value[g]
+        out[letters] = weight.scale(Fraction(1, word_multiplicity_factor(letters)))
     return out
 
 
@@ -897,10 +895,7 @@ def augmentation_pushforward_mc(
 ) -> dict[int, NovikovPolynomial]:
     """ε_*(m) = Σ 1/k! ε^k(m,...,m) as a t-polynomial {power: coefficient}."""
     size = _mc_size(m, aug.max_arity(), m.model.cutoff)
-    # MC letters are even and sorted, so each multiset is a canonical word
-    return _extend_linearly(
-        lambda letters: aug.component(Word(letters)), _mc_multisets(m, size)
-    )
+    return _extend_linearly(aug.component, _mc_multisets(m, size))
 
 
 # ---------------------------------------------------------------------------

@@ -165,14 +165,6 @@ def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
     return eh_sequence(a, k)[k - 1]
 
 
-def _ech_count(a_int: int, b_int: int, bound: int) -> int:
-    """#{(i,j) with i,j >= 0 and i*a + j*b <= bound}."""
-    total = 0
-    for i in range(bound // a_int + 1):
-        total += (bound - i * a_int) // b_int + 1
-    return total
-
-
 def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
     """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
     if K < 0:
@@ -184,21 +176,15 @@ def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
     scale = math.lcm(a.denominator, b.denominator)
     a_int = int(a * scale)
     b_int = int(b * scale)
-    lo, hi = 0, 1
-    while _ech_count(a_int, b_int, hi) < K + 1:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _ech_count(a_int, b_int, mid) >= K + 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    # lattice values are integers after scaling, so the count first reaches
-    # K+1 exactly at the (K+1)-st smallest value
+    # at least K+1 lattice values lie at or below `top`: the unit squares of
+    # the points with i*a + j*b <= L cover a triangle of area L^2/(2ab),
+    # which exceeds K+1 at the first bound, and the K+1 points on the axis
+    # of min(a, b) up to index K lie at or below the second
+    top = min(math.isqrt(2 * a_int * b_int * (K + 1)) + 1, K * min(a_int, b_int))
     values = sorted(
         i * a_int + j * b_int
-        for i in range(lo // a_int + 1)
-        for j in range((lo - i * a_int) // b_int + 1)
+        for i in range(top // a_int + 1)
+        for j in range((top - i * a_int) // b_int + 1)
     )[: K + 1]
     # values repeat, so share one Fraction per distinct value
     distinct = {v: Fraction(v, scale) for v in set(values)}

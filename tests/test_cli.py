@@ -271,7 +271,7 @@ def test_check_passes_on_good_model(capsys, fixtures_dir):
     assert out == "pass\n"
 
 
-def test_check_locates_broken_relation(capsys, fixtures_dir):
+def test_check_locates_broken_relation(capsys, fixtures_dir, tmp_path):
     code, out, err = run(
         capsys, "linf", "check", str(fixtures_dir / "broken.model")
     )
@@ -288,6 +288,19 @@ def test_check_locates_broken_relation(capsys, fixtures_dir):
         "",
         "fail: 9 violated relations up to word length 3; first at word (x)\n"
         "  residual (z): 1*T^0\n",
+    )
+    # in cdga mode the letters of a word are monomials, named by their factors
+    path = tmp_path / "monomials.model"
+    path.write_text(
+        "[flags]\ngrading_mode = Z\nalgebra_mode = cdga\ncutoff = none\n"
+        "filtered = true\n\n[generators]\nx | 0 | 1\ny | 1 | 1\nz | 2 | 1\n\n"
+        "[operations]\n1 | x | (1*T^0) * (y)\n1 | y | (1*T^0) * (x*z)\n"
+    )
+    assert run(capsys, "linf", "check", str(path), "--l", "2") == (
+        3,
+        "",
+        "fail: 10 violated relations up to word length 2; first at word (x)\n"
+        "  residual (x*z): 1*T^0\n",
     )
 
 
@@ -374,6 +387,19 @@ def test_solver_levels(capsys, fixtures_dir):
         capsys, "linf", "solve-gb", model, "--b", "t^0", "--action-cutoff", "0"
     )
     assert (code, out) == (2, "not-found-below-cutoff (word cap 3, action cutoff 0)\n")
+    # without --action-cutoff the cutoff is the top generator action (12 in
+    # b2_lin) times the word cap
+    default = run(capsys, "linf", "solve-gb", model, "--b", "t^3", "--l", "2")
+    assert default == (0, "4\n", "")
+    assert run(capsys, "linf", "solve-gb", model, "--b", "t^12", "--l", "1") == (
+        2,
+        "not-found-below-cutoff (word cap 1, action cutoff 12)\n",
+        "",
+    )
+    # a bare t is t^1
+    bare = run(capsys, "linf", "solve-gb", model, "--b", "t")
+    assert bare == run(capsys, "linf", "solve-gb", model, "--b", "t^1")
+    assert bare[0] == 0
 
 
 def test_mc_check(capsys, fixtures_dir):
@@ -530,6 +556,7 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
     capacity = ["capacity", "--family"]
     mc = ["linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1*T^1,y:1*T^1"]
     three_axes = "ellipsoid needs 2 parameters, got 3"
+    base = str(fixtures_dir / "base.tbl")
     with_messages = [
         (capacity + ["ech", "--domain", "E:1,2,3", "--k", "1..5"], three_axes),
         (capacity + ["g-tangency", "--domain", "E:1,2,3", "--k", "1"], three_axes),
@@ -560,10 +587,23 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         (["gw", "reduce", "CP2 d=1 <(T^x p)>"], "cannot parse constraint 'T^x p'"),
         # table rows are keyed by surface and class, so none could match
         (
-            ["gw", "evaluate", "<(T^1 p),(p)>", "--table", str(fixtures_dir / "base.tbl")],
+            ["gw", "evaluate", "<(T^1 p),(p)>", "--table", base],
             "evaluate needs a surface and class",
         ),
         (["gw", "evaluate", "<(p)>"], "evaluate needs a surface and class"),
+        # text outside the groups is an error, not silently dropped
+        (
+            ["gw", "evaluate", "CP2 d=2 <(T^1 p),(T^2 p) p>", "--table", base],
+            "unexpected 'p' outside the groups in '<(T^1 p),(T^2 p) p>'",
+        ),
+        (
+            ["gw", "reduce", "CP2 d=2 <(T^1 p)garbage(p)>"],
+            "unexpected 'g' outside the groups in '<(T^1 p)garbage(p)>'",
+        ),
+        (
+            ["gw", "reduce", "<(T^1 p),(p)> extra>"],
+            "unexpected '>' outside the groups in '<(T^1 p),(p)> extra>'",
+        ),
     ]
     for argv, message in with_messages:
         code, out, err = run(capsys, *argv)

@@ -509,6 +509,13 @@ def test_parse_constraint_expression_forms():
     )
     with pytest.raises(ValueError):
         parse_constraint_expression("CP2 d=2 (T^4 p)")
+    # whitespace and commas between groups are separators, nothing else is
+    pair = make_term([(1,), (0,)])
+    assert parse_constraint_expression("<(T^1 p) , (p)>") == pair
+    assert parse_constraint_expression("<(T^1 p)(p)>") == pair
+    for text in ("<(T^1 p),(T^2 p) p>", "<(T^1 p)garbage(p)>", "<(T^1 p),(p)> extra>"):
+        with pytest.raises(ValueError, match="outside the groups"):
+            parse_constraint_expression(text)
 
 
 def test_format_key_and_combination():

@@ -896,8 +896,6 @@ def test_morphism_component_degree_check():
     comps = {(1, Word([x])): {Word([y]): ONE}}
     with pytest.raises(ModelError, match="degree"):
         LInfinityMorphism(model, model, comps)
-    relaxed = LInfinityMorphism(model, model, comps, check_degree=False)
-    assert relaxed.component([x]) == {Word([y]): ONE}
 
 
 def test_morphism_component_filtration_check():

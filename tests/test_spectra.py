@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symcap.spectra import (
     INF,
@@ -174,6 +174,41 @@ def test_ech_sequence_cost_does_not_grow_with_the_common_denominator():
     values = ech_sequence(1, b, 8)
     assert time.perf_counter() - start < 2.0
     assert values == brute[:9]
+
+
+@pytest.mark.parametrize(
+    "a,b,brute",
+    [
+        # the K+1 smallest are the points (i, 0)
+        (1, 10**12, list(range(2001))),
+        # every value with i + j = n lies below every value with i + j = n + 1,
+        # and the 63*64/2 = 2016 points with i + j <= 62 hold the 2001 smallest
+        (
+            10**6,
+            10**6 + 1,
+            sorted(i * 10**6 + j * (10**6 + 1) for i in range(63) for j in range(63)),
+        ),
+    ],
+)
+def test_ech_sequence_cost_stays_small_for_extreme_axis_ratios(a, b, brute):
+    start = time.perf_counter()
+    values = ech_sequence(a, b, 2000)
+    assert time.perf_counter() - start < 2.0
+    assert values == brute[:2001]
+
+
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 12), max_value=20, max_denominator=12
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_rationals, positive_rationals, st.integers(0, 60))
+def test_ech_sequence_matches_the_square_brute_force(a, b, K):
+    """The K+1 smallest of {i*a + j*b} all have i, j <= K: the K+1 values
+    (0, j) or (i, 0) up to K lie at or below any value with i or j > K."""
+    brute = sorted(i * a + j * b for i in range(K + 1) for j in range(K + 1))
+    assert ech_sequence(a, b, K) == brute[: K + 1]
 
 
 def test_ech_sequence_is_nondecreasing():
