@@ -1,5 +1,6 @@
 """Capacity evaluators: closed forms, spectral enumeration, the finite-model
-word solver, ECH embedding ratios, and ball-packing bounds.
+word solver with its exact sparse linear solve, ECH embedding ratios, and
+ball-packing bounds.
 
 Distinguished non-numeric results are first-class string sentinels rather
 than exceptions: closed forms outside their proven range return
@@ -20,7 +21,6 @@ from .linfty import (
     augmentation_hat,
     extend_coderivation,
 )
-from .linsolve import solve_linear_system
 from .spectra import OrbitRecord, OrbitSpectrum, ech_sequence
 
 NO_FORMULA = "no-formula"
@@ -301,7 +301,7 @@ def gb_solver(
     aug = model.augmentation(augmentation)
 
     # by action, so the solution's last nonzero entry sits on the least
-    # level whose words reach b (see ``linsolve``)
+    # level whose words reach b (see ``solve_linear_system``)
     words = sorted(
         model.basis_words(word_cap, Fraction(action_cutoff)), key=lambda w: w.action
     )
@@ -318,6 +318,52 @@ def gb_solver(
     if x is None:
         return NOT_FOUND
     return max(w.action for w, v in zip(words, x) if v)
+
+
+def solve_linear_system(
+    matrix: list[list[Fraction]], rhs: list[Fraction]
+) -> Optional[list[Fraction]]:
+    """Solve ``matrix @ x = rhs`` exactly; ``None`` when inconsistent.
+
+    Pivot columns are taken left to right, each the first column outside
+    the span of those before it, and every other entry of x is zero: the
+    last nonzero entry of x ends the shortest prefix of columns whose span
+    holds ``rhs``.
+    """
+    m = len(matrix)
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match row count")
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [
+        ({j: Fraction(v) for j, v in enumerate(row) if v}, Fraction(r))
+        for row, r in zip(matrix, rhs)
+    ]
+
+    pivots = []
+    for col in range(n):
+        k = next((i for i, (row, _) in enumerate(rows) if col in row), None)
+        if k is None:
+            continue
+        prow, pr = rows.pop(k)
+        for i, (row, r) in enumerate(rows):
+            if col in row:
+                f = row[col] / prow[col]
+                for j, v in prow.items():
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                rows[i] = (row, r - f * pr)
+        pivots.append((col, prow, pr))
+    if any(r for _, r in rows):
+        return None
+    x = [Fraction(0)] * n
+    for col, row, r in reversed(pivots):
+        x[col] = (r - sum(v * x[j] for j, v in row.items() if j != col)) / row[col]
+    return x
 
 
 def _scalarize(combo: dict) -> dict:

@@ -83,7 +83,7 @@ from .linfty import (
 from .modelfile import load_model, print_model
 from .novikov import fmt_rational, parse_novikov, parse_rational
 from .spectra import INF, ech_sequence, eh_sequence
-from .words import Word
+from .words import Word, mono_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -339,12 +339,8 @@ def cmd_obstruct(args) -> int:
 
 
 def _word_text(word) -> str:
-    names = []
-    for letter in word:
-        if isinstance(letter, Word):  # cdga: letters are monomials
-            names.append("*".join(g.name for g in letter) or "1")
-        else:
-            names.append(letter.name)
+    # cdga letters are monomials
+    names = [mono_text(l) if isinstance(l, Word) else l.name for l in word]
     return "(" + ",".join(names) + ")"
 
 
@@ -409,15 +405,14 @@ def cmd_linf(args) -> int:
             f"{residual[worst]}"
         )
         return EXIT_INFEASIBLE
-    if args.linf_cmd == "linearize":
-        _, linearized = linearize(model, eps)
-        text = print_model(linearized)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            print(text, end="")
-        return EXIT_OK
-    raise CliUsageError(f"unknown linf subcommand {args.linf_cmd!r}")
+    # linearize, the one subcommand left
+    _, linearized = linearize(model, eps)
+    text = print_model(linearized)
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
+    return EXIT_OK
 
 
 def _parse_t_word(text: str) -> tuple[int, ...]:
@@ -572,24 +567,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliUsageError as exc:
-        print(f"cap: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"cap: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"cap: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ModelError, IntegrityError) as exc:
+    except (ModelError, IntegrityError) as exc:  # a ModelError is a ValueError
         print(f"cap: integrity: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except FileNotFoundError as exc:
-        print(f"cap: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliUsageError, OSError, ValueError) as exc:
         print(f"cap: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -553,6 +553,4 @@ def _parse_group(text: str) -> list[int]:
                 raise ValueError(f"cannot parse constraint {chunk!r}") from None
             continue
         raise ValueError(f"cannot parse constraint {chunk!r}")
-    if not orders:
-        raise ValueError("empty constraint group")
     return orders

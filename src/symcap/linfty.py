@@ -38,13 +38,13 @@ from .novikov import NovikovPolynomial, add_into, fmt_rational
 from .words import (
     Generator,
     Word,
+    block_getters,
+    block_signs,
+    mono_text,
     normalize_word,
     odd_mask,
-    partition_getters,
-    partition_signs,
+    partitions,
     reorder_sign,
-    split_getters,
-    split_signs,
     splits,
     word_multiplicity_factor,
 )
@@ -112,7 +112,9 @@ def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
     letters as a word.
     """
     k = len(w)
-    for getters, sign in zip(partition_getters(k), partition_signs(k, odd_mask(w))):
+    for getters, sign in zip(
+        block_getters(partitions, k), block_signs(partitions, k, odd_mask(w))
+    ):
         values = []
         for get in getters:
             value = lookup(Word(get(w)))
@@ -202,7 +204,11 @@ class LInfinityModel:
                 coeff = coeff.truncate(self.cutoff) if self.cutoff else coeff
                 if coeff.is_zero():
                     continue
-                self._check_degree_step(word, out, arity)
+                if not self.deg_equal(out.degree, word.degree + 1):
+                    raise ModelError(
+                        f"operation on {self._word_str(word)} is not degree +1 "
+                        f"(output {mono_text(out)})"
+                    )
                 if self.filtered:
                     lvl = coeff.valuation() + out.action
                     if lvl < word.action:
@@ -243,14 +249,8 @@ class LInfinityModel:
 
     def _word_str(self, w: Word) -> str:
         if self.algebra_mode == "cdga" and w and isinstance(w[0], Word):
-            return " , ".join(self._mono_str(m) for m in w)
-        return self._mono_str(w)
-
-    @staticmethod
-    def _mono_str(w: Word) -> str:
-        if not w:
-            return "1"
-        return "*".join(l.name for l in w)
+            return " , ".join(map(mono_text, w))
+        return mono_text(w)
 
     def _check_key(self, arity: int, word: Word) -> None:
         if arity != len(word):
@@ -270,17 +270,10 @@ class LInfinityModel:
                 raise ModelError("module-mode outputs must be single generators")
         for l in w:
             if not isinstance(l, Generator) or self.generators.get(l.name) != l:
-                raise ModelError(f"unknown generator in output {self._mono_str(w)}")
+                raise ModelError(f"unknown generator in output {mono_text(w)}")
 
     def deg_equal(self, a: int, b: int) -> bool:
         return (a - b) % 2 == 0 if self.grading_mode == "Z2" else a == b
-
-    def _check_degree_step(self, key: Word, out: Word, arity: int) -> None:
-        if not self.deg_equal(out.degree, key.degree + 1):
-            raise ModelError(
-                f"operation on {self._word_str(key)} is not degree +1 "
-                f"(output {self._mono_str(out)})"
-            )
 
     # -- basic element builders ---------------------------------------------
 
@@ -453,7 +446,7 @@ def _operation_splits(
     if not fits:
         return
     for (fed, rest), (fed_get, rest_get), sign in zip(
-        splits(k), split_getters(k), split_signs(k, odd_mask(letters))
+        splits(k), block_getters(splits, k), block_signs(splits, k, odd_mask(letters))
     ):
         ok = fits.get(len(fed))
         if ok is None or not ok.issuperset(fed):

@@ -41,7 +41,7 @@ from .novikov import (
     parse_novikov,
     parse_rational,
 )
-from .words import Generator, Word, normalize_word
+from .words import Generator, Word, mono_text, normalize_word
 
 _SECTIONS = ("flags", "generators", "operations", "augmentations")
 
@@ -244,9 +244,7 @@ def parse_model(text: str) -> LInfinityModel:
 
 
 def _word_text(w: Word) -> str:
-    if len(w) == 0:
-        return "1"
-    return "(" + "*".join(l.name for l in w) + ")"
+    return f"({mono_text(w)})" if w else "1"
 
 
 def _combo_text(combo: dict) -> str:

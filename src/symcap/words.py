@@ -14,16 +14,15 @@ and hash by identity; ``copy``, ``deepcopy`` and ``pickle`` hand back the
 interned object.  A ``Word`` is a ``tuple`` subclass holding its letters,
 so it hashes and compares as that tuple.
 
-Splitting a word of length k into chosen positions and the rest, as the
-coproduct and the coderivation extension do, reads constant tables built
-once per length: :func:`splits` lists every nonempty position subset with
-its complement (by size, then lexicographically), :func:`split_getters`
-holds, per split, a pair of C getters that read the chosen and the rest
-letters of a word as tuples, and :func:`split_signs` holds the Koszul sign
-of each split for one set of odd positions.  Cutting a word into blocks, as
-morphisms and augmentations do, reads the same kind of tables:
-:func:`partition_getters` and :func:`partition_signs`.  A sub-word is then
-``Word(getter(w))``, with no per-letter Python step.
+Splitting a word into blocks of positions reads constant tables built once
+per layout and length.  The layouts are :func:`splits`, every nonempty
+position subset with its complement (by size, then lexicographically), as
+the coproduct and the coderivation extension use, and :func:`partitions`,
+every set partition, as morphisms and augmentations use.
+:func:`block_getters` holds, per layout, one C getter per block that reads
+its letters of a word as a tuple, and :func:`block_signs` holds the Koszul
+sign of lining up the blocks of each layout for one set of odd positions.
+A sub-word is then ``Word(getter(w))``, with no per-letter Python step.
 
 Letters are usually :class:`Generator` instances, but any object exposing
 ``degree``, ``action`` and ``sort_key`` works; in particular a ``Word`` can
@@ -127,6 +126,11 @@ class Word(tuple):
         return f"Word({tuple.__repr__(self)})"
 
 
+def mono_text(w: Word) -> str:
+    """The letter names of ``w`` joined by ``*``; ``1`` for the empty word."""
+    return "*".join(l.name for l in w) if w else "1"
+
+
 def koszul_sign(degrees: Sequence[int], sigma: Sequence[int]) -> int:
     """Sign (-1)^{sum |v_i||v_j| over i<j with sigma(i)>sigma(j)}.
 
@@ -208,25 +212,6 @@ def _getter(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
-@cache
-def split_getters(k: int) -> tuple[tuple, ...]:
-    """Per split of ``splits(k)``, in order, the getters of its chosen and
-    its rest letters."""
-    return tuple((_getter(chosen), _getter(rest)) for chosen, rest in splits(k))
-
-
-@cache
-def split_signs(k: int, odd_mask: int) -> tuple[int, ...]:
-    """The sign of pulling each chosen set of ``splits(k)`` to the front,
-    order preserved, when the odd letters sit at the set bits of ``odd_mask``.
-
-    The table holds one tuple of ±1 per (k, mask), so all masks of one
-    length take fewer than 4^k entries.
-    """
-    degrees = [(odd_mask >> p) & 1 for p in range(k)]
-    return tuple(reorder_sign(degrees, chosen + rest) for chosen, rest in splits(k))
-
-
 def _set_partitions(items: tuple) -> Iterable[tuple[tuple, ...]]:
     """Partitions of ``items`` into nonempty blocks, each in input order:
     those of the other items, with the first item alone in front, then
@@ -250,21 +235,22 @@ def partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @cache
-def partition_getters(k: int) -> tuple[tuple, ...]:
-    """Per partition of ``partitions(k)``, in order, the getters of its
-    blocks."""
-    return tuple(tuple(map(_getter, part)) for part in partitions(k))
+def block_getters(layouts, k: int) -> tuple[tuple, ...]:
+    """Per layout of ``layouts(k)`` (``splits`` or ``partitions``), in
+    order, the getters of its blocks."""
+    return tuple(tuple(map(_getter, layout)) for layout in layouts(k))
 
 
 @cache
-def partition_signs(k: int, odd_mask: int) -> tuple[int, ...]:
-    """The sign of lining up the blocks of each partition of
-    ``partitions(k)``, when the odd letters sit at the set bits of
-    ``odd_mask``."""
+def block_signs(layouts, k: int, odd_mask: int) -> tuple[int, ...]:
+    """The sign of lining up the blocks of each layout of ``layouts(k)``,
+    order preserved, when the odd letters sit at the set bits of
+    ``odd_mask``; for a split, that pulls the chosen set to the front.
+    """
     degrees = [(odd_mask >> p) & 1 for p in range(k)]
     return tuple(
-        reorder_sign(degrees, [p for block in part for p in block])
-        for part in partitions(k)
+        reorder_sign(degrees, [p for block in layout for p in block])
+        for layout in layouts(k)
     )
 
 
@@ -290,7 +276,7 @@ def coproduct(w: Word) -> list[tuple[Word, Word, int]]:
     return [
         (Word(left(w)), Word(right(w)), sign)
         for (left, right), sign in zip(
-            split_getters(k), split_signs(k, odd_mask(w))[:-1]
+            block_getters(splits, k), block_signs(splits, k, odd_mask(w))[:-1]
         )
     ]
 

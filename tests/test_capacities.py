@@ -26,6 +26,7 @@ from symcap.capacities import (
     packing_lower_bounds,
     polydisk_slice_rule,
     r_points_ball,
+    solve_linear_system,
     spectral_lower_bound,
     spectral_search,
     stabilized_obstruction,
@@ -39,7 +40,6 @@ from symcap.linfty import (
     check_linfty_relations,
     extend_coderivation,
 )
-from symcap.linsolve import solve_linear_system
 from symcap.modelfile import load_model, parse_model
 from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (

@@ -306,6 +306,8 @@ def test_check_locates_broken_relation(capsys, fixtures_dir, tmp_path):
 
 def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
     model = tmp_path / "bad.model"
+    gens = "[generators]\nx | 0 | 0\ny | 1 | 0\n"
+    ops, augs = gens + "[operations]\n", gens + "[augmentations]\n"
     for body, message in (
         ("[generators]\nx | a | 0\n", "bad number 'a' in line 'x | a | 0'"),
         ("[generators]\nx | 0 | 1/0\n", "bad number '1/0' in line 'x | 0 | 1/0'"),
@@ -319,6 +321,17 @@ def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
         ),
         ("[generators]\nx | 0 | -1\n", "action must be >= 0 in line 'x | 0 | -1'"),
         ("[flags]\ncutoff = -1\n", "cutoff must be positive in line 'cutoff = -1'"),
+        (ops + "1 | x | (1*T^0 * (x)\n", "unbalanced parentheses in '(1*T^0 * (x)'"),
+        (ops + "1 | x | (1*T^0) * y\n", "expected a parenthesized word, got 'y'"),
+        (ops + "1 | x | (1*T^0) * (y)\n" * 2, "duplicate operation key 'x'"),
+        (
+            augs + "eps | x | (1*T^0) * s^0\n",
+            "augmentation terms end in t^<power>: '(1*T^0) * s^0'",
+        ),
+        (
+            augs + "eps | x | (1*T^0) * t^0\n" * 2,
+            "duplicate augmentation component 'x' for eps",
+        ),
     ):
         model.write_text(body)
         assert run(capsys, "linf", "check", str(model)) == (
@@ -453,6 +466,29 @@ def test_linearize_rejects_a_non_scalar_augmentation(capsys, fixtures_dir, tmp_p
     assert err.startswith("cap: integrity: F^ε needs a scalar augmentation")
 
 
+def test_linearize_rejects_an_augmentation_off_the_scalars(
+    capsys, fixtures_dir, tmp_path
+):
+    text = (fixtures_dir / "cdga_aug.model").read_text()
+    path = tmp_path / "off.model"
+    for generator, component, message in (
+        ("y | 1 | 1", "y | (1*T^1) * t^0", "is nonzero on the odd generator y"),
+        (
+            "x | 2 | 1",
+            "x | (1*T^1) * t^0",
+            "is nonzero on x of degree 2; scalar augmentations live on degree 0",
+        ),
+        ("x | 0 | 1", "x | (1*T^1) * t^1", "is not scalar-valued on x"),
+    ):
+        body = text.replace("[operations]", f"{generator}\n\n[operations]")
+        path.write_text(body + f"eps | {component}\n")
+        assert run(capsys, "linf", "linearize", str(path)) == (
+            3,
+            "",
+            f"cap: integrity: augmentation eps {message}\n",
+        ), generator
+
+
 # ---------------------------------------------------------------------------
 # tangency counts
 
@@ -556,6 +592,7 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
     capacity = ["capacity", "--family"]
     mc = ["linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1*T^1,y:1*T^1"]
     three_axes = "ellipsoid needs 2 parameters, got 3"
+    positive = "domain parameters must be positive"
     base = str(fixtures_dir / "base.tbl")
     with_messages = [
         (capacity + ["ech", "--domain", "E:1,2,3", "--k", "1..5"], three_axes),
@@ -585,6 +622,26 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
         (["gw", "reduce", "CP2 d=1,2 <(p)>"], "CP2 classes are degrees"),
         (["gw", "reduce", "CP1 d=1,2 <(p)>"], "CP1 classes are degrees"),
         (["gw", "reduce", "CP2 d=1 <(T^x p)>"], "cannot parse constraint 'T^x p'"),
+        (capacity + ["eh", "--domain", "E:0,2", "--k", "1"], positive),
+        (capacity + ["eh", "--domain", "B:0", "--k", "1"], positive),
+        (
+            capacity + ["eh", "--domain", "E:2", "--k", "1"],
+            "E needs at least two parameters",
+        ),
+        (
+            capacity + ["ech", "--domain", "P:1,2", "--k", "1"],
+            "the ech family covers ellipsoids and balls",
+        ),
+        (
+            ["obstruct", "--source", "P:1,2", "--target", "B"],
+            "the four-dimensional comparison uses ellipsoid/ball sequences",
+        ),
+        (["linf", "solve-gb", b2_lin, "--b", "t^-1"], "t-powers must be nonnegative"),
+        (mc[:-1] + ["x"], "cannot parse 'x': expected generator:coefficient"),
+        (["gw", "reduce", "<(T^1 p>"], "unbalanced parentheses in '<(T^1 p>'"),
+        (["gw", "reduce", "<(T^1 p))>"], "unbalanced parentheses in '<(T^1 p))>'"),
+        (["gw", "reduce", "<>"], "no constraint groups found"),
+        (["gw", "reduce", "<(r)>"], "cannot parse constraint 'r'"),
         # table rows are keyed by surface and class, so none could match
         (
             ["gw", "evaluate", "<(T^1 p),(p)>", "--table", base],
@@ -608,6 +665,22 @@ def test_usage_errors_exit_one(capsys, fixtures_dir, tmp_path):
     for argv, message in with_messages:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"cap: error: {message}\n"), argv
+
+
+def test_unusable_paths_exit_one(capsys, fixtures_dir, tmp_path, monkeypatch):
+    folder = str(tmp_path)
+    cache_file = tmp_path / "cache_file"
+    cache_file.write_text("")
+    monkeypatch.setenv("SYMCAP_CACHE_DIR", str(cache_file))
+    for argv in (
+        ["linf", "check", folder],
+        ["gw", "evaluate", "CP2 d=1 <(T^1 p)>", "--table", folder],
+        ["linf", "linearize", str(fixtures_dir / "cdga_aug.model"), "-o", folder],
+        ["capacity", "--family", "ech", "--domain", "E:1,2", "--k", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("cap: error: ") and "Traceback" not in err, argv
 
 
 def test_version_flag(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcap.linsolve import solve_linear_system
+from symcap.capacities import solve_linear_system
 
 F = Fraction
 

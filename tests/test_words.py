@@ -15,12 +15,14 @@ from symcap.novikov import NovikovPolynomial
 from symcap.words import (
     Generator,
     Word,
+    block_getters,
+    block_signs,
     coproduct,
     koszul_sign,
     normalize_word,
     odd_mask,
+    partitions,
     reorder_sign,
-    split_signs,
     splits,
     word_multiplicity_factor,
 )
@@ -94,6 +96,16 @@ def crossing_parity(degrees, chosen):
     )
 
 
+BELL = [1, 1, 2, 5, 15, 52, 203]
+
+
+def inverse(order):
+    sigma = [0] * len(order)
+    for p, i in enumerate(order):
+        sigma[i] = p
+    return sigma
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_split_table_order_and_signs(k):
     positions = range(k)
@@ -103,20 +115,37 @@ def test_split_table_order_and_signs(k):
         for chosen in combinations(positions, size)
     ]
     assert list(splits(k)) == want
+    parts = partitions(k)
+    assert len(set(parts)) == len(parts) == BELL[k]
+    for part in parts:
+        assert sorted(p for block in part for p in block) == list(positions)
+        assert all(block == tuple(sorted(block)) for block in part)
     for mask in range(2**k):
         degrees = [(mask >> p) & 1 for p in positions]
-        signs = split_signs(k, mask)
+        signs = block_signs(splits, k, mask)
         assert len(signs) == len(want)
         for (chosen, rest), sign in zip(want, signs):
             assert sign == (-1) ** crossing_parity(degrees, chosen)
             assert sign == reorder_sign(degrees, chosen + rest)
+        # a partition's sign is koszul_sign of the inverse of its block order
+        signs = block_signs(partitions, k, mask)
+        assert len(signs) == len(parts)
+        for part, sign in zip(parts, signs):
+            order = [p for block in part for p in block]
+            assert sign == koszul_sign(degrees, inverse(order))
+    letters = tuple(f"v{p}" for p in positions)
+    for layouts in (splits, partitions):
+        for layout, getters in zip(layouts(k), block_getters(layouts, k)):
+            assert [get(letters) for get in getters] == [
+                tuple(letters[p] for p in block) for block in layout
+            ]
 
 
 @given(degree_lists)
 def test_split_signs_read_the_odd_positions(degrees):
     gens = make_gens(degrees)
     k = len(gens)
-    signs = split_signs(k, odd_mask(gens))
+    signs = block_signs(splits, k, odd_mask(gens))
     for (chosen, rest), sign in zip(splits(k), signs):
         assert sign == (-1) ** crossing_parity(degrees, chosen)
 
