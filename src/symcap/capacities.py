@@ -180,6 +180,32 @@ def spectral_lower_bound(
     ).value
 
 
+def _action_lattice(orbits: Sequence[OrbitRecord], cutoff: Fraction) -> tuple:
+    """spectral_search's set-up at one cutoff: every action in units of 1/scale."""
+    scale = math.lcm(cutoff.denominator, *(o.action.denominator for o in orbits))
+    limit = cutoff.numerator * (scale // cutoff.denominator)
+    lattice = [(o.action.numerator * (scale // o.action.denominator), o) for o in orbits]
+    lattice = sorted((p for p in lattice if p[0] <= limit), key=lambda p: p[0])
+    if not lattice:
+        raise ValueError(
+            f"action cutoff {cutoff} lies below the smallest orbit action; "
+            "nothing can be certified"
+        )
+    actions, orbits = map(list, zip(*lattice))
+    costs = [o.cz + 1 for o in orbits]
+    cheapest = min(costs)
+    # rate[i] = (a, c): the least action per index point, a / c, over the
+    # orbits i..; 0 / 1 bounds nothing when some cost is not positive
+    rate = [(0, 1)] * len(orbits)
+    if cheapest > 0:
+        low = rate[-1] = (actions[-1], costs[-1])
+        for i in range(len(orbits) - 2, -1, -1):
+            if actions[i] * low[1] < low[0] * costs[i]:
+                low = (actions[i], costs[i])
+            rate[i] = low
+    return scale, limit, actions, orbits, costs, cheapest, rate
+
+
 def spectral_search(
     spectrum: OrbitSpectrum,
     constraint_codim: int,
@@ -188,44 +214,22 @@ def spectral_search(
     admissible: Optional[Callable[[Sequence[OrbitRecord]], bool]] = None,
 ) -> SearchResult:
     """spectral_lower_bound, returning the accepted end multiset and the
-    number of DFS nodes entered and of branches cut by the bound."""
+    number of DFS nodes entered and of branches cut by the bound.  The
+    spectrum keeps its integer action lattice per cutoff, so repeated
+    queries of one spectrum at one cutoff build it once."""
     if constraint_codim < 0 or constraint_codim % 2:
         raise ValueError("constraint codimension must be even and >= 0")
     cutoff = Fraction(action_cutoff)
-    # integer action lattice: every action is a whole multiple of 1/scale
-    scale = math.lcm(
-        cutoff.denominator, *(o.action.denominator for o in spectrum.orbits)
-    )
-    limit = cutoff.numerator * (scale // cutoff.denominator)
-    lattice = [
-        (o.action.numerator * (scale // o.action.denominator), o)
-        for o in spectrum.orbits
-    ]
-    lattice = sorted((p for p in lattice if p[0] <= limit), key=lambda p: p[0])
-    if not lattice:
-        raise ValueError(
-            f"action cutoff {cutoff} lies below the smallest orbit action; "
-            "nothing can be certified"
-        )
-    actions = [a for a, _ in lattice]
-    orbits = [o for _, o in lattice]
-    costs = [o.cz + 1 for o in orbits]
+    lattice = spectrum._lattices.get(cutoff)
+    if lattice is None:  # kept once built; a cutoff below every action raises
+        lattice = spectrum._lattices[cutoff] = _action_lattice(spectrum.orbits, cutoff)
+    scale, limit, actions, orbits, costs, cheapest, rate = lattice
     n = len(orbits)
     target = constraint_codim + 2  # index zero reads sum(CZ_i + 1) = codim + 2
-    cheapest = min(costs)
     derived = limit // actions[0]
     if cheapest > 0:
         derived = min(derived, target // cheapest)
     ends_cap = derived if max_ends is None else min(max_ends, derived)
-    # rate[i] = (a, c): the least action per index point, a / c, over the
-    # orbits i..n-1; 0 / 1 bounds nothing when some cost is not positive
-    rate = [(0, 1)] * n
-    if cheapest > 0:
-        low = rate[n - 1] = (actions[n - 1], costs[n - 1])
-        for i in range(n - 2, -1, -1):
-            if actions[i] * low[1] < low[0] * costs[i]:
-                low = (actions[i], costs[i])
-            rate[i] = low
     # a partial multiset may overshoot the index only if later ends can
     # bring it back down
     ceiling = target if cheapest >= 0 else target - cheapest * ends_cap

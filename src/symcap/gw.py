@@ -46,11 +46,6 @@ Group = tuple  # sorted tuple of branch orders, descending
 Key = tuple  # (surface | None, class | None, groups)
 Combination = dict  # Key -> Fraction
 
-# The comparable gravitational-descendant count: 4! * <psi^4 p> on conics
-# equals 3, which differs from the tangency count <T^4 p> = 1; kept as a
-# named constant so the regression suite can assert the two are not equal.
-PSI4_CONIC_DESCENDANT_TIMES_24 = Fraction(3)
-
 
 def canonical_groups(groups: Sequence[Sequence[int]]) -> tuple:
     out = []

@@ -182,6 +182,8 @@ def parse_model(text: str) -> LInfinityModel:
         if len(fields) != 3:
             raise ModelError(f"generator lines look like 'name | degree | action': {line!r}")
         name, degree, action = fields
+        if not name:
+            raise ModelError(f"generator name is empty in line {line!r}")
         if name in gens:
             raise ModelError(f"duplicate generator {name!r}")
         degree = _number(int, degree, line)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Axis = Union[int, Fraction, float]  # math.inf marks a cylinder factor
 
@@ -34,13 +34,12 @@ class OrbitRecord:
 @dataclass(frozen=True)
 class OrbitSpectrum:
     domain: str
-    orbits: list[OrbitRecord] = field(default_factory=list)
+    orbits: tuple[OrbitRecord, ...] = ()
+    # spectral_search's action lattice per cutoff; orbits is a tuple, so none goes stale
+    _lattices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def actions(self) -> list[Fraction]:
-        return [o.action for o in self.orbits]
-
-    def cz_list(self) -> list[int]:
-        return [o.cz for o in self.orbits]
+    def __post_init__(self):
+        object.__setattr__(self, "orbits", tuple(self.orbits))
 
 
 def _check_axes(a: Sequence[Axis]) -> list[Fraction]:

@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -426,6 +428,116 @@ def test_spectral_bound_on_the_action_lattice():
     assert spectral_lower_bound(hand, 4, Fraction(7, 2)) == INFINITE
     assert spectral_lower_bound(hand, 4, 10, max_ends=1) == INFINITE
     assert spectral_lower_bound(hand, 2, 10) == 1
+
+
+def _search_or_error(spectrum, k, cutoff, max_ends, admissible):
+    try:
+        return spectral_search(
+            spectrum, 2 * k, cutoff, max_ends=max_ends, admissible=admissible
+        )
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spectrum_cutoff=_small_spectra() | _hand_queries().map(lambda q: q[:2]),
+    queries=st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.integers(0, 8),
+            st.none() | st.integers(1, 3),
+            st.sampled_from([None, one_positive_end, polydisk_slice_rule]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_kept_lattices_answer_as_a_fresh_spectrum(spectrum_cutoff, queries):
+    """One spectrum object, asked a run of repeated and interleaved queries,
+    answers each exactly as a fresh equal copy does: the same value, witness,
+    nodes and prunes, or the same refusal of a cutoff below every action,
+    which is never kept and leaves later cutoffs working."""
+    spectrum, cutoff = spectrum_cutoff
+    floor = min(o.action for o in spectrum.orbits)
+    # below every action, the drawn cutoff, one with a new denominator, the
+    # smallest action, and an int (the drawn cutoff itself when it is whole)
+    cutoffs = [floor / 2, cutoff, cutoff * Fraction(5, 7), floor, math.ceil(cutoff)]
+    kept = set()
+    for which, k, max_ends, admissible in queries:
+        at = cutoffs[which]
+        fresh = OrbitSpectrum(spectrum.domain, list(spectrum.orbits))
+        want = _search_or_error(fresh, k, at, max_ends, admissible)
+        got = _search_or_error(spectrum, k, at, max_ends, admissible)
+        assert got == want
+        if isinstance(want, str):
+            assert "smallest orbit action" in want
+        else:
+            assert type(got) is capacities.SearchResult
+            kept.add(Fraction(at))
+        assert set(spectrum._lattices) == kept
+
+
+def _test_06_queries():
+    """test_06's 48 (spectrum, k, rule) queries at cutoff 15, on four spectra."""
+    ball = ellipsoid_orbits([1, 1], 15)
+    queries = [(ball, k, None) for k in range(2, 45, 3)]
+    skinny = ellipsoid_orbits([1, Fraction(13, 2)], 15)
+    queries += [(skinny, k, one_positive_end) for k in range(1, 7)]
+    for x in (2, 3):
+        spectrum = polydisk_orbits(x, 15)
+        dom = DomainDescriptor.polydisk(1, x)
+        ks = [k for k in range(1, 29, 2) if g_tangency(dom, k) <= 15]
+        queries += [(spectrum, k, polydisk_slice_rule) for k in ks]
+    assert len(queries) == 48
+    return queries
+
+
+def test_test_06_queries_build_one_lattice_per_spectrum(monkeypatch):
+    built = []
+    real = capacities._action_lattice
+
+    def spy(orbits, cutoff):
+        built.append(cutoff)
+        return real(orbits, cutoff)
+
+    monkeypatch.setattr(capacities, "_action_lattice", spy)
+    for spectrum, k, rule in _test_06_queries():
+        spectral_search(spectrum, 2 * k, 15, admissible=rule)
+    assert built == [15] * 4
+
+
+def test_threads_sharing_spectra_get_the_serial_results():
+    threads_n, rounds = 8, 5
+    want = [
+        spectral_search(s, 2 * k, 15, admissible=rule)
+        for s, k, rule in _test_06_queries()
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            queries = _test_06_queries()
+            got = [None] * threads_n
+
+            def run(i, queries=queries, got=got):
+                order = list(range(len(queries)))
+                random.Random(f"{r}:{i}").shuffle(order)
+                results = {}
+                for j in order:
+                    s, k, rule = queries[j]
+                    results[j] = spectral_search(s, 2 * k, 15, admissible=rule)
+                got[i] = [results[j] for j in range(len(queries))]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(results == want for results in got), r
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

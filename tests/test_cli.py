@@ -321,6 +321,7 @@ def test_bad_numbers_in_a_model_file_exit_three(capsys, tmp_path):
         ),
         ("[generators]\nx | 0 | -1\n", "action must be >= 0 in line 'x | 0 | -1'"),
         ("[flags]\ncutoff = -1\n", "cutoff must be positive in line 'cutoff = -1'"),
+        ("[generators]\n | 0 | 1/2\n", "generator name is empty in line '| 0 | 1/2'"),
         (ops + "1 | x | (1*T^0 * (x)\n", "unbalanced parentheses in '(1*T^0 * (x)'"),
         (ops + "1 | x | (1*T^0) * y\n", "expected a parenthesized word, got 'y'"),
         (ops + "1 | x | (1*T^0) * (y)\n" * 2, "duplicate operation key 'x'"),

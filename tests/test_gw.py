@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from symcap.cli import main
 from symcap.gw import (
-    PSI4_CONIC_DESCENDANT_TIMES_24,
     BaseInvariantTable,
     canonical_groups,
     codimension,
@@ -486,6 +485,11 @@ def test_programmatic_table():
     assert evaluate(reduced, table) == 1
     with pytest.raises(KeyError):
         evaluate(reduced, BaseInvariantTable({("CP2", 1, (1, 1)): Fraction(1)}))
+
+
+# The comparable gravitational-descendant count: 4! * <psi^4 p> on conics
+# equals 3, which differs from the tangency count <T^4 p> = 1.
+PSI4_CONIC_DESCENDANT_TIMES_24 = Fraction(3)
 
 
 def test_descendant_normalization_constant_differs():

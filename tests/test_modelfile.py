@@ -101,6 +101,7 @@ def test_odd_square_output_terms_vanish():
         ("[flags]\nspin = up\n", "unknown flag"),
         ("[generators]\nx | 0\n", "generator lines"),
         ("[generators]\nx | 0 | 0\nx | 1 | 0\n", "duplicate generator"),
+        ("[generators]\n | 0 | 1/2\n", "generator name is empty in line '| 0 | 1/2'"),
         (
             "[generators]\nx | 0 | 0\n[operations]\n2 | x | (1*T^0) * (x)\n",
             "arity 2 does not match",

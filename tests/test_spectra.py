@@ -1,5 +1,6 @@
 """Tests for orbit spectra, Conley-Zehnder indices, and capacity sequences."""
 
+import dataclasses
 import math
 import random
 import time
@@ -8,8 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symcap.capacities import spectral_search
 from symcap.spectra import (
     INF,
+    OrbitSpectrum,
     capacity_sequence_ECH,
     capacity_sequence_EH,
     conley_zehnder_ellipsoid,
@@ -19,6 +22,14 @@ from symcap.spectra import (
     fredholm_index,
     polydisk_orbits,
 )
+
+
+def actions(spectrum):
+    return [o.action for o in spectrum.orbits]
+
+
+def cz_list(spectrum):
+    return [o.cz for o in spectrum.orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +44,7 @@ def test_round_ball_cz_ladder():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_round_ball_merged_cz_values(n):
     spectrum = ellipsoid_orbits([1] * n, 5)
-    merged = sorted(spectrum.cz_list())
+    merged = sorted(cz_list(spectrum))
     assert merged == [n - 1 + 2 * m for m in range(1, len(merged) + 1)]
 
 
@@ -46,7 +57,7 @@ def test_exact_ratio_tie_break():
 
 def test_skinny_ellipsoid_low_spectrum():
     spectrum = ellipsoid_orbits([1, Fraction(13, 2)], 7)
-    assert spectrum.cz_list() == [3, 5, 7, 9, 11, 13, 15, 17]
+    assert cz_list(spectrum) == [3, 5, 7, 9, 11, 13, 15, 17]
     assert [o.label for o in spectrum.orbits] == [
         "g1^1", "g1^2", "g1^3", "g1^4", "g1^5", "g1^6", "g2^1", "g1^7",
     ]
@@ -94,8 +105,8 @@ def test_ellipsoid_orbit_listing():
     assert [o.label for o in spectrum.orbits] == [
         "g1^1", "g1^2", "g2^1", "g1^3", "g1^4", "g2^2",
     ]
-    assert spectrum.actions() == [1, 2, 2, 3, 4, 4]
-    assert spectrum.cz_list() == [3, 5, 7, 9, 11, 13]
+    assert actions(spectrum) == [1, 2, 2, 3, 4, 4]
+    assert cz_list(spectrum) == [3, 5, 7, 9, 11, 13]
     assert spectrum.domain == "E(1,2)"
 
 
@@ -104,8 +115,8 @@ def test_polydisk_orbit_listing_long():
     assert [o.label for o in spectrum.orbits] == [
         "beta_1,0", "beta_2,0", "beta_3,0", "beta_0,1",
     ]
-    assert spectrum.cz_list() == [3, 5, 7, 3]
-    assert spectrum.actions() == [1, 2, 3, 3]
+    assert cz_list(spectrum) == [3, 5, 7, 3]
+    assert actions(spectrum) == [1, 2, 3, 3]
 
 
 def test_polydisk_orbit_listing_square():
@@ -113,12 +124,31 @@ def test_polydisk_orbit_listing_square():
     assert [o.label for o in spectrum.orbits] == [
         "beta_1,0", "beta_0,1", "beta_2,0", "alpha_1,1", "beta_1,1", "beta_0,2",
     ]
-    assert spectrum.cz_list() == [3, 3, 5, 4, 5, 5]
+    assert cz_list(spectrum) == [3, 3, 5, 4, 5, 5]
 
 
 def test_polydisk_orbits_need_normalized_factor():
     with pytest.raises(ValueError):
         polydisk_orbits(Fraction(1, 2), 3)
+
+
+def test_spectra_are_immutable_and_keep_lattices_out_of_equality():
+    built = ellipsoid_orbits([1, 2], 4)
+    spectrum = OrbitSpectrum(built.domain, list(built.orbits))
+    assert type(spectrum.orbits) is tuple and spectrum.orbits == built.orbits
+    with pytest.raises(AttributeError):
+        spectrum.orbits.append(built.orbits[0])
+    # lattices are built by the first search, never at construction
+    assert spectrum._lattices == {} and built._lattices == {}
+    spectral_search(spectrum, 4, 4)
+    spectral_search(spectrum, 4, 3)
+    assert set(spectrum._lattices) == {3, 4} and built._lattices == {}
+    assert spectrum == built and hash(spectrum) == hash(built)
+    assert spectrum != OrbitSpectrum(built.domain, built.orbits[:-1])
+    copy = dataclasses.replace(spectrum)
+    assert copy == spectrum and copy._lattices == {}
+    renamed = dataclasses.replace(spectrum, domain="E(1,2) again")
+    assert renamed._lattices == {} and renamed.orbits is spectrum.orbits
 
 
 # ---------------------------------------------------------------------------
