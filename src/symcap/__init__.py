@@ -5,6 +5,10 @@ polydisks and balls, a filtered L-infinity engine over Novikov
 coefficients with Maurer-Cartan deformations and augmentations, and a
 rewriting calculus that evaluates tangency constraints against a small
 table of base invariants.
+
+The names from :mod:`symcap.spectra` resolve on first access: its records
+are dataclasses, whose import (with ``inspect``) would nearly double the
+start-up of every ``cap`` command, and no command uses them.
 """
 
 from .capacities import (
@@ -14,6 +18,8 @@ from .capacities import (
     NOT_FOUND,
     DomainDescriptor,
     SearchResult,
+    capacity_sequence_ECH,
+    capacity_sequence_EH,
     ech_sequence,
     g_tangency,
     gb_solver,
@@ -44,18 +50,27 @@ from .linfty import (
 )
 from .modelfile import load_model, parse_model, print_model, save_model
 from .novikov import NovikovPolynomial, parse_novikov
-from .spectra import (
-    OrbitSpectrum,
-    capacity_sequence_ECH,
-    capacity_sequence_EH,
-    conley_zehnder_ellipsoid,
-    ellipsoid_orbits,
-    fredholm_index,
-    polydisk_orbits,
-)
 from .words import Word, koszul_sign, normalize_word
 
 __version__ = "0.1.0"
+
+_SPECTRA = {
+    "OrbitSpectrum",
+    "conley_zehnder_ellipsoid",
+    "ellipsoid_orbits",
+    "fredholm_index",
+    "polydisk_orbits",
+}
+
+
+def __getattr__(name):
+    if name not in _SPECTRA:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import spectra
+
+    value = globals()[name] = getattr(spectra, name)
+    return value
+
 
 __all__ = [
     "Augmentation",

@@ -1,17 +1,21 @@
-"""Capacity evaluators: closed forms, spectral enumeration, the finite-model
-word solver with its exact sparse linear solve, ECH embedding ratios, and
-ball-packing bounds.
+"""Capacity evaluators: closed forms, the EH and ECH capacity sequences,
+spectral enumeration, the finite-model word solver with its exact sparse
+linear solve, ECH embedding ratios, and ball-packing bounds.
 
 Distinguished non-numeric results are first-class string sentinels rather
 than exceptions: closed forms outside their proven range return
 ``NO_FORMULA``, and searches that exhaust their cutoff say so explicitly
 instead of claiming nonexistence.
+
+Every ``cap`` command imports this module, so it neither holds nor
+imports a dataclass (``dataclasses`` loads ``inspect`` and nearly doubles
+the start-up): the orbit spectra of :mod:`symcap.spectra` appear here only
+in annotations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -21,7 +25,6 @@ from .linfty import (
     augmentation_hat,
     extend_coderivation,
 )
-from .spectra import OrbitRecord, OrbitSpectrum, ech_sequence
 
 NO_FORMULA = "no-formula"
 NOT_FOUND = "not-found-below-cutoff"
@@ -29,30 +32,54 @@ INFINITE = "infinite"
 NO_OBSTRUCTION = "no-obstruction-below-K"
 
 Value = Union[Fraction, str]
+Axis = Union[int, Fraction, float]  # math.inf marks a cylinder factor
+
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
 # domains
 
 
-@dataclass(frozen=True)
 class DomainDescriptor:
-    kind: str  # "ball" | "ellipsoid" | "polydisk"
-    params: tuple
+    """A ball, ellipsoid or polydisk by its sorted positive parameters: an
+    immutable value, equal and hashed on (kind, params)."""
 
-    def __post_init__(self):
-        arity = {"ball": 1, "ellipsoid": 2, "polydisk": 2}.get(self.kind)
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params):
+        arity = {"ball": 1, "ellipsoid": 2, "polydisk": 2}.get(kind)
         if arity is None:
-            raise ValueError(f"unsupported domain kind {self.kind!r}")
-        params = tuple(Fraction(p) for p in self.params)
+            raise ValueError(f"unsupported domain kind {kind!r}")
+        params = tuple(Fraction(p) for p in params)
         if len(params) != arity:
             noun = "parameter" if arity == 1 else "parameters"
-            raise ValueError(f"{self.kind} needs {arity} {noun}, got {len(params)}")
+            raise ValueError(f"{kind} needs {arity} {noun}, got {len(params)}")
         if any(p <= 0 for p in params):
             raise ValueError("domain parameters must be positive")
         if list(params) != sorted(params):
             raise ValueError("domain parameters must be sorted")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DomainDescriptor is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return DomainDescriptor, (self.kind, self.params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
+
+    def __repr__(self):
+        return f"DomainDescriptor(kind={self.kind!r}, params={self.params!r})"
 
     @staticmethod
     def ball(a=1) -> "DomainDescriptor":
@@ -107,6 +134,58 @@ def r_points_ball(r: int) -> Fraction:
     if r < 1:
         raise ValueError("need r >= 1")
     return Fraction(math.ceil(Fraction(r + 1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# classical capacity sequences
+
+
+def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
+    """The K smallest elements of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
+    if K < 1:
+        raise ValueError("k must be >= 1")
+    finite = [Fraction(x) for x in a if x != INF]
+    if not finite:
+        raise ValueError("all ellipsoid parameters are infinite")
+    if any(x <= 0 for x in finite):
+        raise ValueError("ellipsoid parameters must be positive")
+    return sorted(x * i for x in finite for i in range(1, K + 1))[:K]
+
+
+def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
+    """k-th smallest element of {i*a_j : i >= 1}."""
+    return eh_sequence(a, k)[k - 1]
+
+
+def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
+    """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
+    if K < 0:
+        raise ValueError("k must be >= 0")
+    a = Fraction(a)
+    b = Fraction(b)
+    if a <= 0 or b <= 0:
+        raise ValueError("ellipsoid parameters must be positive")
+    scale = math.lcm(a.denominator, b.denominator)
+    a_int = int(a * scale)
+    b_int = int(b * scale)
+    # at least K+1 lattice values lie at or below `top`: the unit squares of
+    # the points with i*a + j*b <= L cover a triangle of area L^2/(2ab),
+    # which exceeds K+1 at the first bound, and the K+1 points on the axis
+    # of min(a, b) up to index K lie at or below the second
+    top = min(math.isqrt(2 * a_int * b_int * (K + 1)) + 1, K * min(a_int, b_int))
+    values = sorted(
+        i * a_int + j * b_int
+        for i in range(top // a_int + 1)
+        for j in range((top - i * a_int) // b_int + 1)
+    )[: K + 1]
+    # values repeat, so share one Fraction per distinct value
+    distinct = {v: Fraction(v, scale) for v in set(values)}
+    return [distinct[v] for v in values]
+
+
+def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:
+    """(k+1)-st smallest of the multiset {i*a + j*b : i,j >= 0}."""
+    return ech_sequence(a, b, k)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +245,15 @@ def spectral_lower_bound(
     The search is a depth-first branch and bound over orbits sorted by
     action a_j.  When every index cost c_j = CZ_j + 1 is positive, ends
     taken from orbits j >= i that add the R index points still missing act
-    at least R * min_{j>=i} a_j / c_j, so a branch that cannot then stay
-    below the best action accepted so far is cut.  When some c_j <= 0 that
-    bound does not hold and is skipped: only the action cut and the end count
-    remain, and a partial multiset may overshoot the index.  The bound
-    drops only branches holding no leaf below the best, so the
-    admissibility rule is asked about the same multisets, in the same
-    order, as without it.  spectral_search also returns the witness and
-    the work done.
+    at least R * min_{j>=i} a_j / c_j, rounded up to a whole multiple of
+    the lattice unit 1/scale as every action is.  A branch that cannot then
+    stay below the best action accepted so far (at first: within the
+    cutoff) is cut.  When some c_j <= 0 that bound does not hold and is
+    skipped: only the action cut and the end count remain, and a partial
+    multiset may overshoot the index.  The bound drops only branches
+    holding no leaf below the best, so the admissibility rule is asked
+    about the same multisets, in the same order, as without it.
+    spectral_search also returns the witness and the work done.
     """
     return spectral_search(
         spectrum, constraint_codim, action_cutoff, max_ends, admissible
@@ -233,18 +313,18 @@ def spectral_search(
     # a partial multiset may overshoot the index only if later ends can
     # bring it back down
     ceiling = target if cheapest >= 0 else target - cheapest * ends_cap
-    best = limit + 1  # above the cutoff: nothing accepted yet
+    top = limit  # the largest action worth entering: one unit below the best
     witness: tuple = ()
     nodes = pruned = 0
     chosen: list[OrbitRecord] = []
 
     def dfs(start: int, cost: int, action: int) -> None:
-        nonlocal best, witness, nodes, pruned
+        nonlocal top, witness, nodes, pruned
         nodes += 1
         if cost == target and chosen:
-            # a leaf is only entered below best, so accepting it improves best
+            # a leaf is only entered at or below top, so accepting it lowers top
             if admissible is None or admissible(chosen):
-                best = action
+                top = action - 1
                 witness = tuple(chosen)
                 return
             if cheapest > 0:
@@ -254,12 +334,13 @@ def spectral_search(
         for i in range(start, n):
             new_action = action + actions[i]
             # orbits are sorted by action, so no later sibling fits either
-            if new_action >= best:
+            if new_action > top:
                 break
             a, c = rate[i]
             # nor can ends from orbits i.. add the missing index, which costs
-            # at least (target - cost) * a / c, and stay below best
-            if (best - action) * c <= (target - cost) * a:
+            # at least (target - cost) * a / c, rounded up to a whole number
+            # of lattice units, and stay at or below top
+            if (top - action) * c < (target - cost) * a:
                 pruned += 1
                 break
             new_cost = cost + costs[i]
@@ -270,9 +351,9 @@ def spectral_search(
             chosen.pop()
 
     dfs(0, 0, 0)
-    if best > limit:
+    if not witness:  # nothing accepted
         return SearchResult(INFINITE, (), nodes, pruned)
-    return SearchResult(Fraction(best, scale), witness, nodes, pruned)
+    return SearchResult(Fraction(top + 1, scale), witness, nodes, pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,13 @@ from typing import Optional, Sequence
 
 from . import __version__, gw
 from .capacities import (
+    INF,
     NO_FORMULA,
     NO_OBSTRUCTION,
     NOT_FOUND,
     DomainDescriptor,
+    ech_sequence,
+    eh_sequence,
     g_tangency,
     gb_solver,
     obstruct_4d_ellipsoid,
@@ -82,7 +85,6 @@ from .linfty import (
 )
 from .modelfile import load_model, print_model
 from .novikov import fmt_rational, parse_novikov, parse_rational
-from .spectra import INF, ech_sequence, eh_sequence
 from .words import Word, mono_text
 
 EXIT_OK = 0

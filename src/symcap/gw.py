@@ -122,41 +122,6 @@ def is_rigid(key: Key) -> bool:
 # the rewrite
 
 
-def push_point(
-    key: Key, source: int, target: Optional[int]
-) -> list[tuple[Key, Fraction]]:
-    """Push the singleton constraint group ``source`` onto group ``target``.
-
-    ``target=None`` is the trivial relabel onto a fresh point (no change).
-    Returns the 1 + b output terms, each with unit coefficient multiplier.
-    """
-    surface, cls, groups = key
-    if not 0 <= source < len(groups):
-        raise ValueError(f"source group index {source} out of range")
-    if len(groups[source]) != 1:
-        raise ValueError("source group must be a singleton constraint")
-    if target is None:
-        return [(key, Fraction(1))]
-    if not 0 <= target < len(groups) or target == source:
-        raise ValueError("target must be a distinct group index")
-    m = groups[source][0]
-    rest = [g for i, g in enumerate(groups) if i not in (source, target)]
-    tgt = groups[target]
-    out: list[tuple[Key, Fraction]] = []
-    joined = rest + [tuple(sorted(tgt + (m,), reverse=True))]
-    out.append(((surface, cls, canonical_groups(joined)), Fraction(1)))
-    for i in range(len(tgt)):
-        merged = list(tgt)
-        merged[i] = tgt[i] + m + 1
-        out.append(
-            (
-                (surface, cls, canonical_groups(rest + [tuple(merged)])),
-                Fraction(1),
-            )
-        )
-    return out
-
-
 def _canon(rest: list, *fresh: tuple) -> tuple:
     """``canonical_groups(rest + fresh)`` for validated integer groups, with
     ``rest`` already canonical and each fresh group descending: only sorts

@@ -657,14 +657,6 @@ def morphism_on_combo(m: LInfinityMorphism, combo: Combo) -> Combo:
     return _extend_linearly(lambda w: extend_morphism(m, w), combo)
 
 
-def identity_morphism(model: LInfinityModel) -> LInfinityMorphism:
-    comps = {}
-    for g in model.ordered_generators:
-        w = Word([g])
-        comps[(1, w)] = {w: NovikovPolynomial.unit(model.cutoff)}
-    return LInfinityMorphism(model, model, comps)
-
-
 def compose_morphisms(
     psi: LInfinityMorphism,
     phi: LInfinityMorphism,
@@ -691,20 +683,6 @@ def compose_morphisms(
         if total:
             comps[(len(w), w)] = total
     return LInfinityMorphism(phi.source, psi.target, comps)
-
-
-def check_morphism(
-    m: LInfinityMorphism, max_word_len: int
-) -> list[tuple[Word, Combo]]:
-    """Violations of Φ̂∘l̂ = l̂'∘Φ̂ on basis words up to the length bound."""
-    violations = []
-    for w in m.source.basis_words(max_word_len):
-        residual = morphism_on_combo(m, extend_coderivation(m.source, w))
-        for u, c in coderivation_on_combo(m.target, extend_morphism(m, w)).items():
-            add_into(residual, u, -c)
-        if residual:
-            violations.append((w, residual))
-    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Reeb-orbit spectra of ellipsoids and four-dimensional polydisks.
+"""Reeb-orbit spectra of ellipsoids and four-dimensional polydisks, their
+Conley-Zehnder indices, and Fredholm index arithmetic.
+
+The records are dataclasses, so ``symcap`` loads this module on first use,
+off the ``cap`` import path; it re-exports the EH and ECH sequences, which
+live in :mod:`symcap.capacities`.
 
 Conley-Zehnder indices use the closed form
 ``CZ(k-th iterate of orbit j) = n-1 + 2k + 2*sum_{i != j} floor(k*a_j/a_i)``
@@ -12,14 +17,18 @@ and CZ = n-1+2k for the k-th orbit of the round ball in any dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-Axis = Union[int, Fraction, float]  # math.inf marks a cylinder factor
-
-INF = math.inf
+from .capacities import (  # noqa: F401  (re-exported)
+    INF,
+    Axis,
+    capacity_sequence_ECH,
+    capacity_sequence_EH,
+    ech_sequence,
+    eh_sequence,
+)
 
 
 @dataclass(frozen=True)
@@ -141,58 +150,6 @@ def polydisk_orbits(x: Axis, cutoff: Axis) -> OrbitSpectrum:
             j += 1
     records.sort(key=lambda o: (o.action, o.multiplicity[1], o.cz, o.label))
     return OrbitSpectrum(f"P(1,{x})", records)
-
-
-# ---------------------------------------------------------------------------
-# classical capacity sequences
-
-
-def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
-    """The K smallest elements of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
-    if K < 1:
-        raise ValueError("k must be >= 1")
-    finite = [Fraction(x) for x in a if x != INF]
-    if not finite:
-        raise ValueError("all ellipsoid parameters are infinite")
-    if any(x <= 0 for x in finite):
-        raise ValueError("ellipsoid parameters must be positive")
-    return sorted(x * i for x in finite for i in range(1, K + 1))[:K]
-
-
-def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
-    """k-th smallest element of {i*a_j : i >= 1}."""
-    return eh_sequence(a, k)[k - 1]
-
-
-def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
-    """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
-    if K < 0:
-        raise ValueError("k must be >= 0")
-    a = Fraction(a)
-    b = Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("ellipsoid parameters must be positive")
-    scale = math.lcm(a.denominator, b.denominator)
-    a_int = int(a * scale)
-    b_int = int(b * scale)
-    # at least K+1 lattice values lie at or below `top`: the unit squares of
-    # the points with i*a + j*b <= L cover a triangle of area L^2/(2ab),
-    # which exceeds K+1 at the first bound, and the K+1 points on the axis
-    # of min(a, b) up to index K lie at or below the second
-    top = min(math.isqrt(2 * a_int * b_int * (K + 1)) + 1, K * min(a_int, b_int))
-    values = sorted(
-        i * a_int + j * b_int
-        for i in range(top // a_int + 1)
-        for j in range((top - i * a_int) // b_int + 1)
-    )[: K + 1]
-    # values repeat, so share one Fraction per distinct value
-    distinct = {v: Fraction(v, scale) for v in set(values)}
-    return [distinct[v] for v in values]
-
-
-def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:
-    """(k+1)-st smallest of the multiset {i*a + j*b : i,j >= 0}."""
-    return ech_sequence(a, b, k)[k]
 
 
 # ---------------------------------------------------------------------------

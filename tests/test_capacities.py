@@ -1,9 +1,12 @@
 """Tests for the capacity layer: closed forms, spectral search, the finite
 word solver, four-dimensional sequences, weights, and stabilized bounds."""
 
+import copy
 import dataclasses
+import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -63,6 +66,41 @@ def test_domain_descriptor_text_forms():
     assert str(DomainDescriptor.ball(1)) == "B4(1)"
     assert str(DomainDescriptor.ellipsoid(1, 2)) == "E(1,2)"
     assert str(DomainDescriptor.polydisk(1, Fraction(3, 2))) == "P(1,3/2)"
+
+
+def test_domain_descriptor_is_an_immutable_value():
+    ball = DomainDescriptor.ball(2)
+    assert ball == DomainDescriptor("ball", (Fraction(2),))
+    assert hash(ball) == hash(DomainDescriptor("ball", [Fraction(4, 2)]))
+    assert ball.params == (Fraction(2),) and type(ball.params[0]) is Fraction
+    assert {ball, DomainDescriptor.ball(Fraction(2))} == {ball}
+    assert ball != DomainDescriptor.ball(3)
+    assert DomainDescriptor.ellipsoid(1, 2) != DomainDescriptor.polydisk(1, 2)
+    assert ball != ("ball", (Fraction(2),))
+    assert repr(DomainDescriptor.polydisk(1, Fraction(3, 2))) == (
+        "DomainDescriptor(kind='polydisk', params=(Fraction(1, 1), Fraction(3, 2)))"
+    )
+    assert str(DomainDescriptor.ball(Fraction(5, 2))) == "B4(5/2)"
+    for name in ("kind", "params", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ball, name, "ball")
+        with pytest.raises(AttributeError):
+            delattr(ball, name)
+    assert ball == DomainDescriptor.ball(2)
+    assert copy.deepcopy(ball) == ball and pickle.loads(pickle.dumps(ball)) == ball
+    for kind, params, message in (
+        ("cube", (1,), "unsupported domain kind 'cube'"),
+        ("ellipsoid", (2, 1), "domain parameters must be sorted"),
+        ("ball", (0,), "domain parameters must be positive"),
+        ("ball", (), "ball needs 1 parameter, got 0"),
+        ("ball", (1, 2), "ball needs 1 parameter, got 2"),
+        ("ellipsoid", (1,), "ellipsoid needs 2 parameters, got 1"),
+        ("ellipsoid", (1, 2, 3), "ellipsoid needs 2 parameters, got 3"),
+        ("polydisk", (1, 2, 3), "polydisk needs 2 parameters, got 3"),
+    ):
+        with pytest.raises(ValueError) as err:
+            DomainDescriptor(kind, params)
+        assert str(err.value) == message
 
 
 def test_domain_descriptor_validation():
@@ -505,6 +543,30 @@ def test_test_06_queries_build_one_lattice_per_spectrum(monkeypatch):
     for spectrum, k, rule in _test_06_queries():
         spectral_search(spectrum, 2 * k, 15, admissible=rule)
     assert built == [15] * 4
+
+
+def test_test_06_queries_cut_to_whole_lattice_units():
+    """Every leaf action is a whole number of lattice units, so the bound
+    rounds the missing action up: at c = 1 the 48 queries enter no more
+    nodes than at the benchmark's non-integer scales (1,246), and the rules
+    see the same multisets in the same order as under the unrounded cut."""
+    calls, nodes = [], 0
+    for spectrum, k, rule in _test_06_queries():
+
+        def spy(ends, spectrum=spectrum, k=k, rule=rule):
+            calls.append((spectrum.domain, k, tuple(e.label for e in ends)))
+            return rule(ends)
+
+        result = spectral_search(
+            spectrum, 2 * k, 15, admissible=None if rule is None else spy
+        )
+        nodes += result.nodes
+    assert nodes <= 1246
+    assert len(calls) == 89
+    # the call sequence under the unrounded cut, (best - action) * c <= ...
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
+        "4c25652c33ddb6423652e360bf1e314ffc44e01468fff5ead1067dddf0192575"
+    )
 
 
 def test_threads_sharing_spectra_get_the_serial_results():

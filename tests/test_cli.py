@@ -731,3 +731,45 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("exit 0") == len(commands)
+
+
+IMPORT_SCRIPT = """
+import json, sys
+import symcap.cli
+loaded = [m for m in ("dataclasses", "inspect", "symcap.spectra") if m in sys.modules]
+import symcap
+from symcap import spectra
+lazy = ["OrbitSpectrum", "conley_zehnder_ellipsoid", "ellipsoid_orbits",
+        "fredholm_index", "polydisk_orbits", "capacity_sequence_ECH",
+        "capacity_sequence_EH"]
+wrong = [n for n in lazy if getattr(symcap, n) is not getattr(spectra, n)]
+try:
+    symcap.no_such_name
+    missing = "resolved"
+except AttributeError as err:
+    missing = str(err)
+star = {}
+exec("from symcap import *", star)
+unbound = [n for n in symcap.__all__ if n not in star]
+domain = symcap.ellipsoid_orbits([1, 2], 2).domain
+print(json.dumps([loaded, wrong, missing, unbound, domain]))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_and_spectra_resolve_lazily():
+    """``cap`` pays for ``import symcap.cli`` on every command; the orbit
+    spectra, the package's only dataclasses, load on first use instead."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, wrong, missing, unbound, domain = json.loads(proc.stdout)
+    assert loaded == []
+    assert wrong == []
+    assert missing == "module 'symcap' has no attribute 'no_such_name'"
+    assert unbound == []
+    assert domain == "E(1,2)"

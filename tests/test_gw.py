@@ -23,7 +23,6 @@ from symcap.gw import (
     make_key,
     make_term,
     parse_constraint_expression,
-    push_point,
     reduce_combination,
     _expand_group,
     _positive_slots,
@@ -88,6 +87,36 @@ def test_rigidity():
 
 # ---------------------------------------------------------------------------
 # pushing a point constraint
+
+
+def push_point(key, source, target):
+    """The pushing-points relation as ``symcap.gw`` states it: push
+    the singleton constraint group ``source`` onto group ``target``.
+
+    ``target=None`` is the trivial relabel onto a fresh point (no change).
+    Returns the 1 + b output terms, each with unit coefficient multiplier.
+    The rewriter never calls this; the tests check its rewrites against it.
+    """
+    surface, cls, groups = key
+    if not 0 <= source < len(groups):
+        raise ValueError(f"source group index {source} out of range")
+    if len(groups[source]) != 1:
+        raise ValueError("source group must be a singleton constraint")
+    if target is None:
+        return [(key, Fraction(1))]
+    if not 0 <= target < len(groups) or target == source:
+        raise ValueError("target must be a distinct group index")
+    m = groups[source][0]
+    rest = [g for i, g in enumerate(groups) if i not in (source, target)]
+    tgt = groups[target]
+    joined = rest + [tuple(sorted(tgt + (m,), reverse=True))]
+    out = [((surface, cls, canonical_groups(joined)), Fraction(1))]
+    for i in range(len(tgt)):
+        merged = list(tgt)
+        merged[i] = tgt[i] + m + 1
+        merged_groups = canonical_groups(rest + [tuple(merged)])
+        out.append(((surface, cls, merged_groups), Fraction(1)))
+    return out
 
 
 def test_push_point_join_and_merges():

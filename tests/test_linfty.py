@@ -22,7 +22,6 @@ from symcap.linfty import (
     augmentation_hat_combo,
     augmentation_pushforward_mc,
     check_linfty_relations,
-    check_morphism,
     coderivation_on_combo,
     compose_morphisms,
     deform,
@@ -30,7 +29,6 @@ from symcap.linfty import (
     extend_coderivation,
     extend_morphism,
     f_epsilon_map,
-    identity_morphism,
     inverse_scalar_augmentation,
     linearize,
     mc_check,
@@ -821,6 +819,26 @@ def test_rejects_augmentation_below_filtration_level():
 
 # ---------------------------------------------------------------------------
 # morphisms
+
+
+def identity_morphism(model):
+    comps = {}
+    for g in model.ordered_generators:
+        w = Word([g])
+        comps[(1, w)] = {w: NovikovPolynomial.unit(model.cutoff)}
+    return LInfinityMorphism(model, model, comps)
+
+
+def check_morphism(m, max_word_len):
+    """Violations of Φ̂∘l̂ = l̂'∘Φ̂ on basis words up to the length bound."""
+    violations = []
+    for w in m.source.basis_words(max_word_len):
+        residual = morphism_on_combo(m, extend_coderivation(m.source, w))
+        for u, c in coderivation_on_combo(m.target, extend_morphism(m, w)).items():
+            add_into(residual, u, -c)
+        if residual:
+            violations.append((w, residual))
+    return violations
 
 
 def test_extend_morphism_two_letter_expansion():
