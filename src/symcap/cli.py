@@ -1,4 +1,5 @@
-"""The ``cap`` command line tool.
+"""The ``cap`` command line tool.  Each call builds only the parser branch
+of the command it runs, so a command pays for no other command's arguments.
 
 Subcommands
 -----------
@@ -241,11 +242,14 @@ def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("k", "exact", "decimal"))
+    last = cells = None  # sequences repeat values in runs: format a run once
     for k, value in zip(ks, _capacity_values(family, kind, axes, ks), strict=True):
         if isinstance(value, str):
             writer.writerow((k, value, ""))
-        else:
-            writer.writerow((k, fmt_rational(value), f"{float(value):.6g}"))
+            continue
+        if value is not last and value != last:
+            last, cells = value, (fmt_rational(value), f"{float(value):.6g}")
+        writer.writerow((k, *cells))
     return buf.getvalue().encode("utf-8")
 
 
@@ -492,17 +496,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="cap",
-        description="Symplectic capacity tables and embedding obstructions.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cap = sub.add_parser("capacity", help="capacity tables for a domain")
+def _configure_capacity(cap: _Parser) -> None:
     cap.add_argument(
         "--family",
         required=True,
@@ -515,7 +509,8 @@ def build_parser() -> _Parser:
     cap.add_argument("--no-cache", action="store_true")
     cap.set_defaults(func=cmd_capacity)
 
-    obs = sub.add_parser("obstruct", help="embedding obstructions")
+
+def _configure_obstruct(obs: _Parser) -> None:
     obs.add_argument("--source", required=True)
     obs.add_argument("--target", required=True)
     obs.add_argument(
@@ -526,7 +521,8 @@ def build_parser() -> _Parser:
     obs.add_argument("--K", type=int, default=100, help="comparison depth")
     obs.set_defaults(func=cmd_obstruct)
 
-    linf = sub.add_parser("linf", help="model-file operations")
+
+def _configure_linf(linf: _Parser) -> None:
     linf_sub = linf.add_subparsers(dest="linf_cmd", required=True)
     for name in ("check", "linearize", "mc", "solve-gb"):
         p = linf_sub.add_parser(name)
@@ -553,7 +549,8 @@ def build_parser() -> _Parser:
                 help="search levels up to this action",
             )
 
-    gwp = sub.add_parser("gw", help="tangency rewriting calculus")
+
+def _configure_gw(gwp: _Parser) -> None:
     gw_sub = gwp.add_subparsers(dest="gw_cmd", required=True)
     for name in ("reduce", "evaluate"):
         p = gw_sub.add_parser(name)
@@ -562,11 +559,38 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=cmd_gw)
 
+
+COMMANDS = {
+    "capacity": ("capacity tables for a domain", _configure_capacity),
+    "obstruct": ("embedding obstructions", _configure_obstruct),
+    "linf": ("model-file operations", _configure_linf),
+    "gw": ("tangency rewriting calculus", _configure_gw),
+}
+
+
+def build_parser(argv: Sequence[str]) -> _Parser:
+    """The ``cap`` parser, listing every command but adding arguments only
+    to the one ``argv`` runs: the root takes no option with a value, so its
+    first argument not starting with ``-`` names the command."""
+    parser = _Parser(
+        prog="cap",
+        description="Symplectic capacity tables and embedding obstructions.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, configure) in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        if name == command:
+            configure(command_parser)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -122,40 +122,28 @@ def is_rigid(key: Key) -> bool:
 # the rewrite
 
 
-def _canon(rest: list, *fresh: tuple) -> tuple:
-    """``canonical_groups(rest + fresh)`` for validated integer groups, with
-    ``rest`` already canonical and each fresh group descending: only sorts
-    the groups."""
-    groups = rest + list(fresh)
-    groups.sort(reverse=True)
-    return tuple(groups)
+def _group_rewrite(group: Group, order: int) -> tuple[int, list[tuple[tuple, int]]]:
+    """Solve the pushing relation for a group containing a positive order.
 
-
-def _expand_group(
-    key: Key, group_idx: int, order: int
-) -> tuple[int, list[tuple[Key, int]]]:
-    """Solve the pushing relation for the group containing a positive order.
-
-    Writing the chosen group as {M} ∪ R and pushing T^{M-1} onto R ∪ {0},
-    every zero of R ∪ {0} merges back to the original group; with z zeros in
-    R this gives
+    Writing the group as {M} ∪ R and pushing T^{M-1} onto R ∪ {0}, every
+    zero of R ∪ {0} merges back to the original group; with z zeros in R
+    this gives
 
       (1+z)·<{M}∪R, rest> = <(M-1),(R∪{0}), rest> - <{M-1}∪R∪{0}, rest>
                             - Σ_{r∈R, r>0} <(R\\r)∪{0, r+M}, rest>
 
-    Returns the denominator 1+z and the sub-terms with their integer
-    multipliers, so sub-term i carries coefficient multiplier_i / (1+z).
+    Returns the denominator 1+z and, per sub-term, the descending groups
+    that replace the group and the integer multiplier, so sub-term i
+    carries coefficient multiplier_i / (1+z).  The other groups ("rest")
+    are untouched.
     """
-    surface, cls, groups = key
     M = order
-    r_rest = list(groups[group_idx])  # descending, so R ∪ {0} is too
+    r_rest = list(group)  # descending, so R ∪ {0} is too
     r_rest.remove(M)
-    rest = list(groups)
-    del rest[group_idx]
     joined = sorted(r_rest + [M - 1], reverse=True)
-    out: list[tuple[Key, int]] = [
-        ((surface, cls, _canon(rest, (M - 1,), (*r_rest, 0))), 1),
-        ((surface, cls, _canon(rest, (*joined, 0))), -1),
+    out: list[tuple[tuple, int]] = [
+        (((M - 1,), (*r_rest, 0)), 1),
+        (((*joined, 0),), -1),
     ]
     prev = None
     for r in r_rest:
@@ -165,24 +153,34 @@ def _expand_group(
         swapped = list(r_rest)
         swapped.remove(r)
         swapped.append(r + M)
-        term = _canon(rest, (*sorted(swapped, reverse=True), 0))
-        out.append(((surface, cls, term), -r_rest.count(r)))
+        out.append((((*sorted(swapped, reverse=True), 0),), -r_rest.count(r)))
     return 1 + r_rest.count(0), out
+
+
+def _expand_group(
+    key: Key, group_idx: int, order: int
+) -> tuple[int, list[tuple[Key, int]]]:
+    """:func:`_group_rewrite` of the chosen group, with the other groups
+    kept: the denominator and the canonical sub-terms with multipliers."""
+    surface, cls, groups = key
+    den, fresh = _group_rewrite(groups[group_idx], order)
+    rest = groups[:group_idx] + groups[group_idx + 1 :]
+    return den, [
+        ((surface, cls, tuple(sorted(rest + new, reverse=True))), c)
+        for new, c in fresh
+    ]
+
+
+def _group_slots(group_idx: int, group: Group) -> list[tuple[int, int]]:
+    """(group index, order) for each distinct positive order of the group,
+    ascending."""
+    return [(group_idx, m) for m in sorted(set(group)) if m]
 
 
 def _positive_slots(key: Key) -> list[tuple[int, int]]:
     """(group index, order) for each distinct positive order, groups in
     order and orders ascending within a group."""
-    slots = []
-    for gi, g in enumerate(key[2]):
-        if not g[0]:
-            break  # groups descend, so every later group is all zeros
-        prev = 0
-        for m in reversed(g):
-            if m > prev:
-                slots.append((gi, m))
-                prev = m
-    return slots
+    return [slot for gi, g in enumerate(key[2]) for slot in _group_slots(gi, g)]
 
 
 def reduce_combination(
@@ -200,18 +198,21 @@ def reduce_combination(
     with an added point, are checked again.  ``rng`` randomizes which
     group/order is expanded first; any choice is admissible, and fixtures
     assert the result is invariant.  A ``trace`` list, when given, collects
-    (term, [(sub-term, Fraction)]) pairs, one per rewrite step.
+    (term, [(sub-term, Fraction)]) pairs, one per rewrite step.  Nesting
+    past the interpreter's recursion limit raises ``ValueError``.
 
     Two passes, each term handled once:
 
-    1. *Expand.*  A depth-first search from the input terms records each
-       reachable term's expansion: a denominator and (sub-term, integer
-       multiplier) pairs, no pairs for a dropped non-rigid term, and
-       ``None`` for an order-zero base term.  It draws from ``rng`` and
-       appends to ``trace`` at a term's first visit, then visits the
-       sub-terms in expansion order: the order in which a recursion that
-       reduces each sub-term before returning reaches them, so draws and
-       traces are those of reducing each term recursively.
+    1. *Expand.*  A depth-first search from the input terms gives each
+       reachable term an int id and records its expansion by id: a
+       denominator and (sub-term id, integer multiplier) pairs, no pairs
+       for a dropped non-rigid term, and ``None`` for an order-zero base
+       term.  Each group's slots and rewrites are worked out once per call.
+       It draws from ``rng`` and appends to ``trace`` at a term's first
+       visit, then visits the sub-terms in expansion order: the order in
+       which a recursion that reduces each sub-term before returning
+       reaches them, so draws and traces are those of reducing each term
+       recursively.
     2. *Propagate.*  Reverse post-order is topological, parents first
        (every rewrite strictly lowers the (order sum, positive orders)
        measure), so a term's weight is complete when it is reached.  A
@@ -229,79 +230,85 @@ def reduce_combination(
                 f"non-rigid input term: codimension {codimension(key)} != "
                 f"index dimension {index_dimension(surface, key[1])}"
             )
-    expansions: dict[Key, Optional[tuple[int, list]]] = {}
-    post_order: list[Key] = []
+    ids: dict[Key, int] = {}
+    expansions: list[Optional[tuple[int, list]]] = []
+    post_order: list[int] = []
     dropped = (1, [])
-    trace_coeffs: dict[tuple[int, int], Fraction] = {}
+    group_slots = functools.cache(_group_slots)
+    group_rewrite = functools.cache(_group_rewrite)
+    shared_fraction = functools.cache(Fraction)
 
-    def expand(key: Key) -> None:
-        if key[0] == "CP1" and not is_rigid(key):
-            expansion = dropped
-        elif slots := _positive_slots(key):
-            gi, m = rng.choice(slots) if rng is not None else slots[-1]
-            expansion = _expand_group(key, gi, m)
-            if trace is not None:
-                den, subs = expansion
-                steps = []
-                for sub, c in subs:
-                    coeff = trace_coeffs.get((c, den))
-                    if coeff is None:
-                        coeff = trace_coeffs[c, den] = Fraction(c, den)
-                    steps.append((sub, coeff))
-                trace.append((key, steps))
+    def expand(key: Key) -> int:
+        i = ids[key] = len(expansions)
+        expansions.append(None)
+        surface, cls, groups = key
+        slots = []
+        if surface == "CP1" and not is_rigid(key):
+            expansions[i] = dropped
         else:
-            expansion = None
-        expansions[key] = expansion
-        if expansion is not None:
-            for sub, _ in expansion[1]:
-                if sub not in expansions:
-                    expand(sub)
-        post_order.append(key)
+            for gi, g in enumerate(groups):
+                if not g[0]:
+                    break  # groups descend, so every later group is all zeros
+                slots += group_slots(gi, g)
+        if slots:
+            gi, m = rng.choice(slots) if rng is not None else slots[-1]
+            den, fresh = group_rewrite(groups[gi], m)
+            rest = groups[:gi] + groups[gi + 1 :]
+            subs = [
+                ((surface, cls, tuple(sorted(rest + new, reverse=True))), c)
+                for new, c in fresh
+            ]
+            if trace is not None:
+                trace.append((key, [(sub, shared_fraction(c, den)) for sub, c in subs]))
+            edges = []
+            for sub, c in subs:
+                j = ids.get(sub)
+                edges.append((expand(sub) if j is None else j, c))
+            expansions[i] = (den, edges)
+        post_order.append(i)
+        return i
 
-    for key in expr:
-        if key not in expansions:
-            expand(key)
+    try:
+        for key in expr:
+            if key not in ids:
+                expand(key)
+    except RecursionError:
+        raise ValueError("the rewrite nests too deeply to reduce") from None
 
-    weights: dict[Key, tuple[int, int]] = {}
+    keys = list(ids)
+    weights: list[Optional[tuple[int, int]]] = [None] * len(keys)
     for key, coeff in expr.items():
         coeff = Fraction(coeff)
         if coeff:
-            _add_weight(weights, key, coeff.numerator, coeff.denominator)
+            weights[ids[key]] = (coeff.numerator, coeff.denominator)
     result: Combination = {}
-    for key in reversed(post_order):
-        w = weights.pop(key, None)
+    for i in reversed(post_order):
+        w = weights[i]
         if w is None:
             continue
         num, den = w
         g = gcd(num, den)
         num, den = num // g, den // g
-        expansion = expansions[key]
+        expansion = expansions[i]
         if expansion is None:
-            result[key] = Fraction(num, den)
+            result[keys[i]] = Fraction(num, den)
             continue
-        sub_den, subs = expansion
+        sub_den, edges = expansion
         den *= sub_den
-        for sub, c in subs:
-            _add_weight(weights, sub, num * c, den)
+        for j, c in edges:
+            # weights[j] += num·c/den over the lcm of the denominators
+            prev = weights[j]
+            if prev is None:
+                weights[j] = (num * c, den)
+                continue
+            a, b = prev
+            if b == den:
+                n, d = a + num * c, den
+            else:
+                g = gcd(b, den)
+                n, d = a * (den // g) + num * c * (b // g), b // g * den
+            weights[j] = (n, d) if n else None  # a cancelled weight stops here
     return result
-
-
-def _add_weight(weights: dict, key: Key, num: int, den: int) -> None:
-    """``weights[key] += num/den`` on integer pairs, over the lcm of the
-    denominators, dropping a weight that cancels to zero."""
-    prev = weights.get(key)
-    if prev is not None:
-        a, b = prev
-        if b == den:
-            num += a
-        else:
-            g = gcd(b, den)
-            num = a * (den // g) + num * (b // g)
-            den = b // g * den
-        if not num:
-            del weights[key]
-            return
-    weights[key] = (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,7 @@ def load_table(path) -> BaseInvariantTable:
 
 
 def key_formatter() -> Callable[[Key], str]:
-    """A :func:`format_key` for one command: each distinct key, and each
+    """The text of a key, for one command: each distinct key, and each
     distinct group across all keys, is formatted once."""
     group_texts: dict[Group, str] = {}
 
@@ -425,10 +432,6 @@ def key_formatter() -> Callable[[Key], str]:
         return f"{surface} d={cls_text} <{body}>"
 
     return name
-
-
-def format_key(key: Key) -> str:
-    return key_formatter()(key)
 
 
 def format_combination(expr: Combination) -> str:

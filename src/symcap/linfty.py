@@ -657,34 +657,6 @@ def morphism_on_combo(m: LInfinityMorphism, combo: Combo) -> Combo:
     return _extend_linearly(lambda w: extend_morphism(m, w), combo)
 
 
-def compose_morphisms(
-    psi: LInfinityMorphism,
-    phi: LInfinityMorphism,
-    max_word_len: Optional[int] = None,
-) -> LInfinityMorphism:
-    """Components of Ψ̂∘Φ̂, materialized up to the given word length."""
-    if phi.target is not psi.source:
-        raise ModelError("compose_morphisms: target(phi) must be source(psi)")
-    if phi.source.algebra_mode == "cdga":
-        comps = {}
-        for g in phi.source.ordered_generators:
-            w = Word([g])
-            total = _extend_linearly(psi.apply_to_monomial, phi.apply_to_monomial(w))
-            if total:
-                comps[(1, w)] = total
-        return LInfinityMorphism(phi.source, psi.target, comps)
-    if max_word_len is None:
-        max_word_len = max(1, phi.max_arity() * psi.max_arity())
-    comps: dict[tuple[int, Word], Combo] = {}
-    for w in phi.source.basis_words(max_word_len):
-        total = _extend_linearly(
-            lambda u: psi.components.get((len(u), u), {}), extend_morphism(phi, w)
-        )
-        if total:
-            comps[(len(w), w)] = total
-    return LInfinityMorphism(phi.source, psi.target, comps)
-
-
 # ---------------------------------------------------------------------------
 # Maurer-Cartan theory
 

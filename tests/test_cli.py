@@ -1,11 +1,14 @@
 """End-to-end tests for the ``cap`` command line tool."""
 
+import argparse
+import hashlib
 import json
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,6 +191,52 @@ def test_source_digest_follows_the_package_sources(tmp_path):
         fh.write("\n")
     assert cli.source_digest(same) == cli.source_digest()
     assert cli.source_digest(edited) != cli.source_digest()
+
+
+# the bench's four range tables: sha256 of stdout, of the CSV table and of
+# the manifest, recorded before ``_capacity_csv`` formatted each run of equal
+# values once; the source digest and version are pinned so that the manifest
+# names the same cache file on every tree
+RANGE_TABLE_DIGESTS = {
+    ("eh", "E:1,13/2", "1..500"): (
+        "c85d605eaa544cfc02762edb58c355f1df1811d643ca95990bf0c9e91a628685",
+        "7047a9b508029378d9504570d148dae3a04fde31bda886524069442f31b1694e",
+        "de85d0234d84710a4ca4eb52501360f3660843131406e4fc913c775d8a9c70d0",
+    ),
+    ("ech", "E:1,13/2", "1..2000"): (
+        "1788e46aa5d0d6ec2c2c8f9e8f2d8bd7e715367a8ccaf5092fbf806c2933cf57",
+        "74a7077c406b07abe58737177f4111c64a0dd9870e065dc86b79083550a63542",
+        "ecebbb8dd9ca2cc7fa9787e10ecccadc36b60ef25b6667151db00b600e666b34",
+    ),
+    ("g-tangency", "P:1,3", "1..2000"): (
+        "7a8c87bbc96c3396f4fc9f17a8b38fd9ca7ed5991f049f2dead48f424f30ce63",
+        "d74c36b4b4d46edc56ff583cd6f0afa0e581541f7823f61c18f845325f7686aa",
+        "215b7148aa99ac6c9300b00f4352eb1cac66d03871d2d8c21a16eabf023b31a7",
+    ),
+    ("r-points", "B:2", "1..2000"): (
+        "7214febe38f3a50624e9f536693693734f1fa183c7c464d159313a25a0ef739f",
+        "4b7d25496dc6e0583aa9cee41d69ce226fdff3ba420d0a02b76f2b50c47c081d",
+        "e1f78b59e348e9cf23be9b7d188f8daa804dd8c2a95d7fe0abdd1f8913b66ed3",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,domain,k", list(RANGE_TABLE_DIGESTS))
+def test_range_tables_are_byte_identical(
+    capsys, isolated_cache, monkeypatch, family, domain, k
+):
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cli, "__version__", "0")
+    argv = ["capacity", "--family", family, "--domain", domain, "--k", k]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (table,) = (isolated_cache / "capacity").glob("*.csv")
+    manifest = table.with_suffix(".manifest.json")
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (out.encode(), table.read_bytes(), manifest.read_bytes())
+    )
+    assert digests == RANGE_TABLE_DIGESTS[family, domain, k]
 
 
 def test_no_cache_leaves_no_files(capsys, isolated_cache):
@@ -540,6 +589,25 @@ def test_gw_reduce_is_seed_invariant(capsys):
     assert len(outputs) == 1
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "reduce", "<(T^1100 p)>"],
+        ["gw", "evaluate", "CP2 d=400 <(T^1198 p)>", "--table", "base.tbl"],
+    ],
+)
+def test_gw_rewrites_nested_too_deeply_exit_one(capsys, fixtures_dir, argv):
+    """The depth-first expand pass stops at the recursion limit, within a
+    fraction of a second, instead of printing a traceback."""
+    argv = [str(fixtures_dir / a) if a == "base.tbl" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert err == "cap: error: the rewrite nests too deeply to reduce\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and wiring
 
@@ -682,6 +750,92 @@ def test_unusable_paths_exit_one(capsys, fixtures_dir, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("cap: error: ") and "Traceback" not in err, argv
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+# sha256 of stdout (stderr empty, exit 0) for help and version requests, and
+# the one ``cap: error:`` line (stdout empty, exit 1) for parser errors, as
+# recorded when every command's parser was built on each call; help is
+# wrapped at 80 columns
+PARSER_STDOUT_DIGESTS = {
+    "--help": "982c77c6f9723c65125be8b9c25644b994acbd6000a5e15a507c27aebdfe9fb2",
+    "--version": "6ba7e2db162dd1e059ca26431ba5349ad35d227f5c5e5ef10dd7c60e138f221e",
+    "--version capacity": "6ba7e2db162dd1e059ca26431ba5349ad35d227f5c5e5ef10dd7c60e138f221e",
+    "-h capacity": "982c77c6f9723c65125be8b9c25644b994acbd6000a5e15a507c27aebdfe9fb2",
+    "capacity --help": "780c9cabb4ccca03ac2f3320a13bf8c64468c900c445285e24375c38a0c857f9",
+    "gw --help": "edf589597e204a2fddc563babe0822bf48dcdd512477fd423c53e5bb43e3ef44",
+    "gw evaluate --help": "6f3210279dae8e27869af1ef3b8c73fb952611836812e93173bb85a6612a2039",
+    "gw reduce --help": "6b30dd5b6f7120d98e3948bf2a28364eb95aed41529de265baa6234aa2decd8c",
+    "linf --help": "bf57b132e86d9cc6eb98bcd6c3ac3d7c8c7b086c6a70e4423fe2d2de2cc6fc6f",
+    "linf check --help": "cec737df97dda9144edcad223c44977b5e0b5e10f42a898485a2722b8c251ec5",
+    "linf linearize --help": "a544855a472d0d1d2f043f48baad4d759aff4c4ca7a24b1ec38fe03ebe771b03",
+    "linf mc --help": "111b928a2843dff5f97cc11a506cbf97e99c763840511c6e37ac9fc16d95ee33",
+    "linf solve-gb --help": "71495afa2605a3ebb53e1274713679f0b0b86bf2204d080ef58540f52786aeb5",
+    "obstruct --help": "ac3fbec4ec3a06268aae9d292bb1d01f7b6559de71974fac5984e68bda1fa2e0",
+}
+PARSER_ERRORS = {
+    "capacity": "the following arguments are required: --family, --domain, --k",
+    "capacity --family x --domain B --k 1": (
+        "argument --family: invalid choice: 'x' "
+        "(choose from 'eh', 'gh', 'ech', 'g-tangency', 'r-points')"
+    ),
+    "gw": "the following arguments are required: gw_cmd",
+    "gw nope": (
+        "argument gw_cmd: invalid choice: 'nope' (choose from 'reduce', 'evaluate')"
+    ),
+    "linf": "the following arguments are required: linf_cmd",
+    "linf nope": (
+        "argument linf_cmd: invalid choice: 'nope' "
+        "(choose from 'check', 'linearize', 'mc', 'solve-gb')"
+    ),
+    "linf solve-gb m --action-cutoff 1/0 --b t": (
+        "argument --action-cutoff: invalid rational value: '1/0'"
+    ),
+    "nope": (
+        "argument command: invalid choice: 'nope' "
+        "(choose from 'capacity', 'obstruct', 'linf', 'gw')"
+    ),
+    "obstruct --source B --target B --K x": "argument --K: invalid int value: 'x'",
+}
+
+
+@pytest.mark.parametrize("argv", [*PARSER_STDOUT_DIGESTS, *PARSER_ERRORS])
+def test_parser_output_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # help and --version exit through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    if argv in PARSER_STDOUT_DIGESTS:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, PARSER_STDOUT_DIGESTS[argv], "")
+    else:
+        assert (code, out, err) == (1, "", f"cap: error: {PARSER_ERRORS[argv]}\n")
+
+
+
+@pytest.mark.parametrize(
+    "argv,command",
+    [
+        (["--version"], None),
+        (["nope", "capacity"], None),
+        (["capacity", "--family", "ech"], "capacity"),
+        (["-h", "linf", "check"], "linf"),
+        (["--", "gw", "reduce", "<(T^1 p)>"], "gw"),
+    ],
+)
+def test_build_parser_configures_only_the_command_it_runs(argv, command):
+    """Every command is listed for help and errors, but only the one the
+    first argument not starting with ``-`` names gets its arguments."""
+    parser = cli.build_parser(argv)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["capacity", "obstruct", "linf", "gw"]
+    configured = {name for name, p in sub.choices.items() if len(p._actions) > 1}
+    assert configured == ({command} if command else set())
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symcap.cli import main
@@ -16,7 +16,7 @@ from symcap.gw import (
     codimension,
     evaluate,
     format_combination,
-    format_key,
+    key_formatter,
     index_dimension,
     is_rigid,
     load_table,
@@ -308,6 +308,57 @@ def test_reduce_matches_the_memoized_recursion(surface, cls, order, seed):
         assert gcd(coeff.numerator, coeff.denominator) == 1
 
 
+oracle_groups = st.lists(
+    st.lists(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4
+).filter(lambda groups: sum(map(sum, groups)) <= 10)
+
+
+@st.composite
+def oracle_keys(draw):
+    """A surface-free key, or a rigid CP2, CP1xCP1 or CP1 key whose class
+    is read off its codimension; a key with no integer class is skipped."""
+    surface = draw(st.sampled_from([None, "CP2", "CP1xCP1", "CP1"]))
+    groups = draw(oracle_groups)
+    points = sum(map(len, groups))
+    orders = sum(map(sum, groups))
+    cls = None
+    if surface == "CP2":  # 2 points + 2 orders = 6d - 2
+        assume((2 * points + 2 * orders + 2) % 6 == 0)
+        cls = (2 * points + 2 * orders + 2) // 6
+    elif surface == "CP1xCP1":  # 2 points + 2 orders = 4(d1 + d2) - 2
+        assume((points + orders + 1) % 2 == 0)
+        total = (points + orders + 1) // 2
+        d1 = draw(st.integers(0, total))
+        cls = (d1, total - d1)
+    elif surface == "CP1":  # 2 orders = 4d - 4
+        assume(orders % 2 == 0)
+        cls = orders // 2 + 1
+    key = make_key(groups, surface=surface, cls=cls)
+    assert surface is None or is_rigid(key)
+    return key
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        oracle_keys(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=1,
+        max_size=2,
+    ),
+    st.one_of(st.none(), st.integers(0, 2**32)),
+)
+def test_reduce_matches_the_memoized_recursion_on_random_keys(expr, seed):
+    rng = lambda: None if seed is None else random.Random(seed)
+    want_trace, got_trace = [], []
+    want = _reference_reduce(expr, rng=rng(), trace=want_trace)
+    got = reduce_combination(expr, rng=rng(), trace=got_trace)
+    assert got == want
+    assert got_trace == want_trace
+    for coeff in got.values():
+        assert type(coeff) is Fraction
+
+
 def _codimension_by_formula(surface, groups):
     return sum((0 if surface == "CP1" else 2) + 2 * m for g in groups for m in g)
 
@@ -549,6 +600,11 @@ def test_parse_constraint_expression_forms():
     for text in ("<(T^1 p),(T^2 p) p>", "<(T^1 p)garbage(p)>", "<(T^1 p),(p)> extra>"):
         with pytest.raises(ValueError, match="outside the groups"):
             parse_constraint_expression(text)
+
+
+def format_key(key):
+    """One key's text, as ``cap gw`` prints it."""
+    return key_formatter()(key)
 
 
 def test_format_key_and_combination():

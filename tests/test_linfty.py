@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from symcap.linfty import (
     Augmentation,
+    Combo,
     IntegrityError,
     LInfinityModel,
     LInfinityMorphism,
@@ -23,7 +25,6 @@ from symcap.linfty import (
     augmentation_pushforward_mc,
     check_linfty_relations,
     coderivation_on_combo,
-    compose_morphisms,
     deform,
     exp_mc,
     extend_coderivation,
@@ -34,6 +35,7 @@ from symcap.linfty import (
     mc_check,
     mc_pushforward,
     morphism_on_combo,
+    _extend_linearly,
     _operation_splits,
     _partition_blocks,
     _relation_residual,
@@ -839,6 +841,34 @@ def check_morphism(m, max_word_len):
         if residual:
             violations.append((w, residual))
     return violations
+
+
+def compose_morphisms(
+    psi: LInfinityMorphism,
+    phi: LInfinityMorphism,
+    max_word_len: Optional[int] = None,
+) -> LInfinityMorphism:
+    """Components of Ψ̂∘Φ̂, materialized up to the given word length."""
+    if phi.target is not psi.source:
+        raise ModelError("compose_morphisms: target(phi) must be source(psi)")
+    if phi.source.algebra_mode == "cdga":
+        comps = {}
+        for g in phi.source.ordered_generators:
+            w = Word([g])
+            total = _extend_linearly(psi.apply_to_monomial, phi.apply_to_monomial(w))
+            if total:
+                comps[(1, w)] = total
+        return LInfinityMorphism(phi.source, psi.target, comps)
+    if max_word_len is None:
+        max_word_len = max(1, phi.max_arity() * psi.max_arity())
+    comps: dict[tuple[int, Word], Combo] = {}
+    for w in phi.source.basis_words(max_word_len):
+        total = _extend_linearly(
+            lambda u: psi.components.get((len(u), u), {}), extend_morphism(phi, w)
+        )
+        if total:
+            comps[(len(w), w)] = total
+    return LInfinityMorphism(phi.source, psi.target, comps)
 
 
 def test_extend_morphism_two_letter_expansion():
