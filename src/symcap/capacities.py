@@ -149,7 +149,11 @@ def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
         raise ValueError("all ellipsoid parameters are infinite")
     if any(x <= 0 for x in finite):
         raise ValueError("ellipsoid parameters must be positive")
-    return sorted(x * i for x in finite for i in range(1, K + 1))[:K]
+    scale = math.lcm(*(x.denominator for x in finite))
+    ints = [x.numerator * (scale // x.denominator) for x in finite]
+    values = sorted(v * i for v in ints for i in range(1, K + 1))[:K]
+    distinct = {v: Fraction(v, scale) for v in set(values)}
+    return [distinct[v] for v in values]
 
 
 def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:

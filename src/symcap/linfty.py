@@ -340,30 +340,40 @@ class LInfinityModel:
         Letters are taken in nondecreasing position and an odd letter never
         twice, so every word is already canonical with sign 1.  A letter is
         skipped when the letters still to come, of size at least 1 each, no
-        longer fit the budget.
+        longer fit the budget.  Actions are summed as integers over the lcm
+        of the cap's and the letters' denominators; letters are sorted by
+        action, so the first letter past the cap ends the loop.
         """
         out: list[Word] = []
+        n = len(letters)
+        if cap is None:
+            # all weights 0 under a limit of 0: no letter ever overshoots
+            weights, limit = [0] * n, 0
+        else:
+            scale = math.lcm(cap.denominator, *(l.action.denominator for l in letters))
+            weights = [l.action.numerator * (scale // l.action.denominator) for l in letters]
+            limit = cap.numerator * (scale // cap.denominator)
 
-        def rec(start: int, left: int, budget: int, acc: list, action: Fraction):
+        def rec(start: int, left: int, budget: int, acc: list, action: int):
             if left == 0:
                 out.append(Word(acc))
                 return
-            for i in range(start, len(letters)):
+            for i in range(start, n):
+                a = action + weights[i]
+                if a > limit:
+                    break
                 l = letters[i]
                 if l.degree % 2 and acc and acc[-1] == l:
                     continue
                 rest = budget - sizes[i]
                 if rest < left - 1:
                     continue
-                a = action + l.action
-                if cap is not None and a > cap:
-                    continue
                 acc.append(l)
                 rec(i, left - 1, rest, acc, a)
                 acc.pop()
 
         for count in range(1, budget + 1):
-            rec(0, count, budget, [], Fraction(0))
+            rec(0, count, budget, [], 0)
         return out
 
     # -- applying operations -------------------------------------------------

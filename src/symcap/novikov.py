@@ -21,7 +21,8 @@ INF = math.inf
 
 
 def fmt_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -5,7 +5,12 @@ The records are dataclasses, so ``symcap`` loads this module on first use,
 off the ``cap`` import path; it re-exports the EH and ECH sequences, which
 live in :mod:`symcap.capacities`.
 
-Conley-Zehnder indices use the closed form
+Both spectra are enumerated on an integer action lattice: every axis and
+the cutoff are scaled by the lcm of their denominators, iterates are
+generated and sorted on integer keys, and each record gets its one
+``Fraction`` action only when it is built.
+
+Conley-Zehnder indices use one closed form, on those integer axes:
 ``CZ(k-th iterate of orbit j) = n-1 + 2k + 2*sum_{i != j} floor(k*a_j/a_i)``
 with ties resolved by the symbolic perturbation ``a_m -> a_m*(1 + m*delta)``
 for infinitesimal ``delta > 0``: a ratio that is exactly an integer ``r``
@@ -17,6 +22,7 @@ and CZ = n-1+2k for the k-th orbit of the round ball in any dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -67,50 +73,49 @@ def _check_axes(a: Sequence[Axis]) -> list[Fraction]:
     return out
 
 
-def _floor_perturbed(ratio: Fraction, other_below: bool) -> int:
-    """floor(ratio) after the symbolic tie-break; exact integers round down
-    by one when the other axis is perturbed upward past this one."""
-    if ratio.denominator == 1:
-        r = ratio.numerator
-        return r if other_below else r - 1
-    return ratio.numerator // ratio.denominator
+def _scaled(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def _cz(axes: Sequence[int], j: int, k: int) -> int:
+    """CZ of the k-th iterate of orbit j (1-based) on integer axes; an
+    exact ratio r = k*a_j/a_i counts r if i < j, else r - 1."""
+    total = len(axes) - 1 + 2 * k
+    kaj = k * axes[j - 1]
+    for i, ai in enumerate(axes, start=1):
+        if i != j:
+            q, r = divmod(kaj, ai)
+            total += 2 * (q if r or i < j else q - 1)
+    return total
 
 
 def conley_zehnder_ellipsoid(a: Sequence[Axis], j: int, k: int) -> int:
     """CZ index of the k-th iterate of the j-th (1-based) simple orbit."""
     axes = _check_axes(a)
-    n = len(axes)
-    if not 1 <= j <= n:
+    if not 1 <= j <= len(axes):
         raise ValueError(f"orbit index {j} out of range")
     if k < 1:
         raise ValueError("iterate must be >= 1")
-    total = n - 1 + 2 * k
-    for i, ai in enumerate(axes, start=1):
-        if i == j:
-            continue
-        total += 2 * _floor_perturbed(Fraction(k) * axes[j - 1] / ai, i < j)
-    return total
+    scale = math.lcm(*(x.denominator for x in axes))
+    return _cz([_scaled(x, scale) for x in axes], j, k)
 
 
 def ellipsoid_orbits(a: Sequence[Axis], cutoff: Axis) -> OrbitSpectrum:
     """All iterates with action k*a_j <= cutoff, sorted by (action, axis)."""
     axes = _check_axes(a)
     cutoff = Fraction(cutoff)
-    records = []
-    for j, aj in enumerate(axes, start=1):
-        k = 1
-        while k * aj <= cutoff:
-            records.append(
-                OrbitRecord(
-                    label=f"g{j}^{k}",
-                    action=k * aj,
-                    cz=conley_zehnder_ellipsoid(axes, j, k),
-                    simple=j,
-                    multiplicity=(k,),
-                )
-            )
-            k += 1
-    records.sort(key=lambda o: (o.action, o.simple, o.multiplicity))
+    scale = math.lcm(cutoff.denominator, *(x.denominator for x in axes))
+    ints = [_scaled(x, scale) for x in axes]
+    top = _scaled(cutoff, scale)
+    keys = sorted(
+        (k * aj, j, k)
+        for j, aj in enumerate(ints, start=1)
+        for k in range(1, top // aj + 1)
+    )
+    records = [
+        OrbitRecord(f"g{j}^{k}", Fraction(v, scale), _cz(ints, j, k), j, (k,))
+        for v, j, k in keys
+    ]
     desc = "E(" + ",".join(str(x) for x in axes) + ")"
     return OrbitSpectrum(desc, records)
 
@@ -122,33 +127,31 @@ def polydisk_orbits(x: Axis, cutoff: Axis) -> OrbitSpectrum:
     if x < 1:
         raise ValueError("polydisk parameter needs x >= 1")
     cutoff = Fraction(cutoff)
-    records = []
-    for i in range(0, int(cutoff) + 1):
-        j = 0
-        while i + j * x <= cutoff:
-            action = i + j * x
-            if action > 0:
-                records.append(
-                    OrbitRecord(
-                        label=f"beta_{i},{j}",
-                        action=action,
-                        cz=1 + 2 * i + 2 * j,
-                        simple=2,
-                        multiplicity=(i, j),
-                    )
-                )
-                if i >= 1 and j >= 1:
-                    records.append(
-                        OrbitRecord(
-                            label=f"alpha_{i},{j}",
-                            action=action,
-                            cz=2 * i + 2 * j,
-                            simple=1,
-                            multiplicity=(i, j),
-                        )
-                    )
-            j += 1
-    records.sort(key=lambda o: (o.action, o.multiplicity[1], o.cz, o.label))
+    scale = math.lcm(x.denominator, cutoff.denominator)
+    step = _scaled(x, scale)
+    top = _scaled(cutoff, scale)
+    # alpha and beta at the same (i, j) differ in CZ parity, so
+    # (action, j, cz) has no ties and fixes i and the family
+    keys = []
+    for i in range(top // scale + 1):
+        base = i * scale
+        for j in range((top - base) // step + 1):
+            if i or j:
+                v, cz = base + j * step, 2 * i + 2 * j
+                keys.append((v, j, cz + 1, i))  # beta
+                if i and j:
+                    keys.append((v, j, cz, i))  # alpha
+    keys.sort()
+    records = [
+        OrbitRecord(
+            f"{'beta' if cz % 2 else 'alpha'}_{i},{j}",
+            Fraction(v, scale),
+            cz,
+            2 if cz % 2 else 1,
+            (i, j),
+        )
+        for v, j, cz, i in keys
+    ]
     return OrbitSpectrum(f"P(1,{x})", records)
 
 

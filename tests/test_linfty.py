@@ -429,7 +429,9 @@ def _assert_canonical_basis(model, max_len, max_action=None):
 
 @pytest.mark.parametrize(
     "name,max_action",
-    [(n, None) for n in GOOD_MODELS] + [("b2", 3), ("cdga_aug", 1)],
+    [(n, None) for n in GOOD_MODELS]
+    # caps whose denominator is coprime to the letters' actions, too
+    + [("b2", 3), ("b2", Fraction(10, 3)), ("cdga_aug", 1), ("cdga_aug", Fraction(5, 3))],
 )
 def test_basis_words_are_the_canonical_multisets(models, name, max_action):
     _assert_canonical_basis(models[name], 4, max_action)

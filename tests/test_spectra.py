@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from symcap.capacities import spectral_search
 from symcap.spectra import (
     INF,
+    OrbitRecord,
     OrbitSpectrum,
     capacity_sequence_ECH,
     capacity_sequence_EH,
@@ -127,6 +128,94 @@ def test_polydisk_orbit_listing_square():
     assert cz_list(spectrum) == [3, 3, 5, 4, 5, 5]
 
 
+# Fraction references: the enumerators and the CZ tie-break as they were
+# before the spectra moved onto the integer action lattice
+
+
+def _floor_perturbed(ratio: Fraction, other_below: bool) -> int:
+    """floor(ratio) after the symbolic tie-break; exact integers round down
+    by one when the other axis is perturbed upward past this one."""
+    if ratio.denominator == 1:
+        r = ratio.numerator
+        return r if other_below else r - 1
+    return ratio.numerator // ratio.denominator
+
+
+def _reference_cz(axes, j, k):
+    total = len(axes) - 1 + 2 * k
+    for i, ai in enumerate(axes, start=1):
+        if i != j:
+            total += 2 * _floor_perturbed(Fraction(k) * axes[j - 1] / ai, i < j)
+    return total
+
+
+def _reference_ellipsoid_orbits(axes, cutoff):
+    axes = [Fraction(x) for x in axes]
+    cutoff = Fraction(cutoff)
+    records = []
+    for j, aj in enumerate(axes, start=1):
+        k = 1
+        while k * aj <= cutoff:
+            records.append(OrbitRecord(f"g{j}^{k}", k * aj, _reference_cz(axes, j, k), j, (k,)))
+            k += 1
+    records.sort(key=lambda o: (o.action, o.simple, o.multiplicity))
+    return OrbitSpectrum("E(" + ",".join(str(x) for x in axes) + ")", records)
+
+
+def _reference_polydisk_orbits(x, cutoff):
+    x = Fraction(x)
+    cutoff = Fraction(cutoff)
+    records = []
+    for i in range(0, int(cutoff) + 1):
+        j = 0
+        while i + j * x <= cutoff:
+            action = i + j * x
+            if action > 0:
+                records.append(OrbitRecord(f"beta_{i},{j}", action, 1 + 2 * i + 2 * j, 2, (i, j)))
+                if i >= 1 and j >= 1:
+                    records.append(OrbitRecord(f"alpha_{i},{j}", action, 2 * i + 2 * j, 1, (i, j)))
+            j += 1
+    records.sort(key=lambda o: (o.action, o.multiplicity[1], o.cz, o.label))
+    return OrbitSpectrum(f"P(1,{x})", records)
+
+
+# small denominators in a short range: equal axes and exact integer ratios
+# between axes, where the CZ tie-break decides, come up often
+tie_prone_axes = st.lists(
+    st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3),
+    min_size=1,
+    max_size=3,
+)
+cutoffs = st.fractions(min_value=0, max_value=16, max_denominator=7)
+
+
+def _assert_same_records(got, want):
+    assert got == want  # the domain and every field of every record, in order
+    assert all(type(o.action) is Fraction for o in got.orbits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes=tie_prone_axes, cutoff=cutoffs)
+def test_ellipsoid_orbits_match_the_fraction_reference(axes, cutoff):
+    axes = sorted(axes)
+    _assert_same_records(ellipsoid_orbits(axes, cutoff), _reference_ellipsoid_orbits(axes, cutoff))
+    for j in range(1, len(axes) + 1):
+        for k in (1, 2, 3, 6):
+            assert conley_zehnder_ellipsoid(axes, j, k) == _reference_cz(axes, j, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        st.integers(1, 4).map(Fraction),
+        st.fractions(min_value=1, max_value=5, max_denominator=4),
+    ),
+    cutoff=cutoffs,
+)
+def test_polydisk_orbits_match_the_fraction_reference(x, cutoff):
+    _assert_same_records(polydisk_orbits(x, cutoff), _reference_polydisk_orbits(x, cutoff))
+
+
 def test_polydisk_orbits_need_normalized_factor():
     with pytest.raises(ValueError):
         polydisk_orbits(Fraction(1, 2), 3)
@@ -239,6 +328,17 @@ def test_ech_sequence_matches_the_square_brute_force(a, b, K):
     (0, j) or (i, 0) up to K lie at or below any value with i or j > K."""
     brute = sorted(i * a + j * b for i in range(K + 1) for j in range(K + 1))
     assert ech_sequence(a, b, K) == brute[: K + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(positive_rationals, min_size=1, max_size=3), st.integers(0, 2), st.integers(1, 40)
+)
+def test_eh_sequence_matches_the_brute_force(axes, infinite, K):
+    brute = sorted(i * x for x in axes for i in range(1, K + 1))[:K]
+    values = eh_sequence([INF] * infinite + axes, K)
+    assert values == brute
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_ech_sequence_is_nondecreasing():
