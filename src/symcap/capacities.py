@@ -2,6 +2,14 @@
 spectral enumeration, the finite-model word solver with its exact sparse
 linear solve, ECH embedding ratios, and ball-packing bounds.
 
+Each capacity family has one integer-lattice routine (``eh_lattice``,
+``ech_lattice``, ``g_tangency_lattice``, ``r_points_lattice``) returning
+``(values, scale)``: every value an ``int`` in units of ``1/scale`` or a
+sentinel string.  The ``Fraction`` functions (``eh_sequence``,
+``ech_sequence``, ``g_tangency``, ``r_points_ball``) are thin wrappers that
+build ``Fraction``s at the API edge, and the 4D comparisons
+(``obstruct_4d_ellipsoid``, ``mcduff_f``) compare on the lattices.
+
 Distinguished non-numeric results are first-class string sentinels rather
 than exceptions: closed forms outside their proven range return
 ``NO_FORMULA``, and searches that exhaust their cutoff say so explicitly
@@ -102,6 +110,29 @@ class DomainDescriptor:
 # closed forms
 
 
+def g_tangency_lattice(domain: DomainDescriptor, ks: Sequence[int]) -> tuple:
+    """``g_tangency`` at every index of ``ks``: ``(values, scale)``.
+
+    In units of 1/lcm(parameter denominators), with A and B the parameters:
+    the ball is A·(k+1)/3 when k ≡ 2 (mod 3); the ellipsoid is k·A unless
+    k·A > B; the polydisk, for odd k, is min(A·k, B + A·(k−1)/2), counted in
+    units of 1/(2·lcm) so that the half steps need no division.
+    """
+    if any(k < 1 for k in ks):
+        raise ValueError("index must be >= 1")
+    scale = math.lcm(*(p.denominator for p in domain.params))
+    A, *rest = (p.numerator * (scale // p.denominator) for p in domain.params)
+    if domain.kind == "ball":
+        # (k + 1)/3 is whole when k ≡ 2 (mod 3)
+        return [A * ((k + 1) // 3) if k % 3 == 2 else NO_FORMULA for k in ks], scale
+    (B,) = rest
+    if domain.kind == "ellipsoid":
+        return [NO_FORMULA if k * A > B else k * A for k in ks], scale
+    return [
+        min(2 * A * k, 2 * B + A * (k - 1)) if k % 2 else NO_FORMULA for k in ks
+    ], 2 * scale
+
+
 def g_tangency(domain: DomainDescriptor, k: int) -> Value:
     """The capacity with one point constraint of contact order k.
 
@@ -109,39 +140,39 @@ def g_tangency(domain: DomainDescriptor, k: int) -> Value:
     returns NO_FORMULA rather than extrapolating.  Capacities scale like
     area, so parameters enter linearly.
     """
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    if domain.kind == "ball":
-        (c,) = domain.params
-        if k % 3 != 2:
-            return NO_FORMULA
-        return c * Fraction(math.ceil(Fraction(k + 1, 3)))
-    if domain.kind == "ellipsoid":
-        a, b = domain.params
-        x = b / a
-        if k > x:
-            return NO_FORMULA
-        return a * k
-    a, b = domain.params
-    x = b / a
-    if k % 2 == 0:
-        return NO_FORMULA
-    return a * min(Fraction(k), x + Fraction(k - 1, 2))
+    (value,), scale = g_tangency_lattice(domain, (k,))
+    return value if isinstance(value, str) else Fraction(value, scale)
+
+
+def r_points_lattice(c: Fraction, rs: Sequence[int]) -> tuple:
+    """The r-points energies of the ball B(c) at every r of ``rs``:
+    ``(values, scale)``, c·⌈(r+1)/3⌉ in units of 1/c.denominator."""
+    if any(r < 1 for r in rs):
+        raise ValueError("need r >= 1")
+    n = c.numerator
+    return [n * ((r + 3) // 3) for r in rs], c.denominator
 
 
 def r_points_ball(r: int) -> Fraction:
     """Minimal energy to pass through r generic points in the unit four-ball."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return Fraction(math.ceil(Fraction(r + 1, 3)))
+    (value,), scale = r_points_lattice(Fraction(1), (r,))
+    return Fraction(value, scale)
 
 
 # ---------------------------------------------------------------------------
 # classical capacity sequences
 
 
-def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
-    """The K smallest elements of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
+def _fractions(values: Sequence[int], scale: int) -> list[Fraction]:
+    """Lattice values as ``Fraction``s; values repeat, so share one
+    ``Fraction`` per distinct value."""
+    distinct = {v: Fraction(v, scale) for v in set(values)}
+    return [distinct[v] for v in values]
+
+
+def eh_lattice(a: Sequence[Axis], K: int) -> tuple:
+    """``eh_sequence`` as ``(values, scale)``: the K smallest i·a_j, sorted,
+    in units of 1/scale."""
     if K < 1:
         raise ValueError("k must be >= 1")
     finite = [Fraction(x) for x in a if x != INF]
@@ -151,9 +182,12 @@ def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
         raise ValueError("ellipsoid parameters must be positive")
     scale = math.lcm(*(x.denominator for x in finite))
     ints = [x.numerator * (scale // x.denominator) for x in finite]
-    values = sorted(v * i for v in ints for i in range(1, K + 1))[:K]
-    distinct = {v: Fraction(v, scale) for v in set(values)}
-    return [distinct[v] for v in values]
+    return sorted(v * i for v in ints for i in range(1, K + 1))[:K], scale
+
+
+def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:
+    """The K smallest elements of {i*a_j : i >= 1}; ∞ rows contribute nothing."""
+    return _fractions(*eh_lattice(a, K))
 
 
 def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
@@ -161,8 +195,9 @@ def capacity_sequence_EH(a: Sequence[Axis], k: int) -> Fraction:
     return eh_sequence(a, k)[k - 1]
 
 
-def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
-    """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
+def ech_lattice(a: Axis, b: Axis, K: int) -> tuple:
+    """``ech_sequence`` as ``(values, scale)``: the K+1 smallest i·a + j·b,
+    sorted, in units of 1/scale."""
     if K < 0:
         raise ValueError("k must be >= 0")
     a = Fraction(a)
@@ -182,9 +217,12 @@ def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
         for i in range(top // a_int + 1)
         for j in range((top - i * a_int) // b_int + 1)
     )[: K + 1]
-    # values repeat, so share one Fraction per distinct value
-    distinct = {v: Fraction(v, scale) for v in set(values)}
-    return [distinct[v] for v in values]
+    return values, scale
+
+
+def ech_sequence(a: Axis, b: Axis, K: int) -> list[Fraction]:
+    """c_0..c_K of E(a,b): the K+1 smallest of {i*a + j*b : i,j >= 0}."""
+    return _fractions(*ech_lattice(a, b, K))
 
 
 def capacity_sequence_ECH(a: Axis, b: Axis, k: int) -> Fraction:
@@ -482,14 +520,14 @@ def mcduff_f(x, K: int) -> Fraction:
         raise ValueError("need x >= 1")
     if K < 1:
         raise ValueError("need K >= 1")
-    num = ech_sequence(1, x, K)
-    den = ech_sequence(1, 1, K)
-    best = Fraction(0)
+    num, scale = ech_lattice(1, x, K)
+    den, _ = ech_lattice(1, 1, K)  # the ball's lattice has scale 1
+    best_n, best_d = 0, 1  # the best ratio num[k]/den[k] so far
     for k in range(1, K + 1):
-        ratio = num[k] / den[k]
-        if ratio > best:
-            best = ratio
-    return best
+        n, d = num[k], den[k]
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    return Fraction(best_n, best_d * scale)
 
 
 def obstruct_4d_ellipsoid(a, b, c, d, K: int) -> Union[int, str]:
@@ -497,10 +535,10 @@ def obstruct_4d_ellipsoid(a, b, c, d, K: int) -> Union[int, str]:
     no-obstruction verdict (which is not an embedding certificate)."""
     if K < 1:
         raise ValueError("need K >= 1")
-    src = ech_sequence(a, b, K)
-    tgt = ech_sequence(c, d, K)
+    src, s_scale = ech_lattice(a, b, K)
+    tgt, t_scale = ech_lattice(c, d, K)
     for k in range(1, K + 1):
-        if src[k] > tgt[k]:
+        if src[k] * t_scale > tgt[k] * s_scale:
             return k
     return NO_OBSTRUCTION
 
@@ -588,19 +626,19 @@ def stabilized_obstruction(
     else:
         a, b = source.params
         x = b / a
-    best: Optional[Fraction] = None
+    ks = range(1, 6 * math.ceil(x) + 7)
+    nums, s_scale = g_tangency_lattice(source, ks)
+    dens, t_scale = g_tangency_lattice(target, ks)
+    best: Optional[tuple[int, int]] = None  # the best ratio num/den so far
     witness = 0
-    for k in range(1, 6 * math.ceil(x) + 7):
-        num = g_tangency(source, k)
-        den = g_tangency(target, k)
+    for k, num, den in zip(ks, nums, dens):
         if num == NO_FORMULA or den == NO_FORMULA:
             continue
-        ratio = num / den
-        if best is None or ratio > best:
-            best, witness = ratio, k
+        if best is None or num * best[1] > best[0] * den:
+            best, witness = (num, den), k
     if best is None:
         raise ValueError(
             f"no index admits closed forms for both {source} and the unit "
             f"{target_family}"
         )
-    return best, witness
+    return Fraction(best[0] * t_scale, best[1] * s_scale), witness

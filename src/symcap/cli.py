@@ -48,11 +48,10 @@ contract).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
+import math
 import os
 import random
 import sys
@@ -68,12 +67,13 @@ from .capacities import (
     NO_OBSTRUCTION,
     NOT_FOUND,
     DomainDescriptor,
+    ech_lattice,
     ech_sequence,
-    eh_sequence,
-    g_tangency,
+    eh_lattice,
+    g_tangency_lattice,
     gb_solver,
     obstruct_4d_ellipsoid,
-    r_points_ball,
+    r_points_lattice,
     stabilized_obstruction,
 )
 from .linfty import (
@@ -213,44 +213,54 @@ def _domain_text(kind: str, axes: tuple) -> str:
 # cap capacity
 
 
-def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> list:
-    """The values at the contiguous indices ``ks``, in order."""
+def _capacity_values(family: str, kind: str, axes: tuple, ks: list[int]) -> tuple:
+    """The values at the contiguous indices ``ks``, in order, as the family's
+    integer lattice: ``(values, scale)``, each value an int in units of
+    1/scale or a sentinel string."""
     if family == "eh":
         if kind == "polydisk":
             raise CliUsageError(
                 "the eh family has closed forms for ellipsoids and balls only"
             )
         seq_axes = axes * 2 if kind == "ball" else axes
-        return eh_sequence(seq_axes, ks[-1])[ks[0] - 1 :]
+        values, scale = eh_lattice(seq_axes, ks[-1])
+        return values[ks[0] - 1 :], scale
     if family == "ech":
         if kind == "polydisk":
             raise CliUsageError("the ech family covers ellipsoids and balls")
         a, b = (_descriptor(kind, axes).params * 2)[:2]
-        return ech_sequence(a, b, ks[-1])[ks[0] :]
+        values, scale = ech_lattice(a, b, ks[-1])
+        return values[ks[0] :], scale
     if family == "g-tangency":
-        domain = _descriptor(kind, axes)
-        return [g_tangency(domain, k) for k in ks]
+        return g_tangency_lattice(_descriptor(kind, axes), ks)
     # r-points: argparse admits no other family
     if kind != "ball":
         raise CliUsageError("the r-points family is a ball invariant")
-    return [axes[0] * r_points_ball(k) for k in ks]
+    return r_points_lattice(axes[0], ks)
 
 
 def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
     """The ``k,exact,decimal`` table; a string value (no formula, not found)
-    is its own exact cell and leaves the decimal cell empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("k", "exact", "decimal"))
-    last = cells = None  # sequences repeat values in runs: format a run once
-    for k, value in zip(ks, _capacity_values(family, kind, axes, ks), strict=True):
+    is its own exact cell and leaves the decimal cell empty.
+
+    The values come as integers over one scale and repeat in runs, so each
+    run is formatted once: the exact cell is the reduced ``n/d`` (or ``n``),
+    and the decimal cell divides the two ints, which rounds correctly and so
+    equals ``float`` of the ``Fraction``.  No cell needs CSV quoting."""
+    values, scale = _capacity_values(family, kind, axes, ks)
+    rows = ["k,exact,decimal\n"]
+    last = cells = None
+    for k, value in zip(ks, values, strict=True):
         if isinstance(value, str):
-            writer.writerow((k, value, ""))
+            rows.append(f"{k},{value},\n")
             continue
-        if value is not last and value != last:
-            last, cells = value, (fmt_rational(value), f"{float(value):.6g}")
-        writer.writerow((k, *cells))
-    return buf.getvalue().encode("utf-8")
+        if value != last:
+            g = math.gcd(value, scale)
+            n, d = value // g, scale // g
+            exact = f"{n}/{d}" if d != 1 else str(n)
+            last, cells = value, f",{exact},{value / scale:.6g}\n"
+        rows.append(f"{k}{cells}")
+    return "".join(rows).encode("utf-8")
 
 
 def cmd_capacity(args) -> int:
@@ -471,10 +481,16 @@ def cmd_gw(args) -> int:
         trace: list = []
         reduced = gw.reduce_combination(expr, rng=rng, trace=trace)
         name = gw.key_formatter()  # a term recurs in many expansions
+        prefixes: dict = {}  # the trace shares few distinct coefficients
         lines = []
         for key, expansion in trace:
             lines.append(f"{name(key)} ->")
-            lines.extend(f"    {coeff} * {name(sub)}" for sub, coeff in expansion)
+            for sub, coeff in expansion:
+                pair = (coeff.numerator, coeff.denominator)
+                prefix = prefixes.get(pair)
+                if prefix is None:
+                    prefix = prefixes[pair] = f"    {coeff} * "
+                lines.append(prefix + name(sub))
         lines.append(f"result: {gw.format_combination(reduced)}\n")
         sys.stdout.write("\n".join(lines))
         return EXIT_OK

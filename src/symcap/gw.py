@@ -412,11 +412,15 @@ def load_table(path) -> BaseInvariantTable:
 
 def key_formatter() -> Callable[[Key], str]:
     """The text of a key, for one command: each distinct key, and each
-    distinct group across all keys, is formatted once."""
+    distinct group across all keys, is formatted once and kept in a plain
+    dict."""
     group_texts: dict[Group, str] = {}
+    names: dict[Key, str] = {}
 
-    @functools.cache
     def name(key: Key) -> str:
+        text = names.get(key)
+        if text is not None:
+            return text
         surface, cls, groups = key
         parts = []
         for g in groups:
@@ -427,9 +431,12 @@ def key_formatter() -> Callable[[Key], str]:
             parts.append(text)
         body = ",".join(parts)
         if surface is None:
-            return f"<{body}>"
-        cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
-        return f"{surface} d={cls_text} <{body}>"
+            text = f"<{body}>"
+        else:
+            cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
+            text = f"{surface} d={cls_text} <{body}>"
+        names[key] = text
+        return text
 
     return name
 

@@ -22,8 +22,10 @@ from symcap.capacities import (
     NO_OBSTRUCTION,
     NOT_FOUND,
     DomainDescriptor,
+    ech_lattice,
     ech_sequence,
     g_tangency,
+    g_tangency_lattice,
     gb_solver,
     mcduff_f,
     obstruct_4d_ellipsoid,
@@ -31,6 +33,7 @@ from symcap.capacities import (
     packing_lower_bounds,
     polydisk_slice_rule,
     r_points_ball,
+    r_points_lattice,
     solve_linear_system,
     spectral_lower_bound,
     spectral_search,
@@ -169,6 +172,76 @@ def test_r_points_ball_values():
     assert values == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5]
     with pytest.raises(ValueError):
         r_points_ball(0)
+
+
+# the per-index ``Fraction`` closed forms that the integer lattices replaced,
+# kept as references
+
+
+def _reference_g_tangency(domain, k):
+    if domain.kind == "ball":
+        (c,) = domain.params
+        return c * math.ceil(Fraction(k + 1, 3)) if k % 3 == 2 else NO_FORMULA
+    a, b = domain.params
+    x = b / a
+    if domain.kind == "ellipsoid":
+        return NO_FORMULA if k > x else a * k
+    return a * min(Fraction(k), x + Fraction(k - 1, 2)) if k % 2 else NO_FORMULA
+
+
+_PARAM = st.builds(Fraction, st.integers(1, 60), st.integers(1, 9))
+
+
+@st.composite
+def _domains(draw):
+    kind = draw(st.sampled_from(["ball", "ellipsoid", "polydisk"]))
+    params = draw(st.lists(_PARAM, min_size=1 if kind == "ball" else 2, max_size=2))
+    return DomainDescriptor(kind, sorted(params)[: 1 if kind == "ball" else 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(domain=_domains(), ks=st.lists(st.integers(1, 80), min_size=1, max_size=30))
+def test_tangency_lattice_matches_the_fraction_closed_forms(domain, ks):
+    values, scale = g_tangency_lattice(domain, ks)
+    want = [_reference_g_tangency(domain, k) for k in ks]
+    assert [v if isinstance(v, str) else Fraction(v, scale) for v in values] == want
+    for k, w in zip(ks, want):
+        got = g_tangency(domain, k)
+        assert got == w and type(got) is type(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_PARAM, rs=st.lists(st.integers(1, 200), min_size=1, max_size=30))
+def test_point_count_lattice_matches_the_fraction_closed_form(c, rs):
+    values, scale = r_points_lattice(c, rs)
+    assert [Fraction(v, scale) for v in values] == [
+        c * math.ceil(Fraction(r + 1, 3)) for r in rs
+    ]
+
+
+def test_lattice_routines_keep_the_index_validation():
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        g_tangency_lattice(DomainDescriptor.ellipsoid(1, 3), [2, 0])
+    with pytest.raises(ValueError, match="need r >= 1"):
+        r_points_lattice(Fraction(1), [0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(domain=_domains(), family=st.sampled_from(["ball", "polydisk"]))
+def test_stabilized_obstruction_matches_the_fraction_ratio_scan(domain, family):
+    target = DomainDescriptor.ball(1) if family == "ball" else DomainDescriptor.polydisk(1, 1)
+    x = 1 if domain.kind == "ball" else domain.params[1] / domain.params[0]
+    best, witness = None, 0
+    for k in range(1, 6 * math.ceil(x) + 7):
+        num = _reference_g_tangency(domain, k)
+        den = _reference_g_tangency(target, k)
+        if NO_FORMULA not in (num, den) and (best is None or num / den > best):
+            best, witness = num / den, k
+    if best is None:
+        with pytest.raises(ValueError, match="no index admits"):
+            stabilized_obstruction(domain, family)
+    else:
+        assert stabilized_obstruction(domain, family) == (best, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +1033,39 @@ def test_ech_sequence_matches_single_values():
 def test_second_eh_capacity_obstructs_round_into_skinny():
     assert capacity_sequence_EH([1, 2], 2) == 2
     assert capacity_sequence_EH([Fraction(3, 2), Fraction(3, 2)], 2) == Fraction(3, 2)
+
+
+def _ech_brute(a, b, K):
+    # i, j <= K suffice: c_K <= K * min(a, b) < (K + 1) * min(a, b)
+    return sorted(i * a + j * b for i in range(K + 1) for j in range(K + 1))[: K + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    axes=st.lists(_PARAM, min_size=4, max_size=4),
+    K=st.integers(1, 40),
+)
+def test_obstruct_4d_matches_the_fraction_comparison(axes, K):
+    a, b, c, d = axes
+    src, tgt = _ech_brute(a, b, K), _ech_brute(c, d, K)
+    want = next((k for k in range(1, K + 1) if src[k] > tgt[k]), NO_OBSTRUCTION)
+    assert obstruct_4d_ellipsoid(a, b, c, d, K) == want
+    values, scale = ech_lattice(a, b, K)
+    assert [Fraction(v, scale) for v in values] == src
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.builds(Fraction, st.integers(9, 90), st.integers(1, 9)).filter(
+        lambda x: x >= 1
+    ),
+    K=st.integers(1, 40),
+)
+def test_mcduff_function_matches_the_fraction_ratio_scan(x, K):
+    num, den = _ech_brute(1, x, K), _ech_brute(1, 1, K)
+    want = max(num[k] / den[k] for k in range(1, K + 1))
+    got = mcduff_f(x, K)
+    assert got == want and type(got) is Fraction
 
 
 def test_obstruct_4d_finds_the_witness():

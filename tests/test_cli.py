@@ -1,8 +1,12 @@
 """End-to-end tests for the ``cap`` command line tool."""
 
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -10,10 +14,15 @@ import subprocess
 import sys
 import time
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symcap import cli
+from symcap.capacities import NO_FORMULA, ech_sequence, eh_sequence
 from symcap.cli import main
+from symcap.novikov import fmt_rational
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +200,110 @@ def test_source_digest_follows_the_package_sources(tmp_path):
         fh.write("\n")
     assert cli.source_digest(same) == cli.source_digest()
     assert cli.source_digest(edited) != cli.source_digest()
+
+
+# the per-index ``Fraction`` table path that the integer lattices replaced,
+# kept as the reference: one closed-form value per index, a ``Fraction``
+# comparison per row and ``fmt_rational``/``float`` per distinct value
+
+
+def _reference_g_tangency(kind, params, k):
+    if kind == "ball":
+        (c,) = params
+        return c * math.ceil(Fraction(k + 1, 3)) if k % 3 == 2 else NO_FORMULA
+    a, b = params
+    x = b / a
+    if kind == "ellipsoid":
+        return NO_FORMULA if k > x else a * k
+    return a * min(Fraction(k), x + Fraction(k - 1, 2)) if k % 2 else NO_FORMULA
+
+
+def _reference_capacity_values(family, kind, axes, ks):
+    if family == "eh":
+        if kind == "polydisk":
+            raise cli.CliUsageError(
+                "the eh family has closed forms for ellipsoids and balls only"
+            )
+        seq_axes = axes * 2 if kind == "ball" else axes
+        return eh_sequence(seq_axes, ks[-1])[ks[0] - 1 :]
+    if family == "ech":
+        if kind == "polydisk":
+            raise cli.CliUsageError("the ech family covers ellipsoids and balls")
+        a, b = (cli._descriptor(kind, axes).params * 2)[:2]
+        return ech_sequence(a, b, ks[-1])[ks[0] :]
+    if family == "g-tangency":
+        params = cli._descriptor(kind, axes).params
+        return [_reference_g_tangency(kind, params, k) for k in ks]
+    if kind != "ball":
+        raise cli.CliUsageError("the r-points family is a ball invariant")
+    return [axes[0] * math.ceil(Fraction(k + 1, 3)) for k in ks]
+
+
+def _reference_capacity_csv(family, kind, axes, ks):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("k", "exact", "decimal"))
+    for k, value in zip(ks, _reference_capacity_values(family, kind, axes, ks)):
+        if isinstance(value, str):
+            writer.writerow((k, value, ""))
+        else:
+            writer.writerow((k, fmt_rational(value), f"{float(value):.6g}"))
+    return buf.getvalue().encode("utf-8")
+
+
+_AXIS = st.builds(Fraction, st.integers(1, 60), st.integers(1, 9))
+
+
+@st.composite
+def _capacity_cases(draw):
+    family = draw(st.sampled_from(["eh", "gh", "ech", "g-tangency", "r-points"]))
+    kind = draw(st.sampled_from("BEP"))
+    if kind == "B":
+        axes = draw(st.lists(_AXIS, max_size=1))
+    else:
+        axes = draw(st.lists(_AXIS, min_size=2, max_size=2))
+        # eh alone takes an infinite factor or a third axis
+        extra = draw(st.sampled_from([None] * 6 + ["inf", "axis"]))
+        if extra is not None:
+            axes.append(draw(_AXIS) if extra == "axis" else extra)
+    domain = kind + "".join(
+        (":" if i == 0 else ",") + (x if isinstance(x, str) else fmt_rational(x))
+        for i, x in enumerate(axes)
+    )
+    lo = draw(st.integers(1, 40))
+    hi = lo + draw(st.integers(0, 60))
+    return family, domain, str(lo) if hi == lo else f"{lo}..{hi}"
+
+
+@settings(max_examples=300, deadline=None)
+@example(("g-tangency", "B:3/2", "4"))  # one no-formula row: exit 2
+@example(("g-tangency", "E:2/3,31/9", "1..12"))  # a run of no-formula rows
+@example(("g-tangency", "P:5/3,17/2", "2..40"))
+@example(("gh", "E:1,13/2", "3..30"))
+@example(("r-points", "B:7/3", "5..45"))
+@example(("ech", "B:4/9", "1..50"))
+@given(case=_capacity_cases())
+def test_capacity_tables_match_the_per_index_fraction_reference(case):
+    family, domain, k = case
+    kind, axes = cli._parse_domain(domain)
+    ks = cli._parse_k_range(k)
+    family = "eh" if family == "gh" else family
+    try:
+        want = _reference_capacity_csv(family, kind, axes, ks)
+    except (cli.CliUsageError, ValueError) as exc:
+        want_run = (1, "", f"cap: error: {exc}\n")
+    else:
+        assert cli._capacity_csv(family, kind, axes, ks) == want
+        cells = [line.split(",")[1] for line in want.decode().splitlines()[1:]]
+        if len(cells) == 1 and cells[0] == NO_FORMULA:
+            want_run = (2, f"{NO_FORMULA}\n", "")
+        else:
+            want_run = (0, ",".join(cells) + "\n", "")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["capacity", "--family", case[0], "--domain", domain, "--k", k, "--no-cache"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == want_run
 
 
 # the bench's four range tables: sha256 of stdout, of the CSV table and of
