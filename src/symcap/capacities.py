@@ -393,6 +393,7 @@ def spectral_search(
             chosen.pop()
 
     dfs(0, 0, 0)
+    del dfs  # dfs holds itself: free the search by refcount, not the GC
     if not witness:  # nothing accepted
         return SearchResult(INFINITE, (), nodes, pruned)
     return SearchResult(Fraction(top + 1, scale), witness, nodes, pruned)

@@ -480,17 +480,18 @@ def cmd_gw(args) -> int:
     if args.gw_cmd == "reduce":
         trace: list = []
         reduced = gw.reduce_combination(expr, rng=rng, trace=trace)
-        name = gw.key_formatter()  # a term recurs in many expansions
-        prefixes: dict = {}  # the trace shares few distinct coefficients
+        # a term recurs in many expansions, and the trace shares few
+        # distinct coefficients: each is formatted once, by id and by pair
+        names = list(map(gw.key_formatter(), trace[0][0])) if trace else []
+        prefixes: dict = {}
         lines = []
-        for key, expansion in trace:
-            lines.append(f"{name(key)} ->")
-            for sub, coeff in expansion:
-                pair = (coeff.numerator, coeff.denominator)
-                prefix = prefixes.get(pair)
+        for _, i, den, edges in trace:
+            lines.append(f"{names[i]} ->")
+            for j, c in edges:
+                prefix = prefixes.get((c, den))
                 if prefix is None:
-                    prefix = prefixes[pair] = f"    {coeff} * "
-                lines.append(prefix + name(sub))
+                    prefix = prefixes[c, den] = f"    {Fraction(c, den)} * "
+                lines.append(prefix + names[j])
         lines.append(f"result: {gw.format_combination(reduced)}\n")
         sys.stdout.write("\n".join(lines))
         return EXIT_OK

@@ -16,22 +16,24 @@ so repeated application lands in order-zero (multipoint/multibranch) terms,
 which a base table of blow-up-type invariants evaluates.
 
 :func:`reduce_combination` reduces every term once, in two passes over the
-rewrite DAG.  The expand pass visits each reachable term once, depth first,
-and records its expansion; the propagate pass walks the terms parents first
-and pushes each term's accumulated coefficient down to its sub-terms, so no
-term's reduced combination is ever built or summed again by its parents.
-A rewrite's coefficients are integers over the one denominator 1+z, and the
-accumulated coefficients are integer (numerator, denominator) pairs, so
-``Fraction`` is built only for result terms and trace entries.  A rewrite
-keeps the codimension counted 2+2m per order, so on CP2 and CP1xCP1 every
-sub-term of a rigid term is rigid; on CP1, counted 2m per order, a sub-term
-that gains an order-zero point loses 2, so only CP1 sub-terms are checked
-again.
+rewrite DAG, which lives on int ids: a term is the sorted tuple of its
+groups' ids, each given at first sight.  The expand pass visits each
+reachable term once, depth first, and records its expansion; the propagate
+pass walks the terms parents first and pushes each term's accumulated
+coefficient down to its sub-terms, so no term's reduced combination is ever
+built or summed again by its parents.  A rewrite's coefficients are integers
+over the one denominator 1+z, and the accumulated coefficients are integer
+(numerator, denominator) pairs, so ``Fraction`` is built only for result
+terms; the trace holds term ids and integers.  Nothing refers back to the
+search, so the DAG dies by reference counting when the call returns.  A
+rewrite keeps the codimension counted 2+2m per order, so on CP2 and CP1xCP1
+every sub-term of a rigid term is rigid; on CP1, counted 2m per order, a
+sub-term that gains an order-zero point loses 2, so only CP1 sub-terms are
+checked again.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -157,32 +159,6 @@ def _group_rewrite(group: Group, order: int) -> tuple[int, list[tuple[tuple, int
     return 1 + r_rest.count(0), out
 
 
-def _expand_group(
-    key: Key, group_idx: int, order: int
-) -> tuple[int, list[tuple[Key, int]]]:
-    """:func:`_group_rewrite` of the chosen group, with the other groups
-    kept: the denominator and the canonical sub-terms with multipliers."""
-    surface, cls, groups = key
-    den, fresh = _group_rewrite(groups[group_idx], order)
-    rest = groups[:group_idx] + groups[group_idx + 1 :]
-    return den, [
-        ((surface, cls, tuple(sorted(rest + new, reverse=True))), c)
-        for new, c in fresh
-    ]
-
-
-def _group_slots(group_idx: int, group: Group) -> list[tuple[int, int]]:
-    """(group index, order) for each distinct positive order of the group,
-    ascending."""
-    return [(group_idx, m) for m in sorted(set(group)) if m]
-
-
-def _positive_slots(key: Key) -> list[tuple[int, int]]:
-    """(group index, order) for each distinct positive order, groups in
-    order and orders ascending within a group."""
-    return [slot for gi, g in enumerate(key[2]) for slot in _group_slots(gi, g)]
-
-
 def reduce_combination(
     expr: Combination,
     rng: Optional[random.Random] = None,
@@ -197,22 +173,27 @@ def reduce_combination(
     (2+2m per order), so only CP1 sub-terms (2m per order), which lose 2
     with an added point, are checked again.  ``rng`` randomizes which
     group/order is expanded first; any choice is admissible, and fixtures
-    assert the result is invariant.  A ``trace`` list, when given, collects
-    (term, [(sub-term, Fraction)]) pairs, one per rewrite step.  Nesting
-    past the interpreter's recursion limit raises ``ValueError``.
+    assert the result is invariant.  A ``trace`` list, when given, gets one
+    record ``(keys, i, den, [(j, c), ...])`` per rewrite step, in step
+    order: ``keys[i]`` rewrites to the sum of ``c/den * keys[j]`` over
+    integers c and den, and ``keys``, the canonical keys by term id, is one
+    list shared by every record.  Nesting past the interpreter's recursion
+    limit raises ``ValueError``.
 
     Two passes, each term handled once:
 
-    1. *Expand.*  A depth-first search from the input terms gives each
-       reachable term an int id and records its expansion by id: a
-       denominator and (sub-term id, integer multiplier) pairs, no pairs
-       for a dropped non-rigid term, and ``None`` for an order-zero base
-       term.  Each group's slots and rewrites are worked out once per call.
-       It draws from ``rng`` and appends to ``trace`` at a term's first
-       visit, then visits the sub-terms in expansion order: the order in
-       which a recursion that reduces each sub-term before returning
-       reaches them, so draws and traces are those of reducing each term
-       recursively.
+    1. *Expand.*  Groups get int ids at first sight, and a term is its
+       surface, class and sorted group ids; each group's slots, and its
+       rewrite at each slot, are worked out once per id.  A depth-first
+       search from the input terms gives each reachable term an int id and
+       records its expansion: a denominator and (sub-term id, integer
+       multiplier) pairs, no pairs for a dropped non-rigid term, and
+       ``None`` for an order-zero base term.  At a term's first visit it
+       draws from ``rng`` over the slots of its groups in canonical
+       (descending) order and takes its trace record, then visits the
+       sub-terms in expansion order: the order in which a recursion that
+       reduces each sub-term before returning reaches them, so draws and
+       traces are those of reducing each term recursively.
     2. *Propagate.*  Reverse post-order is topological, parents first
        (every rewrite strictly lowers the (order sum, positive orders)
        measure), so a term's weight is complete when it is reached.  A
@@ -220,8 +201,7 @@ def reduce_combination(
        is reached; with expansion denominator D, the term passes
        (n·c, d·D) to the sub-term of multiplier c.  A weight that cancels
        to zero, or reaches a dropped term, stops there, and base terms
-       collect into the result as ``Fraction``s.  The trace's
-       ``Fraction``s are shared per (multiplier, denominator).
+       collect into the result as ``Fraction``s under canonical keys.
     """
     for key in expr:
         surface = key[0]
@@ -230,57 +210,82 @@ def reduce_combination(
                 f"non-rigid input term: codimension {codimension(key)} != "
                 f"index dimension {index_dimension(surface, key[1])}"
             )
-    ids: dict[Key, int] = {}
+    group_ids: dict[Group, int] = {}
+    groups: list[Group] = []  # by group id
+    group_slots: list[list[tuple[int, int]]] = []  # (group id, order), ascending
+    rewrites: dict[tuple[int, int], tuple[int, list]] = {}  # by slot
+    ids: dict[tuple, int] = {}  # (surface, class, sorted group ids) -> term id
+    terms: list[tuple] = []  # by term id
+    keys: list[Key] = []  # canonical keys by term id, filled for a trace
     expansions: list[Optional[tuple[int, list]]] = []
     post_order: list[int] = []
     dropped = (1, [])
-    group_slots = functools.cache(_group_slots)
-    group_rewrite = functools.cache(_group_rewrite)
-    shared_fraction = functools.cache(Fraction)
 
-    def expand(key: Key) -> int:
-        i = ids[key] = len(expansions)
+    def intern(group: Group) -> int:
+        g = group_ids.get(group)
+        if g is None:
+            g = group_ids[group] = len(groups)
+            groups.append(group)
+            group_slots.append([(g, m) for m in sorted(set(group)) if m])
+        return g
+
+    def key_of(term: tuple) -> Key:
+        members = sorted(map(groups.__getitem__, term[2]), reverse=True)
+        return (term[0], term[1], tuple(members))
+
+    def expand(term: tuple) -> int:
+        i = ids[term] = len(terms)
+        terms.append(term)
         expansions.append(None)
-        surface, cls, groups = key
+        surface, cls, members = term
         slots = []
-        if surface == "CP1" and not is_rigid(key):
+        if surface == "CP1" and not is_rigid(key_of(term)):
             expansions[i] = dropped
         else:
-            for gi, g in enumerate(groups):
-                if not g[0]:
+            for g in sorted(members, key=groups.__getitem__, reverse=True):
+                if not group_slots[g]:
                     break  # groups descend, so every later group is all zeros
-                slots += group_slots(gi, g)
+                slots += group_slots[g]
         if slots:
-            gi, m = rng.choice(slots) if rng is not None else slots[-1]
-            den, fresh = group_rewrite(groups[gi], m)
-            rest = groups[:gi] + groups[gi + 1 :]
-            subs = [
-                ((surface, cls, tuple(sorted(rest + new, reverse=True))), c)
-                for new, c in fresh
-            ]
+            slot = rng.choice(slots) if rng is not None else slots[-1]
+            rewrite = rewrites.get(slot)
+            if rewrite is None:
+                den, fresh = _group_rewrite(groups[slot[0]], slot[1])
+                rewrite = rewrites[slot] = (
+                    den, [([intern(new) for new in subs], c) for subs, c in fresh]
+                )
+            den, fresh = rewrite
+            rest = list(members)
+            rest.remove(slot[0])
+            edges = []  # filled after the trace record, which precedes the sub-terms'
+            expansions[i] = (den, edges)
             if trace is not None:
-                trace.append((key, [(sub, shared_fraction(c, den)) for sub, c in subs]))
-            edges = []
-            for sub, c in subs:
+                trace.append((keys, i, den, edges))
+            for new, c in fresh:
+                sub = (surface, cls, tuple(sorted(rest + new)))
                 j = ids.get(sub)
                 edges.append((expand(sub) if j is None else j, c))
-            expansions[i] = (den, edges)
         post_order.append(i)
         return i
 
+    roots = []
     try:
-        for key in expr:
-            if key not in ids:
-                expand(key)
+        for key, coeff in expr.items():
+            surface, cls, key_groups = key
+            term = (surface, cls, tuple(sorted(map(intern, key_groups))))
+            j = ids.get(term)
+            roots.append((expand(term) if j is None else j, Fraction(coeff)))
     except RecursionError:
         raise ValueError("the rewrite nests too deeply to reduce") from None
+    finally:
+        del expand  # expand holds itself: free the DAG by refcount, not the GC
+    if trace is not None:
+        keys += map(key_of, terms)
 
-    keys = list(ids)
-    weights: list[Optional[tuple[int, int]]] = [None] * len(keys)
-    for key, coeff in expr.items():
-        coeff = Fraction(coeff)
+    weights: list[Optional[tuple[int, int]]] = [None] * len(terms)
+    for i, coeff in roots:
         if coeff:
-            weights[ids[key]] = (coeff.numerator, coeff.denominator)
+            weights[i] = (coeff.numerator, coeff.denominator)
     result: Combination = {}
     for i in reversed(post_order):
         w = weights[i]
@@ -291,7 +296,7 @@ def reduce_combination(
         num, den = num // g, den // g
         expansion = expansions[i]
         if expansion is None:
-            result[keys[i]] = Fraction(num, den)
+            result[key_of(terms[i])] = Fraction(num, den)
             continue
         sub_den, edges = expansion
         den *= sub_den
@@ -411,16 +416,11 @@ def load_table(path) -> BaseInvariantTable:
 
 
 def key_formatter() -> Callable[[Key], str]:
-    """The text of a key, for one command: each distinct key, and each
-    distinct group across all keys, is formatted once and kept in a plain
-    dict."""
+    """The text of a key, for one command: each distinct group across all
+    keys is formatted once and kept in a plain dict."""
     group_texts: dict[Group, str] = {}
-    names: dict[Key, str] = {}
 
     def name(key: Key) -> str:
-        text = names.get(key)
-        if text is not None:
-            return text
         surface, cls, groups = key
         parts = []
         for g in groups:
@@ -431,12 +431,9 @@ def key_formatter() -> Callable[[Key], str]:
             parts.append(text)
         body = ",".join(parts)
         if surface is None:
-            text = f"<{body}>"
-        else:
-            cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
-            text = f"{surface} d={cls_text} <{body}>"
-        names[key] = text
-        return text
+            return f"<{body}>"
+        cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
+        return f"{surface} d={cls_text} <{body}>"
 
     return name
 

@@ -374,6 +374,7 @@ class LInfinityModel:
 
         for count in range(1, budget + 1):
             rec(0, count, budget, [], 0)
+        del rec  # rec holds itself: free the search by refcount, not the GC
         return out
 
     # -- applying operations -------------------------------------------------

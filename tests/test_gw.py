@@ -24,8 +24,7 @@ from symcap.gw import (
     make_term,
     parse_constraint_expression,
     reduce_combination,
-    _expand_group,
-    _positive_slots,
+    _group_rewrite,
 )
 from symcap.novikov import add_into
 
@@ -37,6 +36,35 @@ def table(fixtures_dir):
 
 def groups_of(combination):
     return {key[2]: coeff for key, coeff in combination.items()}
+
+
+def keyed(trace):
+    """A trace's records as (term, [(sub-term, Fraction)]) pairs."""
+    return [
+        (keys[i], [(keys[j], Fraction(c, den)) for j, c in edges])
+        for keys, i, den, edges in trace
+    ]
+
+
+def _expand_group(key, group_idx, order):
+    """``_group_rewrite`` of the chosen group, with the other groups kept:
+    the denominator and the canonical sub-terms with multipliers."""
+    surface, cls, groups = key
+    den, fresh = _group_rewrite(groups[group_idx], order)
+    rest = groups[:group_idx] + groups[group_idx + 1 :]
+    return den, [
+        ((surface, cls, tuple(sorted(rest + new, reverse=True))), c)
+        for new, c in fresh
+    ]
+
+
+def _positive_slots(key):
+    """(group index, order) for each distinct positive order, groups in
+    order and orders ascending within a group, one group at a time."""
+    def group_slots(gi, g):
+        return [(gi, m) for m in sorted(set(g)) if m]
+
+    return [slot for gi, g in enumerate(key[2]) for slot in group_slots(gi, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +237,10 @@ def test_reduce_trace_structure():
     assert trace, "expected at least one recorded rewriting step"
     measure = lambda key: (sum(m for g in key[2] for m in g),
                            sum(1 for g in key[2] for m in g if m > 0))
-    for key, expansion in trace:
+    for _, _, den, edges in trace:
+        assert type(den) is int and den >= 1
+        assert all(type(c) is int for _, c in edges)
+    for key, expansion in keyed(trace):
         assert any(m > 0 for g in key[2] for m in g)
         for out_key, coeff in expansion:
             assert coeff != 0
@@ -298,8 +329,8 @@ def test_reduce_matches_the_memoized_recursion(surface, cls, order, seed):
     want = _reference_reduce(expr, rng=rng(), trace=want_trace)
     got = reduce_combination(expr, rng=rng(), trace=got_trace)
     assert got == want
-    assert got_trace == want_trace
-    for _, expansion in got_trace:
+    assert keyed(got_trace) == want_trace
+    for _, expansion in keyed(got_trace):
         for sub, coeff in expansion:
             assert sub[2] == canonical_groups(sub[2])
             assert type(coeff) is Fraction
@@ -354,7 +385,7 @@ def test_reduce_matches_the_memoized_recursion_on_random_keys(expr, seed):
     want = _reference_reduce(expr, rng=rng(), trace=want_trace)
     got = reduce_combination(expr, rng=rng(), trace=got_trace)
     assert got == want
-    assert got_trace == want_trace
+    assert keyed(got_trace) == want_trace
     for coeff in got.values():
         assert type(coeff) is Fraction
 
@@ -464,7 +495,7 @@ def test_reduce_is_linear(x, y, a, b, key, cancel):
         # pushed onto it cancel: the propagation must stop there
         trace = []
         reduce_combination({key: Fraction(1)}, trace=trace)
-        sub, c = trace[0][1][0]
+        sub, c = keyed(trace)[0][1][0]
         x, y, b = {key: Fraction(1)}, {sub: Fraction(1)}, -a * c
     lhs = reduce_combination(_linear(a, x, b, y))
     rhs = _linear(a, reduce_combination(x), b, reduce_combination(y))
@@ -500,15 +531,36 @@ def test_reduce_trace_golden_digest(capsys):
             43,
             "59aa5bc25cc61ce183ae3c0534e4e7b25f6a3fc345757ceb2ff99be4d059da22",
         ),
+        (  # recorded before the rewrite DAG moved to interned group ids
+            ["CP2 d=6 <(T^16 p)>", "--seed", "1"],
+            7366,
+            "ee1da9d3b8547b0846896fdc6f013fef321c75c28e7d27e366ee5b46c86dd994",
+        ),
     ],
 )
 def test_reduce_output_golden_digests(capsys, argv, lines, digest):
-    """Printed reductions off CP2, byte for byte, as recorded before the
-    reduction moved to integer weights."""
+    """Printed reductions, byte for byte: off CP2 as recorded before the
+    reduction moved to integer weights, and CP2 at d=6."""
     assert main(["gw", "reduce", *argv]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_evaluate_missing_entries_golden_digest(capsys, fixtures_dir):
+    """``gw evaluate`` at d=6 against ``base.tbl`` (rows for d <= 2 only)
+    exits 2 and lists the 297 missing base entries, byte for byte, as
+    recorded before the rewrite DAG moved to interned group ids."""
+    table = str(fixtures_dir / "base.tbl")
+    argv = ["gw", "evaluate", "CP2 d=6 <(T^16 p)>", "--table", table, "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.encode()
+    assert len(err) == 8469
+    assert hashlib.sha256(err).hexdigest() == (
+        "1cf8d807f8c42bb9ef3ff5647196779fb030507798794916daf01311eb1cbad1"
+    )
 
 
 # ---------------------------------------------------------------------------
