@@ -46,7 +46,6 @@ from .linfty import (
     exp_mc,
     linearize,
     mc_check,
-    mc_pushforward,
 )
 from .modelfile import load_model, parse_model, print_model, save_model
 from .novikov import NovikovPolynomial, parse_novikov
@@ -103,7 +102,6 @@ __all__ = [
     "linearize",
     "load_model",
     "mc_check",
-    "mc_pushforward",
     "mcduff_f",
     "normalize_word",
     "obstruct_4d_ellipsoid",

@@ -24,7 +24,9 @@ A model is immutable after construction, so the coderivation l̂, a function
 of the model and the word only, is computed once per word and model: each
 model memoizes it (see :func:`extend_coderivation`).  A morphism is
 immutable after construction too, and memoizes Φ̂ per word the same way
-(see :func:`extend_morphism`).
+(see :func:`extend_morphism`); a cdga-mode morphism also memoizes its
+algebra map per monomial, so each monomial image is multiplied out once
+(see :meth:`LInfinityMorphism.apply_to_monomial`).
 """
 
 from __future__ import annotations
@@ -600,8 +602,9 @@ class LInfinityMorphism:
             if clean:
                 self.components[(arity, word)] = clean
 
-        # Φ̂ on bar words, filled by ``extend_morphism``
+        # Φ̂ per bar word and the algebra map per monomial, filled on use
         self._morphism_memo: dict[Word, Combo] = {}
+        self._monomial_memo: dict[Word, Combo] = {}
 
     def max_arity(self) -> int:
         return max((a for a, _ in self.components), default=0)
@@ -612,15 +615,20 @@ class LInfinityMorphism:
     # -- application ---------------------------------------------------------
 
     def apply_to_monomial(self, mono: Word) -> Combo:
-        """Multiplicative extension to a cdga monomial (algebra-map mode)."""
-        images = [self.component([g]) for g in mono]
-        unit = NovikovPolynomial.unit(self.target.cutoff)
-        out: Combo = {}
-        for keys, coeff in _products(images, unit):
-            sign, u = _monomial([g for key in keys for g in key])
-            if u is not None:
-                add_into(out, u, coeff.scale(sign))
-        return out
+        """Multiplicative extension to a cdga monomial (algebra-map mode),
+        kept per monomial as Φ̂ is kept per bar word (see
+        :func:`extend_morphism`)."""
+        value = self._monomial_memo.get(mono)
+        if value is None:
+            images = [self.component([g]) for g in mono]
+            unit = NovikovPolynomial.unit(self.target.cutoff)
+            value = {}
+            for keys, coeff in _products(images, unit):
+                sign, u = _monomial([g for key in keys for g in key])
+                if u is not None:
+                    add_into(value, u, coeff.scale(sign))
+            self._monomial_memo[mono] = value
+        return dict(value)
 
 
 def extend_morphism(m: LInfinityMorphism, w: Word) -> Combo:
@@ -744,29 +752,6 @@ def mc_check(
         _mc_multisets(m, _mc_size(m, cap, model.cutoff)),
     )
     return (not residual), residual
-
-
-def mc_pushforward(
-    phi: LInfinityMorphism, m: MaurerCartanElement
-) -> MaurerCartanElement:
-    """Φ_*(m) = Σ 1/k! Φ^k(m,...,m); asserts MC in the target."""
-    if phi.source is not m.model:
-        raise ModelError("MC element does not live in the morphism source")
-    if phi.target.algebra_mode != "module":
-        raise ModelError("mc_pushforward needs a module-mode target")
-    if m.min_valuation() <= 0:
-        raise ModelError("MC element coefficients need strictly positive valuation")
-    size = _mc_size(m, phi.max_arity(), m.model.cutoff)
-    image = _extend_linearly(phi.component, _mc_multisets(m, size))
-    value = {u[0]: c for u, c in image.items()}
-    result = MaurerCartanElement(phi.target, value)
-    ok, residual = mc_check(phi.target, result)
-    if not ok:
-        raise IntegrityError(
-            "pushforward of a Maurer-Cartan element fails the MC equation "
-            f"in the target (residual on {len(residual)} words)"
-        )
-    return result
 
 
 def exp_mc(m: MaurerCartanElement, max_terms: Optional[int] = None) -> Combo:

@@ -162,12 +162,33 @@ class NovikovPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "NovikovPolynomial") -> "NovikovPolynomial":
+        """Products cut at the smaller cutoff.  A single-term factor c·T^e
+        shifts and scales the other's terms, which stay sorted and nonzero;
+        else products are summed per exponent, zeros dropped, sorted once."""
         cutoff = self._merge_cutoff(self, other)
-        out: list[tuple[Fraction, Fraction]] = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out.append((e1 + e2, c1 * c2))
-        return NovikovPolynomial(out, cutoff)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            (e1, c1), = a
+            one = c1 == 1
+            out = []
+            for e2, c2 in b:
+                e = e1 + e2 if e1 else e2
+                if cutoff is not None and e >= cutoff:
+                    break
+                out.append((e, c2 if one else c1 * c2))
+            return self._canonical(tuple(out), cutoff)
+        acc: dict = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = e1 + e2
+                if cutoff is not None and e >= cutoff:
+                    break
+                prev = acc.get(e)
+                acc[e] = c1 * c2 if prev is None else prev + c1 * c2
+        terms = sorted((t for t in acc.items() if t[1]), key=_exponent)
+        return self._canonical(tuple(terms), cutoff)
 
     def scale(self, c: Rational) -> "NovikovPolynomial":
         if c == 1:

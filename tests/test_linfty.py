@@ -33,9 +33,10 @@ from symcap.linfty import (
     inverse_scalar_augmentation,
     linearize,
     mc_check,
-    mc_pushforward,
     morphism_on_combo,
     _extend_linearly,
+    _mc_multisets,
+    _mc_size,
     _operation_splits,
     _partition_blocks,
     _relation_residual,
@@ -1073,6 +1074,48 @@ def test_memoized_morphism_equals_the_reference_on_every_call(monkeypatch, name)
         assert extend_morphism(m, w) == value, w
 
 
+def _reference_monomial_image(m, mono):
+    """The algebra map on ``mono`` without the memo: its generators'
+    ``component`` images, multiplied out one generator at a time with plain
+    ``*``."""
+    image = {Word(()): NovikovPolynomial.unit(m.target.cutoff)}
+    for g in mono:
+        step = {}
+        for u, c in image.items():
+            for v, d in m.component([g]).items():
+                merged = list(u) + list(v)
+                sign, key = normalize_word(merged) if merged else (1, Word(()))
+                if key is not None:
+                    add_into(step, key, (c * d).scale(sign))
+        image = step
+    return image
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["eps", "minus_eps"])
+def test_memoized_monomial_images_equal_the_reference(monkeypatch, inverse):
+    model = _fresh_model("cdga_aug")
+    eps = model.augmentations["eps"]
+    if inverse:
+        eps = inverse_scalar_augmentation(model, eps)
+    m = f_epsilon_map(model, eps)
+    words = model.basis_words(4)
+    monos = list(dict.fromkeys([Word(())] + [mono for w in words for mono in w]))
+    want = [_reference_monomial_image(m, mono) for mono in monos]
+    want_words = [_reference_morphism(m, w) for w in words]
+    assert any(len(value) > 1 for value in want)
+    assert [m.apply_to_monomial(mono) for mono in monos] == want
+    # the second call, and Φ̂ on every word, read the monomial memo only
+    reads = _spy_table_reads(m, monkeypatch, "components")
+    assert [m.apply_to_monomial(mono) for mono in monos] == want
+    assert [extend_morphism(m, w) for w in words] == want_words
+    assert reads == []
+    # every caller owns its image: clearing one changes no later call
+    for mono, value in zip(monos, want):
+        got = m.apply_to_monomial(mono)
+        got.clear()
+        assert m.apply_to_monomial(mono) == value, mono
+
+
 def test_composing_reads_the_memoized_morphism(monkeypatch):
     model = _module_morphism_model()
     phi, psi = _module_morphism(model), _module_morphism(model)
@@ -1240,6 +1283,33 @@ def test_mc_check_honors_term_cap(models):
     for cap in (0, -1):
         with pytest.raises(ModelError, match="max_terms"):
             mc_check(dgla, _repaired_mc(dgla), max_terms=cap)
+
+
+def mc_pushforward(
+    phi: LInfinityMorphism, m: MaurerCartanElement
+) -> MaurerCartanElement:
+    """Φ_*(m) = Σ 1/k! Φ^k(m,...,m); asserts MC in the target.
+
+    Built from the MC sum helpers of ``symcap.linfty``; no ``cap`` command
+    pushes an MC element forward, so it lives with the tests that use it.
+    """
+    if phi.source is not m.model:
+        raise ModelError("MC element does not live in the morphism source")
+    if phi.target.algebra_mode != "module":
+        raise ModelError("mc_pushforward needs a module-mode target")
+    if m.min_valuation() <= 0:
+        raise ModelError("MC element coefficients need strictly positive valuation")
+    size = _mc_size(m, phi.max_arity(), m.model.cutoff)
+    image = _extend_linearly(phi.component, _mc_multisets(m, size))
+    value = {u[0]: c for u, c in image.items()}
+    result = MaurerCartanElement(phi.target, value)
+    ok, residual = mc_check(phi.target, result)
+    if not ok:
+        raise IntegrityError(
+            "pushforward of a Maurer-Cartan element fails the MC equation "
+            f"in the target (residual on {len(residual)} words)"
+        )
+    return result
 
 
 def test_mc_pushforward_along_identity(models):

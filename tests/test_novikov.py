@@ -164,27 +164,69 @@ def finer(*cutoffs):
     return min(known) if known else None
 
 
-@given(cut_polys, cut_polys, scalars, distinct_cutoffs)
-def test_results_equal_the_constructor_on_expanded_terms(p, q, c, mixed):
+def expanded_product(a, b):
+    return [(e1 + e2, k1 * k2) for e1, k1 in a.terms for e2, k2 in b.terms]
+
+
+# one nonzero term, often a zero shift or a unit scale, under a cutoff that
+# may drop it
+single_terms = st.builds(
+    lambda e, k, cutoff: NovikovPolynomial([(e, k)], cutoff),
+    st.one_of(st.just(Fraction(0)), exponents),
+    st.one_of(st.just(Fraction(1)), rationals.filter(bool)),
+    cutoffs,
+)
+
+
+@given(cut_polys, cut_polys, scalars, distinct_cutoffs, single_terms)
+def test_results_equal_the_constructor_on_expanded_terms(p, q, c, mixed, s):
     both = finer(p.cutoff, q.cutoff)
     c1, c2 = mixed
     cases = [
         (p.scale(c), [(e, k * c) for e, k in p.terms], p.cutoff),
         (-p, [(e, -k) for e, k in p.terms], p.cutoff),
         (p + q, list(p.terms) + list(q.terms), both),
-        (
-            p * q,
-            [(e1 + e2, k1 * k2) for e1, k1 in p.terms for e2, k2 in q.terms],
-            both,
-        ),
+        (p * q, expanded_product(p, q), both),
+        # a single-term factor on either side
+        (s * q, expanded_product(s, q), finer(s.cutoff, q.cutoff)),
+        (p * s, expanded_product(p, s), finer(p.cutoff, s.cutoff)),
     ]
     # the same terms under different cutoffs: None + c, and c1 + c2 with c1 != c2
     for x, y in ((None, c1), (c2, None), (c1, c2), (c2, c1)):
         a, b = NovikovPolynomial(p.terms, x), NovikovPolynomial(q.terms, y)
         cases.append((a + b, list(a.terms) + list(b.terms), finer(x, y)))
+        cases.append((a * b, expanded_product(a, b), finer(x, y)))
+        t = NovikovPolynomial(s.terms, x)
+        cases.append((t * b, expanded_product(t, b), finer(x, y)))
+        cases.append((b * t, expanded_product(b, t), finer(x, y)))
     for got, expanded, cutoff in cases:
         assert got.terms == NovikovPolynomial(expanded, cutoff).terms
         assert_canonical(got, cutoff)
+
+
+def test_products_cancel_and_cut():
+    # (1 + T)(1 - T) = 1 - T^2: the T terms cancel, and T^2 survives only
+    # below the cutoff, on either factor
+    one_and_t = [(0, 1), (1, 1)]
+    one_minus_t = [(0, 1), (1, -1)]
+    for cutoff, want in ((None, [(0, 1), (2, -1)]), (3, [(0, 1), (2, -1)]),
+                         (2, [(0, 1)]), (Fraction(3, 2), [(0, 1)])):
+        for x, y in ((cutoff, None), (None, cutoff), (cutoff, cutoff)):
+            a, b = nov(*one_and_t, cutoff=x), nov(*one_minus_t, cutoff=y)
+            got = a * b
+            assert got.terms == tuple((Fraction(e), Fraction(k)) for e, k in want)
+            assert got.terms == NovikovPolynomial(expanded_product(a, b), cutoff).terms
+            assert_canonical(got, None if cutoff is None else Fraction(cutoff))
+    # a single term stops at the first product at or above the cutoff
+    t = nov((1, 2))
+    got = t * nov((0, 1), (1, -1), (3, 5), cutoff=2)
+    assert got.terms == ((1, 2),) and got.cutoff == 2
+    assert_canonical(got, 2)
+    assert (nov((2, 1), cutoff=5) * nov((0, 1), cutoff=2)).terms == ()
+    # the unit keeps the other factor's terms below the smaller cutoff
+    got = nov((0, 1), cutoff=2) * nov((1, 3), (2, 5))
+    assert got.terms == ((1, 3),) and got.cutoff == 2
+    assert_canonical(got, 2)
 
 
 @st.composite
