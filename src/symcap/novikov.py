@@ -163,7 +163,8 @@ class NovikovPolynomial:
 
     def __mul__(self, other: "NovikovPolynomial") -> "NovikovPolynomial":
         """Products cut at the smaller cutoff.  A single-term factor c·T^e
-        shifts and scales the other's terms, which stay sorted and nonzero;
+        shifts and scales the other's terms (no addition if e = 0, no product
+        if c = 1, as in most engine products), which stay sorted and nonzero;
         else products are summed per exponent, zeros dropped, sorted once."""
         cutoff = self._merge_cutoff(self, other)
         a, b = self.terms, other.terms
