@@ -2,7 +2,7 @@
 
 Capacity sequences and tangency-constrained curve counts for ellipsoids,
 polydisks and balls, a filtered L-infinity engine over Novikov
-coefficients with Maurer-Cartan deformations and augmentations, and a
+coefficients with Maurer-Cartan elements and augmentations, and a
 rewriting calculus that evaluates tangency constraints against a small
 table of base invariants.
 
@@ -42,7 +42,6 @@ from .linfty import (
     MaurerCartanElement,
     ModelError,
     check_linfty_relations,
-    deform,
     exp_mc,
     linearize,
     mc_check,
@@ -91,7 +90,6 @@ __all__ = [
     "capacity_sequence_EH",
     "check_linfty_relations",
     "conley_zehnder_ellipsoid",
-    "deform",
     "ech_sequence",
     "ellipsoid_orbits",
     "exp_mc",

@@ -48,6 +48,10 @@ Group = tuple  # sorted tuple of branch orders, descending
 Key = tuple  # (surface | None, class | None, groups)
 Combination = dict  # Key -> Fraction
 
+# the group ids that the distinct terms of one reduction may hold together:
+# CP2 d = 10 holds 614,544 (72,430 terms), and a DAG this size takes about 2 s
+MAX_DAG_SIZE = 1 << 21
+
 
 def canonical_groups(groups: Sequence[Sequence[int]]) -> tuple:
     out = []
@@ -178,7 +182,8 @@ def reduce_combination(
     order: ``keys[i]`` rewrites to the sum of ``c/den * keys[j]`` over
     integers c and den, and ``keys``, the canonical keys by term id, is one
     list shared by every record.  Nesting past the interpreter's recursion
-    limit raises ``ValueError``.
+    limit, or distinct terms holding more than ``MAX_DAG_SIZE`` group ids
+    together, raises ``ValueError``.
 
     Two passes, each term handled once:
 
@@ -219,6 +224,7 @@ def reduce_combination(
     keys: list[Key] = []  # canonical keys by term id, filled for a trace
     expansions: list[Optional[tuple[int, list]]] = []
     post_order: list[int] = []
+    size = 0  # group ids held by the terms so far
     dropped = (1, [])
 
     def intern(group: Group) -> int:
@@ -234,6 +240,10 @@ def reduce_combination(
         return (term[0], term[1], tuple(members))
 
     def expand(term: tuple) -> int:
+        nonlocal size
+        size += len(term[2])
+        if size > MAX_DAG_SIZE:
+            raise ValueError("the rewrite grows too large to reduce")
         i = ids[term] = len(terms)
         terms.append(term)
         expansions.append(None)

@@ -764,48 +764,6 @@ def exp_mc(m: MaurerCartanElement, max_terms: Optional[int] = None) -> Combo:
     return out
 
 
-def deform(model: LInfinityModel, m: MaurerCartanElement) -> LInfinityModel:
-    """Deformed operations l^k_m(...) = Σ_{i>=0} 1/i! l^{k+i}(m,...,m,...).
-
-    The i = 0 term is the undeformed operation, so deforming by 0 is the
-    identity.  Keys are materialized on the subwords of stored operation keys.
-    """
-    ok, residual = mc_check(model, m)
-    if not ok:
-        raise IntegrityError(
-            f"deform: MC residual nonzero on {len(residual)} words"
-        )
-    new_ops: dict[tuple[int, Word], Combo] = {}
-    for (arity, word), combo in model.operations.items():
-        slots = sorted(set(m.value).intersection(word), key=lambda g: g.sort_key)
-        # how many copies of each slot's generator the MC element takes
-        for taken in product(*(range(word.count(g) + 1) for g in slots)):
-            if sum(taken) == arity:
-                continue
-            weight = NovikovPolynomial.unit(model.cutoff)
-            remaining = list(word)
-            for g, t in zip(slots, taken):
-                for _ in range(t):
-                    weight = weight * m.value[g]
-                    remaining.remove(g)
-                weight = weight.scale(Fraction(1, math.factorial(t)))
-            if weight.is_zero():
-                continue
-            sign, key = normalize_word(remaining)
-            target = new_ops.setdefault((len(remaining), key), {})
-            for u, c in combo.items():
-                add_into(target, u, (c * weight).scale(sign))
-    return LInfinityModel(
-        list(model.generators.values()),
-        new_ops,
-        grading_mode=model.grading_mode,
-        algebra_mode=model.algebra_mode,
-        cutoff=model.cutoff,
-        filtered=False,
-        augmentations=dict(model.augmentations),
-    )
-
-
 # ---------------------------------------------------------------------------
 # augmentation extension (bar-level) and pushforward
 

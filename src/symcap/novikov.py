@@ -6,6 +6,11 @@ with rational coefficients and nonnegative rational exponents, optionally
 truncated below a cutoff exponent.  Truncation at ``C`` is the quotient by
 the ideal ``(T^C)``: every exponent ``>= C`` is dropped, which is exact
 modulo ``T^C``.
+
+Exponents and cutoffs are ``Fraction``s.  A coefficient is an ``int`` when
+it is integral and a ``Fraction`` with denominator > 1 otherwise, so the
+mostly integral arithmetic of the engine builds no ``Fraction``s; an ``int``
+and the equal ``Fraction`` compare and hash alike.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ Rational = Union[int, Fraction]
 INF = math.inf
 
 
-def fmt_rational(x: Fraction) -> str:
+def fmt_rational(x: Rational) -> str:
+    if type(x) is int:
+        return str(x)
     if not isinstance(x, Fraction):
         x = Fraction(x)
     if x.denominator == 1:
@@ -47,11 +54,18 @@ def _exponent(term: tuple) -> Fraction:
     return term[0]
 
 
+def _scalar(c: Rational) -> Rational:
+    """A coefficient in canonical form: ``int`` when integral, else the
+    ``Fraction``."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class NovikovPolynomial:
     """Immutable finite T-power series with rational exponents >= 0.
 
     ``terms`` is a sorted tuple of (exponent, coefficient) pairs with
-    strictly increasing exponents and no zero coefficients.  ``cutoff``
+    strictly increasing ``Fraction`` exponents and no zero coefficients,
+    each an ``int`` when integral and a ``Fraction`` otherwise.  ``cutoff``
     of ``None`` means untruncated.
     """
 
@@ -66,11 +80,11 @@ class NovikovPolynomial:
             cutoff = Fraction(cutoff)
             if cutoff <= 0:
                 raise ValueError("cutoff must be positive")
-        acc: dict[Fraction, Fraction] = {}
+        acc: dict[Fraction, Rational] = {}
         for e, c in terms:
             if not isinstance(e, Fraction):
                 e = Fraction(e)
-            if not isinstance(c, Fraction):
+            if type(c) is not int and not isinstance(c, Fraction):
                 c = Fraction(c)
             if e.numerator < 0:
                 raise ValueError(f"negative exponent T^{e}")
@@ -81,15 +95,17 @@ class NovikovPolynomial:
         object.__setattr__(
             self,
             "terms",
-            tuple(sorted(((e, c) for e, c in acc.items() if c), key=_exponent)),
+            tuple(
+                sorted(((e, _scalar(c)) for e, c in acc.items() if c), key=_exponent)
+            ),
         )
         object.__setattr__(self, "cutoff", cutoff)
 
     @classmethod
     def _canonical(cls, terms: tuple, cutoff) -> "NovikovPolynomial":
-        """Wrap ``terms`` that already satisfy the class invariant: sorted
-        ``Fraction`` pairs, strictly increasing exponents below ``cutoff``
-        and no zero coefficients."""
+        """Wrap ``terms`` that already satisfy the class invariant: strictly
+        increasing ``Fraction`` exponents below ``cutoff``, and nonzero
+        coefficients, ``int`` when integral."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "cutoff", cutoff)
@@ -139,7 +155,7 @@ class NovikovPolynomial:
             if ea is eb or ea == eb:
                 c = ta[1] + tb[1]
                 if c:
-                    out.append((ea, c))
+                    out.append((ea, _scalar(c)))
                 i += 1
                 j += 1
             elif ea < eb:
@@ -178,7 +194,7 @@ class NovikovPolynomial:
                 e = e1 + e2 if e1 else e2
                 if cutoff is not None and e >= cutoff:
                     break
-                out.append((e, c2 if one else c1 * c2))
+                out.append((e, c2 if one else _scalar(c1 * c2)))
             return self._canonical(tuple(out), cutoff)
         acc: dict = {}
         for e1, c1 in a:
@@ -188,7 +204,7 @@ class NovikovPolynomial:
                     break
                 prev = acc.get(e)
                 acc[e] = c1 * c2 if prev is None else prev + c1 * c2
-        terms = sorted((t for t in acc.items() if t[1]), key=_exponent)
+        terms = sorted(((e, _scalar(c)) for e, c in acc.items() if c), key=_exponent)
         return self._canonical(tuple(terms), cutoff)
 
     def scale(self, c: Rational) -> "NovikovPolynomial":
@@ -200,7 +216,9 @@ class NovikovPolynomial:
             c = Fraction(c)
         if not c:
             return self._canonical((), self.cutoff)
-        return self._canonical(tuple((e, k * c) for e, k in self.terms), self.cutoff)
+        return self._canonical(
+            tuple((e, _scalar(k * c)) for e, k in self.terms), self.cutoff
+        )
 
     def truncate(self, cutoff: Rational) -> "NovikovPolynomial":
         return NovikovPolynomial(self.terms, cutoff)

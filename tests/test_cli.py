@@ -591,6 +591,64 @@ def test_mc_check(capsys, fixtures_dir):
     assert (code, out) == (0, "Maurer-Cartan: pass\n")
 
 
+# da = 1/2*T^(3/2)*bc + 3/2*T^(5/2), and eps kills it: b -> T^(1/3),
+# c -> -3*T^(2/3)
+FRACTIONAL_MODEL = """\
+[flags]
+grading_mode = Z
+algebra_mode = cdga
+cutoff = none
+filtered = true
+
+[generators]
+a | -1 | 5/2
+b | 0  | 1/3
+c | 0  | 2/3
+
+[operations]
+1 | a | (1/2*T^(3/2)) * (b*c) + (3/2*T^(5/2)) * 1
+
+[augmentations]
+eps | b | (1*T^(1/3)) * t^0
+eps | c | (-3*T^(2/3)) * t^0
+"""
+
+
+def test_linf_prints_fractional_coefficients_and_exponents(
+    capsys, fixtures_dir, tmp_path
+):
+    """Fractional coefficients and exponents, and a product of fractions
+    that comes out integral, print byte for byte as pinned here."""
+    model = tmp_path / "fractional.model"
+    model.write_text(FRACTIONAL_MODEL)
+    assert run(capsys, "linf", "check", str(model), "--l", "3") == (0, "pass\n", "")
+    assert run(capsys, "linf", "linearize", str(model), "--aug", "eps") == (
+        0,
+        "[flags]\n"
+        "grading_mode = Z\n"
+        "algebra_mode = module\n"
+        "cutoff = none\n"
+        "filtered = true\n"
+        "\n"
+        "[generators]\n"
+        "b | 0 | 1/3\n"
+        "c | 0 | 2/3\n"
+        "a | -1 | 5/2\n"
+        "\n"
+        "[operations]\n"
+        "1 | a | (-3/2*T^(13/6)) * (b) + (1/2*T^(11/6)) * (c)\n",
+        "",
+    )
+    dgla = str(fixtures_dir / "dgla.model")
+    fail = "Maurer-Cartan: fail; residual at (z) is "
+    for m, want in (
+        ("x:1/2*T^(1/2),y:3*T^(1/3)", (2, fail + "3/2*T^(5/6)\n")),
+        ("x:1/2*T^(1/2),y:2*T^(1/2)", (2, fail + "1*T^1\n")),
+        ("x:1/2*T^(1/2),y:3*T^(1/3),w:3/2*T^(5/6)", (0, "Maurer-Cartan: pass\n")),
+    ):
+        assert run(capsys, "linf", "mc", dgla, "--m", m) == (*want, "")
+
+
 def test_mc_rejects_valuation_zero(capsys, fixtures_dir):
     code, _, err = run(
         capsys, "linf", "mc", str(fixtures_dir / "dgla.model"), "--m", "x:1"
@@ -719,6 +777,25 @@ def test_gw_rewrites_nested_too_deeply_exit_one(capsys, fixtures_dir, argv):
     assert time.perf_counter() - start < 10
     assert (code, out) == (1, "")
     assert err == "cap: error: the rewrite nests too deeply to reduce\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "reduce", "<(T^900 p)>"],
+        ["gw", "evaluate", "CP2 d=300 <(T^898 p)>", "--table", "base.tbl"],
+    ],
+)
+def test_gw_rewrites_past_the_dag_bound_exit_one(capsys, fixtures_dir, argv):
+    """These nest below the recursion limit, but their rewrite DAGs grow
+    without bound (``<(T^900 p)>`` ran past 100 s before the bound); the
+    expand pass stops at ``gw.MAX_DAG_SIZE`` group ids instead."""
+    argv = [str(fixtures_dir / a) if a == "base.tbl" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert err == "cap: error: the rewrite grows too large to reduce\n"
 
 
 # ---------------------------------------------------------------------------

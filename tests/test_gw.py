@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symcap import gw
 from symcap.cli import main
 from symcap.gw import (
     BaseInvariantTable,
@@ -246,6 +247,20 @@ def test_reduce_trace_structure():
             assert coeff != 0
             assert codimension(out_key) == codimension(key)
             assert measure(out_key) < measure(key)
+
+
+def test_reduce_stops_past_the_dag_size_bound(monkeypatch):
+    """The bound counts the group ids that the distinct terms hold: a DAG of
+    exactly ``MAX_DAG_SIZE`` ids reduces as before, and one id less raises."""
+    expr = make_term([(4,)], surface="CP2", cls=2)
+    trace = []
+    want = reduce_combination(expr, trace=trace)
+    size = sum(len(key[2]) for key in trace[0][0])
+    monkeypatch.setattr(gw, "MAX_DAG_SIZE", size)
+    assert reduce_combination(expr) == want
+    monkeypatch.setattr(gw, "MAX_DAG_SIZE", size - 1)
+    with pytest.raises(ValueError, match="grows too large to reduce"):
+        reduce_combination(expr)
 
 
 # ---------------------------------------------------------------------------

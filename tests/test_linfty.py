@@ -1,6 +1,7 @@
 """Tests for the L-infinity layer: operations, morphisms, Maurer-Cartan
 theory, and linearization."""
 
+import math
 import random
 import sys
 import threading
@@ -25,7 +26,6 @@ from symcap.linfty import (
     augmentation_pushforward_mc,
     check_linfty_relations,
     coderivation_on_combo,
-    deform,
     exp_mc,
     extend_coderivation,
     extend_morphism,
@@ -1196,6 +1196,29 @@ def test_f_epsilon_inverse_composes_to_identity(models):
         assert morphism_on_combo(f_plus, halfway) == {w: ONE}
 
 
+def _coefficient_types(combos):
+    return {type(c) for combo in combos for p in combo.values() for _, c in p.terms}
+
+
+def test_engine_coefficients_stay_ints():
+    """ℓ̂ on ``b2`` and the F^ε round trip on ``cdga_aug`` have integral
+    coefficients, so they carry ints only: a return to ``Fraction``
+    coefficients in the engine's arithmetic fails here."""
+    b2 = _fresh_model("b2")
+    images = [extend_coderivation(b2, w) for w in b2.basis_words(4)]
+    assert any(images)
+    assert _coefficient_types(images) == {int}
+    model = _fresh_model("cdga_aug")
+    eps = model.augmentations["eps"]
+    f_plus = f_epsilon_map(model, eps)
+    f_minus = f_epsilon_map(model, inverse_scalar_augmentation(model, eps))
+    combos = []
+    for w in model.basis_words(4):
+        halfway = morphism_on_combo(f_minus, {w: ONE})
+        combos += [halfway, morphism_on_combo(f_plus, halfway)]
+    assert _coefficient_types(combos) == {int}
+
+
 def test_linearize_rejects_non_chain_map_augmentation(models):
     model = models["cdga_aug"]
     with pytest.raises(ModelError, match="chain-map"):
@@ -1446,6 +1469,49 @@ def test_mc_size_below_the_cutoff_and_the_nilpotent_escape(models):
     flat = _element(high, x=0, y=0)
     ok, residual = mc_check(high, flat, assume_nilpotent=True)
     assert not ok and residual == {high.word("z"): N("3/2*T^0")}
+
+
+def deform(model: LInfinityModel, m: MaurerCartanElement) -> LInfinityModel:
+    """Deformed operations l^k_m(...) = Σ_{i>=0} 1/i! l^{k+i}(m,...,m,...).
+
+    The i = 0 term is the undeformed operation, so deforming by 0 is the
+    identity.  Keys are materialized on the subwords of stored operation keys.
+    No ``cap`` command deforms a model, so it lives with the tests that use it.
+    """
+    ok, residual = mc_check(model, m)
+    if not ok:
+        raise IntegrityError(
+            f"deform: MC residual nonzero on {len(residual)} words"
+        )
+    new_ops: dict[tuple[int, Word], Combo] = {}
+    for (arity, word), combo in model.operations.items():
+        slots = sorted(set(m.value).intersection(word), key=lambda g: g.sort_key)
+        # how many copies of each slot's generator the MC element takes
+        for taken in product(*(range(word.count(g) + 1) for g in slots)):
+            if sum(taken) == arity:
+                continue
+            weight = NovikovPolynomial.unit(model.cutoff)
+            remaining = list(word)
+            for g, t in zip(slots, taken):
+                for _ in range(t):
+                    weight = weight * m.value[g]
+                    remaining.remove(g)
+                weight = weight.scale(Fraction(1, math.factorial(t)))
+            if weight.is_zero():
+                continue
+            sign, key = normalize_word(remaining)
+            target = new_ops.setdefault((len(remaining), key), {})
+            for u, c in combo.items():
+                add_into(target, u, (c * weight).scale(sign))
+    return LInfinityModel(
+        list(model.generators.values()),
+        new_ops,
+        grading_mode=model.grading_mode,
+        algebra_mode=model.algebra_mode,
+        cutoff=model.cutoff,
+        filtered=False,
+        augmentations=dict(model.augmentations),
+    )
 
 
 def test_deform_by_repaired_element(models):

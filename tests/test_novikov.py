@@ -44,9 +44,15 @@ def nov(*terms, cutoff=None):
 
 
 def assert_canonical(p, cutoff):
+    """The value decides the type: exponents are ``Fraction``s, and a
+    coefficient is an ``int`` exactly when it is integral."""
     exps = [e for e, _ in p.terms]
     assert p.cutoff == cutoff
-    assert all(type(x) is Fraction for term in p.terms for x in term)
+    assert all(type(e) is Fraction for e in exps)
+    for _, c in p.terms:
+        if type(c) is int:
+            continue
+        assert type(c) is Fraction and c.denominator > 1, c
     assert all(a < b for a, b in zip(exps, exps[1:]))
     assert all(c != 0 for _, c in p.terms)
     assert cutoff is None or all(e < cutoff for e in exps)
@@ -157,6 +163,10 @@ def test_parse_rejects_malformed_terms(bad):
 def test_fmt_rational():
     assert fmt_rational(Fraction(3)) == "3"
     assert fmt_rational(Fraction(3, 2)) == "3/2"
+    # an int prints as the equal Fraction does; a bool is not an int here
+    assert fmt_rational(3) == fmt_rational(Fraction(3)) == "3"
+    assert fmt_rational(-7) == "-7" and fmt_rational(0) == "0"
+    assert fmt_rational(True) == "1"
 
 
 def finer(*cutoffs):
@@ -274,3 +284,129 @@ def test_merged_sum_edge_cases():
     assert (p + NovikovPolynomial.zero()).terms == p.terms
     assert (NovikovPolynomial.zero() + p).terms == p.terms
     assert (p + p).terms == ((1, 6), (2, -2)) and (p + p).cutoff is None
+
+
+# ---------------------------------------------------------------------------
+# against an all-Fraction reference, written here: a polynomial is a dict
+# {exponent: coefficient} of Fractions with its cutoff, and shares no code
+# with symcap.novikov
+
+
+def ref_poly(terms, cutoff):
+    cutoff = None if cutoff is None else Fraction(cutoff)
+    acc = {}
+    for e, c in terms:
+        e = Fraction(e)
+        if cutoff is None or e < cutoff:
+            acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in acc.items() if c}, cutoff
+
+
+def ref_apply(op, ref, other):
+    (acc, cutoff) = ref
+    if op == "neg":
+        return ref_poly([(e, -c) for e, c in acc.items()], cutoff)
+    if op == "scale":
+        return ref_poly([(e, c * other) for e, c in acc.items()], cutoff)
+    other_acc, other_cutoff = other
+    both = finer(cutoff, other_cutoff)
+    if op == "+":
+        return ref_poly(list(acc.items()) + list(other_acc.items()), both)
+    if op == "-":
+        return ref_poly(
+            list(acc.items()) + [(e, -c) for e, c in other_acc.items()], both
+        )
+    # "*" and "*left": multiplication commutes
+    return ref_poly(
+        [(e1 + e2, c1 * c2) for e1, c1 in acc.items() for e2, c2 in other_acc.items()],
+        both,
+    )
+
+
+def apply(op, p, other):
+    if op == "neg":
+        return -p
+    if op == "scale":
+        return p.scale(other)
+    q = NovikovPolynomial(*other)
+    return {"+": p + q, "-": p - q, "*": p * q, "*left": q * p}[op]
+
+
+def assert_matches(got, ref):
+    """``got`` holds the reference's value, in the one form its value
+    decides: Fraction exponents, an int coefficient exactly when integral,
+    and no float anywhere."""
+    acc, cutoff = ref
+    want = [
+        (e, c.numerator if c.denominator == 1 else c) for e, c in sorted(acc.items())
+    ]
+    assert [(type(e), e, type(c), c) for e, c in got.terms] == [
+        (Fraction, e, type(c), c) for e, c in want
+    ]
+    assert got.cutoff == cutoff and type(got.cutoff) in (type(None), Fraction)
+    # equal values give equal terms, however they were built
+    same = NovikovPolynomial(sorted(acc.items()), cutoff)
+    assert [tuple(map(type, t)) for t in same.terms] == [
+        tuple(map(type, t)) for t in got.terms
+    ]
+    assert same == got and hash(same) == hash(got)
+
+
+# coefficients as ints, reduced Fractions, or integral Fractions such as 4/2
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    rationals,
+    st.builds(lambda n, k: Fraction(n * k, k), st.integers(-6, 6), st.integers(1, 4)),
+)
+mixed_exponents = st.one_of(st.integers(min_value=0, max_value=6), exponents)
+mixed_cutoffs = st.one_of(cutoffs, st.integers(min_value=1, max_value=8))
+operands = st.tuples(
+    st.lists(st.tuples(mixed_exponents, mixed_coeffs), max_size=4), mixed_cutoffs
+)
+single_operands = st.tuples(
+    st.lists(
+        st.tuples(st.one_of(st.just(0), mixed_exponents), mixed_coeffs.filter(bool)),
+        min_size=1,
+        max_size=1,
+    ),
+    mixed_cutoffs,
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["+", "-", "*"]), st.one_of(operands, single_operands)
+        ),
+        st.tuples(st.just("*left"), single_operands),
+        st.tuples(st.just("scale"), st.integers(min_value=-4, max_value=4)),
+        st.tuples(st.just("scale"), st.integers(1, 6).map(lambda n: Fraction(1, n))),
+        st.tuples(st.just("neg"), st.none()),
+    ),
+    max_size=6,
+)
+
+
+@given(operands, steps)
+def test_arithmetic_matches_the_all_fraction_reference(start, chain):
+    p, ref = NovikovPolynomial(*start), ref_poly(*start)
+    assert_matches(p, ref)
+    for op, other in chain:
+        ref_other = other if op in ("neg", "scale") else ref_poly(*other)
+        p, ref = apply(op, p, other), ref_apply(op, ref, ref_other)
+        assert_matches(p, ref)
+
+
+def test_integral_results_come_back_as_ints():
+    half = Fraction(1, 2)
+    cases = [
+        nov((0, half)) + nov((0, half)),
+        nov((1, 2)) * nov((0, half)),
+        nov((0, half)) * nov((1, 2), (2, 4)),
+        nov((1, 3), (2, 6)).scale(Fraction(1, 3)),
+        nov((1, Fraction(4, 2))),
+        nov((1, Fraction(3, 2))).scale(Fraction(2)),
+    ]
+    for got in cases:
+        assert all(type(c) is int for _, c in got.terms), got.terms
+        assert_canonical(got, None)
+    assert (nov((1, half)) * nov((0, half))).terms == ((1, Fraction(1, 4)),)
+    assert str(nov((Fraction(3, 2), half)) * nov((0, 2))) == "1*T^(3/2)"
