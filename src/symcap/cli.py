@@ -1,5 +1,9 @@
 """The ``cap`` command line tool.  Each call builds only the parser branch
 of the command it runs, so a command pays for no other command's arguments.
+Standard-library modules that only one command uses (``hashlib``, ``json``
+and ``tempfile`` for the capacity cache, ``random`` for ``gw --seed``) are
+imported inside that command.  The symcap names stay bound at module level,
+where a traced benchmark run wraps them.
 
 Subcommands
 -----------
@@ -9,7 +13,8 @@ Subcommands
     alias), ``ech``, ``g-tangency``, ``r-points``; ``--domain`` like
     ``E:1,2``, ``P:1,3``, ``B`` or ``B:2`` (``E:1,inf`` and ellipsoids with
     more than two axes are accepted for the eh family only); ``--k`` a
-    single index or an ``a..b`` range.  Range entries are computed in one
+    single index or an ``a..b`` range up to ``MAX_INDEX`` (10**6), which
+    also bounds ``obstruct --K``.  Range entries are computed in one
     pass and emitted in ascending order.  The CSV table is cached under a
     content key of the parameters and a digest of the package sources (one
     file per command kind and key, next to its manifest);
@@ -38,7 +43,9 @@ Subcommands
     no table row could match it.
 
 Machine-readable output (CSV cells, solver levels, evaluated counts) uses
-exact rationals; decimal renderings only appear in human-facing summaries.
+exact rationals; decimal renderings only appear in human-facing summaries
+and in the CSV's ``decimal`` column, which refuses a value beyond the float
+range.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible / not found below the
 configured cutoff, 3 integrity failure (a model or table violating its
@@ -49,13 +56,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import math
 import os
-import random
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -93,6 +96,10 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTEGRITY = 3
 
+# the largest capacity index ``--k`` and ``--K`` may ask for: the lattices
+# enumerate every index up to it, so time and memory grow with it
+MAX_INDEX = 10**6
+
 
 class CliUsageError(Exception):
     pass
@@ -122,6 +129,8 @@ def source_digest(package: Path = Path(__file__).parent) -> str:
     A code change without a version bump thus misses tables computed by
     other code.  Computed on the first cache lookup, not at import.
     """
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(package.rglob("*.py")):
         h.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
@@ -130,6 +139,8 @@ def source_digest(package: Path = Path(__file__).parent) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -153,6 +164,8 @@ def _parse_k_range(text: str) -> list[int]:
         raise CliUsageError(f"bad index range {text!r}") from None
     if lo < 1 or hi < lo:
         raise CliUsageError(f"bad index range {text!r}")
+    if hi > MAX_INDEX:
+        raise CliUsageError(f"indices above {MAX_INDEX} are not computed")
     return list(range(lo, hi + 1))
 
 
@@ -246,7 +259,8 @@ def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
     The values come as integers over one scale and repeat in runs, so each
     run is formatted once: the exact cell is the reduced ``n/d`` (or ``n``),
     and the decimal cell divides the two ints, which rounds correctly and so
-    equals ``float`` of the ``Fraction``.  No cell needs CSV quoting."""
+    equals ``float`` of the ``Fraction``; a value beyond the float range is
+    refused.  No cell needs CSV quoting."""
     values, scale = _capacity_values(family, kind, axes, ks)
     rows = ["k,exact,decimal\n"]
     last = cells = None
@@ -258,12 +272,21 @@ def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
             g = math.gcd(value, scale)
             n, d = value // g, scale // g
             exact = f"{n}/{d}" if d != 1 else str(n)
-            last, cells = value, f",{exact},{value / scale:.6g}\n"
+            try:
+                decimal = value / scale
+            except OverflowError:
+                raise CliUsageError(
+                    f"c_{k} is too large for the decimal column"
+                ) from None
+            last, cells = value, f",{exact},{decimal:.6g}\n"
         rows.append(f"{k}{cells}")
     return "".join(rows).encode("utf-8")
 
 
 def cmd_capacity(args) -> int:
+    import hashlib
+    import json
+
     family = "eh" if args.family == "gh" else args.family
     kind, axes = _parse_domain(args.domain)
     ks = _parse_k_range(args.k)
@@ -334,6 +357,8 @@ def cmd_obstruct(args) -> int:
             raise CliUsageError(
                 "the four-dimensional comparison uses ellipsoid/ball sequences"
             )
+    if args.K > MAX_INDEX:
+        raise CliUsageError(f"indices above {MAX_INDEX} are not computed")
     a, b = (source.params * 2)[:2]
     c, d = (target.params * 2)[:2]
     verdict = obstruct_4d_ellipsoid(a, b, c, d, args.K)
@@ -471,6 +496,8 @@ def _parse_mc_element(model, text: str) -> MaurerCartanElement:
 
 
 def cmd_gw(args) -> int:
+    import random
+
     expr = gw.parse_constraint_expression(args.expression)
     if args.gw_cmd == "evaluate" and any(surface is None for surface, _, _ in expr):
         # table rows are keyed by surface and class: nothing could match

@@ -34,13 +34,15 @@ checked again.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .linfty import ModelError
 from .novikov import parse_rational
+
+if TYPE_CHECKING:  # for an annotation; a caller brings its own generator
+    import random
 
 SURFACES = ("CP2", "CP1xCP1", "CP1")
 

@@ -35,14 +35,15 @@ def fmt_rational(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+# the parse patterns are compiled, and cached by ``re``, on first use
+_RAT_PATTERN = r"^-?\d+(/\d+)?$"
 
 
 def parse_rational(text: str) -> Fraction:
     """``-p/q`` or ``p`` as a ``Fraction``; ValueError on anything else,
     including a zero denominator."""
     text = text.strip()
-    if not _RAT_RE.match(text):
+    if not re.match(_RAT_PATTERN, text):
         raise ValueError(f"not a rational: {text!r}")
     _, slash, denominator = text.partition("/")
     if slash and int(denominator) == 0:
@@ -282,7 +283,7 @@ def add_into(acc: dict, key, coeff) -> None:
         acc.pop(key, None)
 
 
-_TERM_RE = re.compile(
+_TERM_PATTERN = (
     r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*T\^(?:\((?P<pexp>-?\d+(?:/\d+)?)\)|(?P<exp>-?\d+(?:/\d+)?))\s*$"
 )
 
@@ -303,11 +304,11 @@ def parse_novikov(
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty term in {text!r}")
-        m = _TERM_RE.match(chunk)
+        m = re.match(_TERM_PATTERN, chunk)
         if m:
             exp = m.group("pexp") or m.group("exp")
             terms.append((parse_rational(exp), parse_rational(m.group("coeff"))))
-        elif _RAT_RE.match(chunk):
+        elif re.match(_RAT_PATTERN, chunk):
             terms.append((Fraction(0), parse_rational(chunk)))
         else:
             raise ValueError(f"cannot parse Novikov term {chunk!r}")

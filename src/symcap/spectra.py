@@ -1,8 +1,10 @@
 """Reeb-orbit spectra of ellipsoids and four-dimensional polydisks, their
 Conley-Zehnder indices, and Fredholm index arithmetic.
 
-The records are dataclasses, so ``symcap`` loads this module on first use,
-off the ``cap`` import path; it re-exports the EH and ECH sequences, which
+Like every submodule, this one loads on the first access to one of its
+names through ``symcap``.  No ``cap`` command imports it: its records are
+dataclasses, and ``dataclasses`` (with ``inspect``) would nearly double the
+start-up of every command.  It re-exports the EH and ECH sequences, which
 live in :mod:`symcap.capacities`.
 
 Both spectra are enumerated on an integer action lattice: every axis and

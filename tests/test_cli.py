@@ -798,6 +798,50 @@ def test_gw_rewrites_past_the_dag_bound_exit_one(capsys, fixtures_dir, argv):
     assert err == "cap: error: the rewrite grows too large to reduce\n"
 
 
+def test_indices_past_the_budget_exit_one_before_any_work(capsys, monkeypatch):
+    """``--k`` and ``--K`` above ``cli.MAX_INDEX`` are refused before any
+    lattice or index list is built (``--k 99999999999999999999`` used to
+    run until killed); the 10**6-index ECH table stays admitted."""
+
+    def no_work(*args):
+        raise AssertionError("a lattice was built past the budget")
+
+    for name in ("eh_lattice", "ech_lattice", "obstruct_4d_ellipsoid"):
+        monkeypatch.setattr(cli, name, no_work)
+    refused = "cap: error: indices above 1000000 are not computed\n"
+    capacity = ["capacity", "--domain", "E:1,2", "--no-cache", "--family"]
+    for argv in (
+        capacity + ["eh", "--k", "99999999999999999999"],
+        capacity + ["ech", "--k", "1000001"],
+        capacity + ["ech", "--k", "999999..1000001"],
+        ["obstruct", "--source", "E:1,2", "--target", "B:3", "--K", "1000001"],
+    ):
+        assert run(capsys, *argv) == (1, "", refused), argv
+    assert cli.MAX_INDEX == 10**6
+    assert cli._parse_k_range("1..1000000") == list(range(1, 10**6 + 1))
+
+
+def test_values_past_the_float_range_exit_one(capsys, isolated_cache, tmp_path):
+    """The decimal column is a float: a value too large for one is refused
+    in one error line, and nothing is cached; a value just inside the range
+    still gets its cell."""
+    for argv, k in (
+        (["r-points", "--domain", "B:1e400", "--k", "2"], 2),
+        (["eh", "--domain", "E:1e400,2e400", "--k", "1..2"], 1),
+    ):
+        code, out, err = run(capsys, "capacity", "--family", *argv)
+        message = f"cap: error: c_{k} is too large for the decimal column\n"
+        assert (code, out, err) == (1, "", message)
+    assert not isolated_cache.exists()
+    table = tmp_path / "big.csv"
+    code, out, _ = run(
+        capsys, "capacity", "--family", "eh", "--domain", "B:1e300", "--k", "1",
+        "--output", str(table),
+    )
+    assert (code, out) == (0, f"{10**300}\n")
+    assert table.read_text() == f"k,exact,decimal\n1,{10**300},1e+300\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and wiring
 
@@ -1078,9 +1122,11 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
 
 
 IMPORT_SCRIPT = """
-import json, sys
+import sys
 import symcap.cli
-loaded = [m for m in ("dataclasses", "inspect", "symcap.spectra") if m in sys.modules]
+heavy = ("dataclasses", "inspect", "symcap.spectra", "hashlib", "json")
+loaded = [m for m in heavy if m in sys.modules]
+import json
 import symcap
 from symcap import spectra
 lazy = ["OrbitSpectrum", "conley_zehnder_ellipsoid", "ellipsoid_orbits",
@@ -1102,7 +1148,8 @@ print(json.dumps([loaded, wrong, missing, unbound, domain]))
 
 def test_cli_import_loads_no_dataclasses_and_spectra_resolve_lazily():
     """``cap`` pays for ``import symcap.cli`` on every command; the orbit
-    spectra, the package's only dataclasses, load on first use instead."""
+    spectra, the package's only dataclasses, load on first use instead, and
+    so do ``hashlib`` and ``json``, which only the capacity cache uses."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SCRIPT],
@@ -1117,3 +1164,58 @@ def test_cli_import_loads_no_dataclasses_and_spectra_resolve_lazily():
     assert missing == "module 'symcap' has no attribute 'no_such_name'"
     assert unbound == []
     assert domain == "E(1,2)"
+
+
+API_SCRIPT = """
+import importlib, json, sys
+import symcap
+bare = sorted(m for m in sys.modules if m.startswith("symcap."))
+from symcap import capacities, spectra
+library = sorted(m for m in sys.modules if m.startswith("symcap."))
+submodule = symcap.linfty is sys.modules["symcap.linfty"]
+wrong = [
+    name for name, module in symcap._API.items()
+    if getattr(symcap, name) is not getattr(
+        importlib.import_module("symcap." + module), name)
+]
+star = {}
+exec("from symcap import *", star)
+star.pop("__builtins__")
+print(json.dumps({
+    "bare": bare, "library": library, "submodule": submodule,
+    "wrong": wrong, "star": sorted(star), "all": symcap.__all__,
+    "dir": [n for n in symcap.__all__ if n not in dir(symcap)],
+}))
+"""
+
+
+def test_package_names_come_from_one_table_and_load_their_module_on_use(
+    tmp_path,
+):
+    """``symcap/__init__.py`` is one table from public name to module: a bare
+    ``import symcap`` loads no submodule, ``capacities`` and ``spectra``
+    load no model-file code, every name is its module's object, and
+    ``from symcap import *`` binds exactly ``__all__``."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), SYMCAP_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", API_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    found = json.loads(proc.stdout)
+    assert found["bare"] == []
+    assert "symcap.modelfile" not in found["library"]
+    assert {"symcap.capacities", "symcap.spectra"} <= set(found["library"])
+    assert found["submodule"] is True
+    assert found["wrong"] == []
+    assert found["star"] == sorted(found["all"]) == found["all"]
+    assert found["dir"] == []
+    # the command still runs end to end in a fresh process, cache code and all
+    argv = ["capacity", "--family", "ech", "--domain", "E:1,2", "--k", "1..8"]
+    for extra in (["--no-cache"], []):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcap.cli", *argv, *extra],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert (proc.stdout, proc.stderr) == ("1,2,2,3,3,4,4,4\n", "")
+    assert len(list(tmp_path.rglob("*.csv"))) == 1
