@@ -182,7 +182,17 @@ def eh_lattice(a: Sequence[Axis], K: int) -> tuple:
         raise ValueError("ellipsoid parameters must be positive")
     scale = math.lcm(*(x.denominator for x in finite))
     ints = [x.numerator * (scale // x.denominator) for x in finite]
-    return sorted(v * i for v in ints for i in range(1, K + 1))[:K], scale
+    # the least t with K multiples at or below it (K·min is one such t):
+    # fewer than K lie below t and at most one per axis at t, so at most
+    # K + len(ints) - 1 products are built, not len(ints)·K
+    lo, hi = 1, K * min(ints)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(mid // v for v in ints) >= K:
+            hi = mid
+        else:
+            lo = mid + 1
+    return sorted(v * i for v in ints for i in range(1, lo // v + 1))[:K], scale
 
 
 def eh_sequence(a: Sequence[Axis], K: int) -> list[Fraction]:

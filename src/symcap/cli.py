@@ -1,5 +1,7 @@
-"""The ``cap`` command line tool.  Each call builds only the parser branch
-of the command it runs, so a command pays for no other command's arguments.
+"""The ``cap`` command line tool.  Each call builds only the parsers on the
+path it runs: the command's and, under ``linf`` and ``gw``, the
+subcommand's.  Siblings are built only where they are listed: for help,
+``--version`` and a bad or missing name.
 Standard-library modules that only one command uses (``hashlib``, ``json``
 and ``tempfile`` for the capacity cache, ``random`` for ``gw --seed``) are
 imported inside that command.  The symcap names stay bound at module level,
@@ -44,8 +46,8 @@ Subcommands
 
 Machine-readable output (CSV cells, solver levels, evaluated counts) uses
 exact rationals; decimal renderings only appear in human-facing summaries
-and in the CSV's ``decimal`` column, which refuses a value beyond the float
-range.
+and in the CSV's ``decimal`` column, which refuses a value outside the
+float range.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible / not found below the
 configured cutoff, 3 integrity failure (a model or table violating its
@@ -259,8 +261,9 @@ def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
     The values come as integers over one scale and repeat in runs, so each
     run is formatted once: the exact cell is the reduced ``n/d`` (or ``n``),
     and the decimal cell divides the two ints, which rounds correctly and so
-    equals ``float`` of the ``Fraction``; a value beyond the float range is
-    refused.  No cell needs CSV quoting."""
+    equals ``float`` of the ``Fraction``; a value outside the float range
+    (too large, or nonzero but rounding to 0.0) is refused.  No cell needs
+    CSV quoting."""
     values, scale = _capacity_values(family, kind, axes, ks)
     rows = ["k,exact,decimal\n"]
     last = cells = None
@@ -278,6 +281,10 @@ def _capacity_csv(family: str, kind: str, axes: tuple, ks: list[int]) -> bytes:
                 raise CliUsageError(
                     f"c_{k} is too large for the decimal column"
                 ) from None
+            if value and not decimal:
+                raise CliUsageError(
+                    f"c_{k} is too small for the decimal column"
+                )
             last, cells = value, f",{exact},{decimal:.6g}\n"
         rows.append(f"{k}{cells}")
     return "".join(rows).encode("utf-8")
@@ -302,15 +309,17 @@ def cmd_capacity(args) -> int:
     table_path = cache_root() / "capacity" / f"{key}.csv"
     cached = not args.no_cache and table_path.exists()
     data = table_path.read_bytes() if cached else _capacity_csv(family, kind, axes, ks)
-    # the reproducibility record: no timestamps, so identical runs collide
-    manifest = {
-        "command": "capacity",
-        "parameters": parameters,
-        "version": __version__,
-        "outputs": {table_path.name: hashlib.sha256(data).hexdigest()},
-    }
-    manifest_bytes = json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n"
-    if not cached and not args.no_cache:
+    store = not cached and not args.no_cache
+    if store or args.manifest:
+        # the reproducibility record: no timestamps, so identical runs collide
+        manifest = {
+            "command": "capacity",
+            "parameters": parameters,
+            "version": __version__,
+            "outputs": {table_path.name: hashlib.sha256(data).hexdigest()},
+        }
+        manifest_bytes = json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n"
+    if store:
         _atomic_write(table_path, data)
         _atomic_write(table_path.with_suffix(".manifest.json"), manifest_bytes)
     if args.output:
@@ -540,7 +549,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _configure_capacity(cap: _Parser) -> None:
+def _named(names, argv: Sequence[str]):
+    """The names whose parsers are built: the one ``argv[0]`` names, or all
+    of them when it names none, so that help and errors list every one."""
+    return (argv[0],) if argv and argv[0] in names else names
+
+
+def _configure_capacity(cap: _Parser, argv: Sequence[str]) -> None:
     cap.add_argument(
         "--family",
         required=True,
@@ -554,7 +569,7 @@ def _configure_capacity(cap: _Parser) -> None:
     cap.set_defaults(func=cmd_capacity)
 
 
-def _configure_obstruct(obs: _Parser) -> None:
+def _configure_obstruct(obs: _Parser, argv: Sequence[str]) -> None:
     obs.add_argument("--source", required=True)
     obs.add_argument("--target", required=True)
     obs.add_argument(
@@ -566,9 +581,9 @@ def _configure_obstruct(obs: _Parser) -> None:
     obs.set_defaults(func=cmd_obstruct)
 
 
-def _configure_linf(linf: _Parser) -> None:
+def _configure_linf(linf: _Parser, argv: Sequence[str]) -> None:
     linf_sub = linf.add_subparsers(dest="linf_cmd", required=True)
-    for name in ("check", "linearize", "mc", "solve-gb"):
+    for name in _named(("check", "linearize", "mc", "solve-gb"), argv):
         p = linf_sub.add_parser(name)
         p.add_argument("model")
         p.set_defaults(func=cmd_linf)
@@ -594,9 +609,9 @@ def _configure_linf(linf: _Parser) -> None:
             )
 
 
-def _configure_gw(gwp: _Parser) -> None:
+def _configure_gw(gwp: _Parser, argv: Sequence[str]) -> None:
     gw_sub = gwp.add_subparsers(dest="gw_cmd", required=True)
-    for name in ("reduce", "evaluate"):
+    for name in _named(("reduce", "evaluate"), argv):
         p = gw_sub.add_parser(name)
         p.add_argument("expression", help='e.g. "CP2 d=2 <(T^4 p)>"')
         p.add_argument("--table", help="base invariant table file")
@@ -604,6 +619,7 @@ def _configure_gw(gwp: _Parser) -> None:
         p.set_defaults(func=cmd_gw)
 
 
+# each command's help line and configure(parser, argv after the command)
 COMMANDS = {
     "capacity": ("capacity tables for a domain", _configure_capacity),
     "obstruct": ("embedding obstructions", _configure_obstruct),
@@ -613,9 +629,11 @@ COMMANDS = {
 
 
 def build_parser(argv: Sequence[str]) -> _Parser:
-    """The ``cap`` parser, listing every command but adding arguments only
-    to the one ``argv`` runs: the root takes no option with a value, so its
-    first argument not starting with ``-`` names the command."""
+    """The ``cap`` parser for one call.  The root takes no option with a
+    value, so its first argument not starting with ``-`` names the command,
+    and only that command gets its arguments.  Siblings, of the command and
+    of a ``linf`` or ``gw`` subcommand, are built only when the word in their
+    place names none of them: help, ``--version`` and errors list them all."""
     parser = _Parser(
         prog="cap",
         description="Symplectic capacity tables and embedding obstructions.",
@@ -624,11 +642,13 @@ def build_parser(argv: Sequence[str]) -> _Parser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    command = next((a for a in argv if not a.startswith("-")), None)
-    for name, (help_text, configure) in COMMANDS.items():
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    command = None if at is None else argv[at]
+    for name in _named(COMMANDS, argv):
+        help_text, configure = COMMANDS[name]
         command_parser = sub.add_parser(name, help=help_text)
         if name == command:
-            configure(command_parser)
+            configure(command_parser, argv[at + 1 :])
     return parser
 
 

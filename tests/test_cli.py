@@ -822,24 +822,33 @@ def test_indices_past_the_budget_exit_one_before_any_work(capsys, monkeypatch):
 
 
 def test_values_past_the_float_range_exit_one(capsys, isolated_cache, tmp_path):
-    """The decimal column is a float: a value too large for one is refused
-    in one error line, and nothing is cached; a value just inside the range
-    still gets its cell."""
-    for argv, k in (
-        (["r-points", "--domain", "B:1e400", "--k", "2"], 2),
-        (["eh", "--domain", "E:1e400,2e400", "--k", "1..2"], 1),
+    """The decimal column is a float: a value too large for one, or nonzero
+    but rounding to 0.0, is refused in one error line, and nothing is
+    cached or written; a value just inside the range, subnormal quotients
+    included, still gets its cell."""
+    table = tmp_path / "t.csv"
+    for argv, k, size in (
+        (["r-points", "--domain", "B:1e400", "--k", "2"], 2, "large"),
+        (["eh", "--domain", "E:1e400,2e400", "--k", "1..2"], 1, "large"),
+        (["r-points", "--domain", "B:1e-400", "--k", "1..2", "-o", str(table)], 1, "small"),
+        (["eh", "--domain", "E:1e-400,2e-400", "--k", "2"], 2, "small"),
     ):
         code, out, err = run(capsys, "capacity", "--family", *argv)
-        message = f"cap: error: c_{k} is too large for the decimal column\n"
+        message = f"cap: error: c_{k} is too {size} for the decimal column\n"
         assert (code, out, err) == (1, "", message)
     assert not isolated_cache.exists()
-    table = tmp_path / "big.csv"
-    code, out, _ = run(
-        capsys, "capacity", "--family", "eh", "--domain", "B:1e300", "--k", "1",
-        "--output", str(table),
-    )
-    assert (code, out) == (0, f"{10**300}\n")
-    assert table.read_text() == f"k,exact,decimal\n1,{10**300},1e+300\n"
+    assert not table.exists()
+    for domain, exact, decimal in (
+        ("B:1e300", f"{10**300}", "1e+300"),
+        ("B:1e-300", f"1/{10**300}", "1e-300"),
+        ("B:1e-310", f"1/{10**310}", "1e-310"),
+    ):
+        code, out, _ = run(
+            capsys, "capacity", "--family", "eh", "--domain", domain, "--k", "1",
+            "--output", str(table),
+        )
+        assert (code, out) == (0, f"{exact}\n")
+        assert table.read_text() == f"k,exact,decimal\n1,{exact},{decimal}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1018,11 @@ PARSER_STDOUT_DIGESTS = {
     "linf mc --help": "111b928a2843dff5f97cc11a506cbf97e99c763840511c6e37ac9fc16d95ee33",
     "linf solve-gb --help": "71495afa2605a3ebb53e1274713679f0b0b86bf2204d080ef58540f52786aeb5",
     "obstruct --help": "ac3fbec4ec3a06268aae9d292bb1d01f7b6559de71974fac5984e68bda1fa2e0",
+    # the word after ``cap`` or after the command names a parser, or does not
+    "-h linf check": "982c77c6f9723c65125be8b9c25644b994acbd6000a5e15a507c27aebdfe9fb2",
+    "linf -h": "bf57b132e86d9cc6eb98bcd6c3ac3d7c8c7b086c6a70e4423fe2d2de2cc6fc6f",
+    "obstruct -h": "ac3fbec4ec3a06268aae9d292bb1d01f7b6559de71974fac5984e68bda1fa2e0",
+    "linf check --help extra": "cec737df97dda9144edcad223c44977b5e0b5e10f42a898485a2722b8c251ec5",
 }
 PARSER_ERRORS = {
     "capacity": "the following arguments are required: --family, --domain, --k",
@@ -1033,6 +1047,18 @@ PARSER_ERRORS = {
         "(choose from 'capacity', 'obstruct', 'linf', 'gw')"
     ),
     "obstruct --source B --target B --K x": "argument --K: invalid int value: 'x'",
+    "gw nope --help": (
+        "argument gw_cmd: invalid choice: 'nope' (choose from 'reduce', 'evaluate')"
+    ),
+    "linf check": "the following arguments are required: model",
+    "gw reduce": "the following arguments are required: expression",
+    "capacity --version": "the following arguments are required: --family, --domain, --k",
+    "gw reduce x --version": "unrecognized arguments: --version",
+    # Python 3.11 hands ``--`` to the command positional
+    "-- gw reduce <(T^1 p)>": (
+        "argument command: invalid choice: '--' "
+        "(choose from 'capacity', 'obstruct', 'linf', 'gw')"
+    ),
 }
 
 
@@ -1060,16 +1086,34 @@ def test_parser_output_is_unchanged(capsys, monkeypatch, argv):
         (["capacity", "--family", "ech"], "capacity"),
         (["-h", "linf", "check"], "linf"),
         (["--", "gw", "reduce", "<(T^1 p)>"], "gw"),
+        (["linf", "-h"], "linf"),
+        (["gw", "evaluate", "<(p)>"], "gw"),
     ],
 )
 def test_build_parser_configures_only_the_command_it_runs(argv, command):
-    """Every command is listed for help and errors, but only the one the
-    first argument not starting with ``-`` names gets its arguments."""
+    """Only the command that the first argument not starting with ``-``
+    names gets its arguments.  Its siblings are built, and so listed for
+    help and errors, only when ``argv[0]`` names no command; the same holds
+    for the ``linf`` and ``gw`` subcommands and the word after the command."""
+
+    def listed(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
     parser = cli.build_parser(argv)
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ["capacity", "obstruct", "linf", "gw"]
-    configured = {name for name, p in sub.choices.items() if len(p._actions) > 1}
+    commands = listed(parser)
+    everything = ["capacity", "obstruct", "linf", "gw"]
+    assert list(commands) == ([argv[0]] if argv[0] in everything else everything)
+    configured = {name for name, p in commands.items() if len(p._actions) > 1}
     assert configured == ({command} if command else set())
+    subcommands = {
+        ("-h", "linf", "check"): ["check"],
+        ("--", "gw", "reduce", "<(T^1 p)>"): ["reduce"],
+        ("linf", "-h"): ["check", "linearize", "mc", "solve-gb"],
+        ("gw", "evaluate", "<(p)>"): ["evaluate"],
+    }
+    if command in ("linf", "gw"):
+        assert list(listed(commands[command])) == subcommands[tuple(argv)]
 
 
 def test_version_flag(capsys):

@@ -4,12 +4,13 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcap.capacities import spectral_search
+from symcap.capacities import eh_lattice, spectral_search
 from symcap.spectra import (
     INF,
     OrbitRecord,
@@ -339,6 +340,38 @@ def test_eh_sequence_matches_the_brute_force(axes, infinite, K):
     values = eh_sequence([INF] * infinite + axes, K)
     assert values == brute
     assert all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]), positive_rationals),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(1, 200),
+)
+def test_eh_lattice_keeps_the_k_smallest_products(axes, K):
+    """The K smallest i·a_j over every axis and every i <= K, repeated axes
+    and ties at the last kept value included, as ints over the lcm."""
+    values, scale = eh_lattice(axes, K)
+    brute = sorted(i * x for x in axes for i in range(1, K + 1))[:K]
+    assert scale == math.lcm(*(x.denominator for x in axes))
+    assert all(type(v) is int for v in values)
+    assert [Fraction(v, scale) for v in values] == brute
+
+
+def test_eh_lattice_memory_follows_k_not_the_axis_count():
+    """50 equal axes at K = 2·10^4 built 10^6 products before keeping K of
+    them (a tracemalloc peak of ≈44 MB); now it builds at most K + 49."""
+    tracemalloc.start()
+    try:
+        values, scale = eh_lattice([1] * 50, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+    assert (values, scale) == ([m for m in range(1, 401) for _ in range(50)], 1)
 
 
 def test_ech_sequence_is_nondecreasing():
