@@ -16,24 +16,14 @@ so repeated application lands in order-zero (multipoint/multibranch) terms,
 which a base table of blow-up-type invariants evaluates.
 
 :func:`reduce_combination` reduces every term once, in two passes over the
-rewrite DAG, which lives on int ids: a term is the sorted tuple of its
-groups' ids, each given at first sight.  The expand pass visits each
-reachable term once, depth first, and records its expansion; the propagate
-pass walks the terms parents first and pushes each term's accumulated
-coefficient down to its sub-terms, so no term's reduced combination is ever
-built or summed again by its parents.  A rewrite's coefficients are integers
-over the one denominator 1+z, and the accumulated coefficients are integer
-(numerator, denominator) pairs, so ``Fraction`` is built only for result
-terms; the trace holds term ids and integers.  Nothing refers back to the
-search, so the DAG dies by reference counting when the call returns.  A
-rewrite keeps the codimension counted 2+2m per order, so on CP2 and CP1xCP1
-every sub-term of a rigid term is rigid; on CP1, counted 2m per order, a
-sub-term that gains an order-zero point loses 2, so only CP1 sub-terms are
-checked again.
+rewrite DAG, which lives on int ids: a term is its groups' ids, each given
+at first sight, in ascending group order.  Nothing refers back to the
+search, so the DAG dies by reference counting when the call returns.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -51,7 +41,8 @@ Key = tuple  # (surface | None, class | None, groups)
 Combination = dict  # Key -> Fraction
 
 # the group ids that the distinct terms of one reduction may hold together:
-# CP2 d = 10 holds 614,544 (72,430 terms), and a DAG this size takes about 2 s
+# CP2 d = 10 holds 614,544 (72,430 terms) and reduces, traced, in 0.8 s;
+# d = 11 holds 1,333,675 (146,328) in 1.9 s (2-core Xeon, CPython 3.11)
 MAX_DAG_SIZE = 1 << 21
 
 
@@ -190,17 +181,19 @@ def reduce_combination(
     Two passes, each term handled once:
 
     1. *Expand.*  Groups get int ids at first sight, and a term is its
-       surface, class and sorted group ids; each group's slots, and its
-       rewrite at each slot, are worked out once per id.  A depth-first
-       search from the input terms gives each reachable term an int id and
-       records its expansion: a denominator and (sub-term id, integer
-       multiplier) pairs, no pairs for a dropped non-rigid term, and
-       ``None`` for an order-zero base term.  At a term's first visit it
-       draws from ``rng`` over the slots of its groups in canonical
-       (descending) order and takes its trace record, then visits the
+       group ids in ascending group order, found in the term index of its
+       surface and class; each group's slots, and its rewrite at each slot,
+       are worked out once per id.  A depth-first search from the input
+       terms gives each reachable term an int id and records, in lists by
+       id, its class, denominator and (sub-term id, integer multiplier)
+       edges: none for a dropped non-rigid term, ``None`` for an order-zero
+       base term.  At a term's first visit it draws from ``rng`` over the
+       slots of its trailing positive groups, read backwards into canonical
+       (descending) order, and takes its trace record, then visits the
        sub-terms in expansion order: the order in which a recursion that
        reduces each sub-term before returning reaches them, so draws and
-       traces are those of reducing each term recursively.
+       traces are those of reducing each term recursively.  A sub-term is
+       the term less the rewritten id, its new ids inserted in place.
     2. *Propagate.*  Reverse post-order is topological, parents first
        (every rewrite strictly lowers the (order sum, positive orders)
        measure), so a term's weight is complete when it is reached.  A
@@ -219,15 +212,19 @@ def reduce_combination(
             )
     group_ids: dict[Group, int] = {}
     groups: list[Group] = []  # by group id
+    value = groups.__getitem__  # orders the ids of a term
     group_slots: list[list[tuple[int, int]]] = []  # (group id, order), ascending
     rewrites: dict[tuple[int, int], tuple[int, list]] = {}  # by slot
-    ids: dict[tuple, int] = {}  # (surface, class, sorted group ids) -> term id
-    terms: list[tuple] = []  # by term id
+    indexes: dict[tuple, dict[tuple, int]] = {}  # (surface, class) -> term index
+    terms: list[tuple] = []  # group ids in ascending group order, by term id
+    classes: list[tuple] = []  # (surface, class) by term id
+    dens: list[int] = []  # expansion denominator by term id
+    edges_of: list[Optional[list]] = []  # (sub-term id, multiplier) by term id
     keys: list[Key] = []  # canonical keys by term id, filled for a trace
-    expansions: list[Optional[tuple[int, list]]] = []
     post_order: list[int] = []
     size = 0  # group ids held by the terms so far
-    dropped = (1, [])
+    klass: tuple = ()  # the class of the terms being expanded
+    index: dict[tuple, int] = {}  # and its term index
 
     def intern(group: Group) -> int:
         g = group_ids.get(group)
@@ -237,27 +234,29 @@ def reduce_combination(
             group_slots.append([(g, m) for m in sorted(set(group)) if m])
         return g
 
-    def key_of(term: tuple) -> Key:
-        members = sorted(map(groups.__getitem__, term[2]), reverse=True)
-        return (term[0], term[1], tuple(members))
+    def key_of(i: int) -> Key:
+        surface, cls = classes[i]
+        return (surface, cls, tuple(map(value, reversed(terms[i]))))
 
-    def expand(term: tuple) -> int:
+    def expand(members: tuple) -> int:
         nonlocal size
-        size += len(term[2])
+        size += len(members)
         if size > MAX_DAG_SIZE:
             raise ValueError("the rewrite grows too large to reduce")
-        i = ids[term] = len(terms)
-        terms.append(term)
-        expansions.append(None)
-        surface, cls, members = term
-        slots = []
-        if surface == "CP1" and not is_rigid(key_of(term)):
-            expansions[i] = dropped
+        i = index[members] = len(terms)
+        terms.append(members)
+        classes.append(klass)
+        dens.append(1)
+        slots: Sequence = ()
+        if klass[0] == "CP1" and not is_rigid(key_of(i)):
+            edges_of.append([])  # dropped
         else:
-            for g in sorted(members, key=groups.__getitem__, reverse=True):
-                if not group_slots[g]:
-                    break  # groups descend, so every later group is all zeros
-                slots += group_slots[g]
+            edges_of.append(None)
+            for g in reversed(members):  # a group held twice gives its slots twice
+                s = group_slots[g]
+                if not s:
+                    break  # groups ascend, so every earlier group is all zeros
+                slots = slots + s if slots else s
         if slots:
             slot = rng.choice(slots) if rng is not None else slots[-1]
             rewrite = rewrites.get(slot)
@@ -266,16 +265,19 @@ def reduce_combination(
                 rewrite = rewrites[slot] = (
                     den, [([intern(new) for new in subs], c) for subs, c in fresh]
                 )
-            den, fresh = rewrite
+            dens[i], fresh = rewrite
             rest = list(members)
             rest.remove(slot[0])
-            edges = []  # filled after the trace record, which precedes the sub-terms'
-            expansions[i] = (den, edges)
+            # filled after the trace record, which precedes the sub-terms'
+            edges = edges_of[i] = []
             if trace is not None:
-                trace.append((keys, i, den, edges))
+                trace.append((keys, i, dens[i], edges))
             for new, c in fresh:
-                sub = (surface, cls, tuple(sorted(rest + new)))
-                j = ids.get(sub)
+                sub = rest.copy()
+                for g in new:
+                    insort(sub, g, key=value)
+                sub = tuple(sub)
+                j = index.get(sub)
                 edges.append((expand(sub) if j is None else j, c))
         post_order.append(i)
         return i
@@ -284,15 +286,17 @@ def reduce_combination(
     try:
         for key, coeff in expr.items():
             surface, cls, key_groups = key
-            term = (surface, cls, tuple(sorted(map(intern, key_groups))))
-            j = ids.get(term)
-            roots.append((expand(term) if j is None else j, Fraction(coeff)))
+            klass = (surface, cls)
+            index = indexes.setdefault(klass, {})
+            members = tuple(sorted(map(intern, key_groups), key=value))
+            j = index.get(members)
+            roots.append((expand(members) if j is None else j, Fraction(coeff)))
     except RecursionError:
         raise ValueError("the rewrite nests too deeply to reduce") from None
     finally:
         del expand  # expand holds itself: free the DAG by refcount, not the GC
     if trace is not None:
-        keys += map(key_of, terms)
+        keys += map(key_of, range(len(terms)))
 
     weights: list[Optional[tuple[int, int]]] = [None] * len(terms)
     for i, coeff in roots:
@@ -306,12 +310,11 @@ def reduce_combination(
         num, den = w
         g = gcd(num, den)
         num, den = num // g, den // g
-        expansion = expansions[i]
-        if expansion is None:
-            result[key_of(terms[i])] = Fraction(num, den)
+        edges = edges_of[i]
+        if edges is None:
+            result[key_of(i)] = Fraction(num, den)
             continue
-        sub_den, edges = expansion
-        den *= sub_den
+        den *= dens[i]
         for j, c in edges:
             # weights[j] += num·c/den over the lcm of the denominators
             prev = weights[j]
@@ -353,19 +356,17 @@ def evaluate(expr: Combination, table: BaseInvariantTable) -> Fraction:
     missing = []
     total = Fraction(0)
     for key, coeff in expr.items():
-        _, _, groups = key
-        if any(m > 0 for g in groups for m in g):
+        if any(m > 0 for g in key[2] for m in g):
             raise ValueError("evaluate expects a fully reduced combination")
-        value = table.lookup(key)
+        tkey = table.table_key(key)
+        value = table.entries.get(tkey)
         if value is None:
-            missing.append(BaseInvariantTable.table_key(key))
+            missing.append(tkey)
         else:
             total += coeff * value
     if missing:
         listed = "; ".join(_format_table_key(k) for k in sorted(missing, key=repr))
-        raise KeyError(
-            f"base table is missing {len(missing)} entries: {listed}"
-        )
+        raise KeyError(f"base table is missing {len(missing)} entries: {listed}")
     return total
 
 
@@ -427,21 +428,23 @@ def load_table(path) -> BaseInvariantTable:
 # the bracketed constraint syntax
 
 
+class _GroupTexts(dict):
+    """Group -> its text, each formatted at its first lookup."""
+
+    def __missing__(self, group: Group) -> str:
+        orders = ",".join(["p" if m == 0 else f"T^{m} p" for m in group])
+        text = self[group] = f"({orders})"
+        return text
+
+
 def key_formatter() -> Callable[[Key], str]:
     """The text of a key, for one command: each distinct group across all
-    keys is formatted once and kept in a plain dict."""
-    group_texts: dict[Group, str] = {}
+    keys is formatted once, and a key's group texts are joined in one call."""
+    text_of = _GroupTexts().__getitem__
 
     def name(key: Key) -> str:
         surface, cls, groups = key
-        parts = []
-        for g in groups:
-            text = group_texts.get(g)
-            if text is None:
-                orders = ",".join(["p" if m == 0 else f"T^{m} p" for m in g])
-                text = group_texts[g] = f"({orders})"
-            parts.append(text)
-        body = ",".join(parts)
+        body = ",".join(map(text_of, groups))
         if surface is None:
             return f"<{body}>"
         cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
@@ -454,10 +457,7 @@ def format_combination(expr: Combination) -> str:
     if not expr:
         return "0"
     name = key_formatter()
-    parts = []
-    for key in sorted(expr, key=repr):
-        parts.append(f"{expr[key]} * {name(key)}")
-    return "  +  ".join(parts)
+    return "  +  ".join([f"{expr[k]} * {name(k)}" for k in sorted(expr, key=repr)])
 
 
 def parse_constraint_expression(text: str) -> Combination:

@@ -551,6 +551,23 @@ def test_reduce_trace_golden_digest(capsys):
             7366,
             "ee1da9d3b8547b0846896fdc6f013fef321c75c28e7d27e366ee5b46c86dd994",
         ),
+        # terms that draw between slots of several groups, recorded before
+        # a term's group ids were kept in group order
+        (
+            ["CP2 d=4 <(T^2 p),(T^6 p,p)>", "--seed", "3"],
+            457,
+            "d2f746fc4886a8dbf8a958c0deafbc56a1c9d2c523b8284d4a5b2904a2504154",
+        ),
+        (  # seeds 5, 7 and 9 print the unseeded bytes above
+            ["<(T^3 p),(T^1 p)>", "--seed", "3"],
+            40,
+            "2e80990b30c4e57b38e0f7411c55295e715b14d62483a562ce2e365f4b250e10",
+        ),
+        (
+            ["CP1xCP1 d=2,2 <(T^2 p),(T^3 p)>", "--seed", "11"],
+            79,
+            "c1fac5e130948b407ef916b427180eb8a7a424e032fc46d89ea1d5cea7eb19a2",
+        ),
     ],
 )
 def test_reduce_output_golden_digests(capsys, argv, lines, digest):
