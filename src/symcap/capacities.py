@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .linfty import (
     LInfinityModel,
@@ -33,6 +33,10 @@ from .linfty import (
     augmentation_hat,
     extend_coderivation,
 )
+from .novikov import INF, Axis, lattice
+
+if TYPE_CHECKING:  # for annotations; the dataclasses load with spectra
+    from .spectra import OrbitRecord, OrbitSpectrum
 
 NO_FORMULA = "no-formula"
 NOT_FOUND = "not-found-below-cutoff"
@@ -40,9 +44,6 @@ INFINITE = "infinite"
 NO_OBSTRUCTION = "no-obstruction-below-K"
 
 Value = Union[Fraction, str]
-Axis = Union[int, Fraction, float]  # math.inf marks a cylinder factor
-
-INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,7 @@ def g_tangency_lattice(domain: DomainDescriptor, ks: Sequence[int]) -> tuple:
     """
     if any(k < 1 for k in ks):
         raise ValueError("index must be >= 1")
-    scale = math.lcm(*(p.denominator for p in domain.params))
-    A, *rest = (p.numerator * (scale // p.denominator) for p in domain.params)
+    scale, (A, *rest) = lattice(domain.params)
     if domain.kind == "ball":
         # (k + 1)/3 is whole when k ≡ 2 (mod 3)
         return [A * ((k + 1) // 3) if k % 3 == 2 else NO_FORMULA for k in ks], scale
@@ -180,8 +180,7 @@ def eh_lattice(a: Sequence[Axis], K: int) -> tuple:
         raise ValueError("all ellipsoid parameters are infinite")
     if any(x <= 0 for x in finite):
         raise ValueError("ellipsoid parameters must be positive")
-    scale = math.lcm(*(x.denominator for x in finite))
-    ints = [x.numerator * (scale // x.denominator) for x in finite]
+    scale, ints = lattice(finite)
     # the least t with K multiples at or below it (K·min is one such t):
     # fewer than K lie below t and at most one per axis at t, so at most
     # K + len(ints) - 1 products are built, not len(ints)·K
@@ -214,9 +213,7 @@ def ech_lattice(a: Axis, b: Axis, K: int) -> tuple:
     b = Fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid parameters must be positive")
-    scale = math.lcm(a.denominator, b.denominator)
-    a_int = int(a * scale)
-    b_int = int(b * scale)
+    scale, (a_int, b_int) = lattice((a, b))
     # at least K+1 lattice values lie at or below `top`: the unit squares of
     # the points with i*a + j*b <= L cover a triangle of area L^2/(2ab),
     # which exceeds K+1 at the first bound, and the K+1 points on the axis
@@ -314,16 +311,14 @@ def spectral_lower_bound(
 
 def _action_lattice(orbits: Sequence[OrbitRecord], cutoff: Fraction) -> tuple:
     """spectral_search's set-up at one cutoff: every action in units of 1/scale."""
-    scale = math.lcm(cutoff.denominator, *(o.action.denominator for o in orbits))
-    limit = cutoff.numerator * (scale // cutoff.denominator)
-    lattice = [(o.action.numerator * (scale // o.action.denominator), o) for o in orbits]
-    lattice = sorted((p for p in lattice if p[0] <= limit), key=lambda p: p[0])
-    if not lattice:
+    scale, (limit, *actions) = lattice([cutoff, *(o.action for o in orbits)])
+    pairs = sorted((p for p in zip(actions, orbits) if p[0] <= limit), key=lambda p: p[0])
+    if not pairs:
         raise ValueError(
             f"action cutoff {cutoff} lies below the smallest orbit action; "
             "nothing can be certified"
         )
-    actions, orbits = map(list, zip(*lattice))
+    actions, orbits = map(list, zip(*pairs))
     costs = [o.cz + 1 for o in orbits]
     cheapest = min(costs)
     # rate[i] = (a, c): the least action per index point, a / c, over the

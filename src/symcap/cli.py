@@ -35,8 +35,8 @@ Subcommands
     which may be left out when the model has exactly one; an unknown name,
     or a left-out name on a model without exactly one, is a usage error.
     So are an unknown generator in ``mc --m``, a word length cap ``--l``
-    below 1, a negative ``solve-gb --action-cutoff`` and an ``mc
-    --max-terms`` below 1.
+    below 1 or past ``linfty.MAX_WORDS`` words, a negative ``solve-gb
+    --action-cutoff`` and an ``mc --max-terms`` below 1.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step
@@ -67,7 +67,6 @@ from typing import Optional, Sequence
 
 from . import __version__, gw
 from .capacities import (
-    INF,
     NO_FORMULA,
     NO_OBSTRUCTION,
     NOT_FOUND,
@@ -90,7 +89,7 @@ from .linfty import (
     mc_check,
 )
 from .modelfile import load_model, print_model
-from .novikov import fmt_rational, parse_novikov, parse_rational
+from .novikov import INF, fmt_rational, parse_novikov, parse_rational
 from .words import Word, mono_text
 
 EXIT_OK = 0
@@ -104,10 +103,6 @@ MAX_INDEX = 10**6
 
 
 class CliUsageError(Exception):
-    pass
-
-
-class InfeasibleError(Exception):
     pass
 
 
@@ -535,7 +530,8 @@ def cmd_gw(args) -> int:
     try:
         value = gw.evaluate(reduced, table)
     except KeyError as exc:
-        raise InfeasibleError(exc.args[0]) from None
+        print(f"cap: {exc.args[0]}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     print(fmt_rational(value))
     return EXIT_OK
 
@@ -658,9 +654,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InfeasibleError as exc:
-        print(f"cap: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ModelError, IntegrityError) as exc:  # a ModelError is a ValueError
         print(f"cap: integrity: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -31,12 +31,11 @@ algebra map per monomial, so each monomial image is multiplied out once
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .novikov import NovikovPolynomial, add_into, fmt_rational
+from .novikov import INF, NovikovPolynomial, add_into, fmt_rational, lattice
 from .words import (
     Generator,
     Word,
@@ -52,6 +51,11 @@ from .words import (
 )
 
 Combo = dict  # Word -> NovikovPolynomial
+
+# the words one enumeration may build: the tests and benchmark build 1,764 at
+# most; solve-gb on 1,966 (b2_lin.model --l 6 --action-cutoff 39) takes 1.0 s
+# and 48 MB RSS, on 4,094 (--l 11) 39 s and 736 MB (2-core Xeon, CPython 3.11)
+MAX_WORDS = 1 << 11
 
 
 class ModelError(ValueError):
@@ -344,7 +348,8 @@ class LInfinityModel:
         skipped when the letters still to come, of size at least 1 each, no
         longer fit the budget.  Actions are summed as integers over the lcm
         of the cap's and the letters' denominators; letters are sorted by
-        action, so the first letter past the cap ends the loop.
+        action, so the first letter past the cap ends the loop.  More than
+        ``MAX_WORDS`` words raise ValueError.
         """
         out: list[Word] = []
         n = len(letters)
@@ -352,12 +357,12 @@ class LInfinityModel:
             # all weights 0 under a limit of 0: no letter ever overshoots
             weights, limit = [0] * n, 0
         else:
-            scale = math.lcm(cap.denominator, *(l.action.denominator for l in letters))
-            weights = [l.action.numerator * (scale // l.action.denominator) for l in letters]
-            limit = cap.numerator * (scale // cap.denominator)
+            _, (limit, *weights) = lattice([cap, *(l.action for l in letters)])
 
         def rec(start: int, left: int, budget: int, acc: list, action: int):
             if left == 0:
+                if len(out) == MAX_WORDS:
+                    raise ValueError(f"more than {MAX_WORDS} words to enumerate")
                 out.append(Word(acc))
                 return
             for i in range(start, n):
@@ -374,9 +379,11 @@ class LInfinityModel:
                 rec(i, left - 1, rest, acc, a)
                 acc.pop()
 
-        for count in range(1, budget + 1):
-            rec(0, count, budget, [], 0)
-        del rec  # rec holds itself: free the search by refcount, not the GC
+        try:
+            for count in range(1, budget + 1):
+                rec(0, count, budget, [], 0)
+        finally:
+            del rec  # rec holds itself: free the search by refcount, not the GC
         return out
 
     # -- applying operations -------------------------------------------------
@@ -699,7 +706,7 @@ class MaurerCartanElement:
         self.value = clean
 
     def min_valuation(self):
-        return min((c.valuation() for c in self.value.values()), default=math.inf)
+        return min((c.valuation() for c in self.value.values()), default=INF)
 
 
 def _mc_multisets(m: MaurerCartanElement, max_size: int) -> dict:

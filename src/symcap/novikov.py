@@ -18,11 +18,20 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
+Axis = Union[int, Fraction, float]  # INF marks a cylinder factor
 
 INF = math.inf
+
+
+def lattice(xs: Sequence[Rational]) -> tuple[int, list[int]]:
+    """``(scale, ints)``: the lcm of the denominators of ``xs``, and each x
+    as the int x·scale.  Every capacity lattice and action enumeration
+    counts in these units."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def fmt_rational(x: Rational) -> str:

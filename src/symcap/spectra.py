@@ -4,8 +4,9 @@ Conley-Zehnder indices, and Fredholm index arithmetic.
 Like every submodule, this one loads on the first access to one of its
 names through ``symcap``.  No ``cap`` command imports it: its records are
 dataclasses, and ``dataclasses`` (with ``inspect``) would nearly double the
-start-up of every command.  It re-exports the EH and ECH sequences, which
-live in :mod:`symcap.capacities`.
+start-up of every command.  Of ``symcap`` it imports only
+:mod:`symcap.novikov`; the EH and ECH sequences live in
+:mod:`symcap.capacities`.
 
 Both spectra are enumerated on an integer action lattice: every axis and
 the cutoff are scaled by the lcm of their denominators, iterates are
@@ -24,19 +25,11 @@ and CZ = n-1+2k for the k-th orbit of the round ball in any dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .capacities import (  # noqa: F401  (re-exported)
-    INF,
-    Axis,
-    capacity_sequence_ECH,
-    capacity_sequence_EH,
-    ech_sequence,
-    eh_sequence,
-)
+from .novikov import INF, Axis, lattice
 
 
 @dataclass(frozen=True)
@@ -75,10 +68,6 @@ def _check_axes(a: Sequence[Axis]) -> list[Fraction]:
     return out
 
 
-def _scaled(x: Fraction, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
-
-
 def _cz(axes: Sequence[int], j: int, k: int) -> int:
     """CZ of the k-th iterate of orbit j (1-based) on integer axes; an
     exact ratio r = k*a_j/a_i counts r if i < j, else r - 1."""
@@ -98,17 +87,13 @@ def conley_zehnder_ellipsoid(a: Sequence[Axis], j: int, k: int) -> int:
         raise ValueError(f"orbit index {j} out of range")
     if k < 1:
         raise ValueError("iterate must be >= 1")
-    scale = math.lcm(*(x.denominator for x in axes))
-    return _cz([_scaled(x, scale) for x in axes], j, k)
+    return _cz(lattice(axes)[1], j, k)
 
 
 def ellipsoid_orbits(a: Sequence[Axis], cutoff: Axis) -> OrbitSpectrum:
     """All iterates with action k*a_j <= cutoff, sorted by (action, axis)."""
     axes = _check_axes(a)
-    cutoff = Fraction(cutoff)
-    scale = math.lcm(cutoff.denominator, *(x.denominator for x in axes))
-    ints = [_scaled(x, scale) for x in axes]
-    top = _scaled(cutoff, scale)
+    scale, (top, *ints) = lattice([Fraction(cutoff), *axes])
     keys = sorted(
         (k * aj, j, k)
         for j, aj in enumerate(ints, start=1)
@@ -128,10 +113,7 @@ def polydisk_orbits(x: Axis, cutoff: Axis) -> OrbitSpectrum:
     x = Fraction(x)
     if x < 1:
         raise ValueError("polydisk parameter needs x >= 1")
-    cutoff = Fraction(cutoff)
-    scale = math.lcm(x.denominator, cutoff.denominator)
-    step = _scaled(x, scale)
-    top = _scaled(cutoff, scale)
+    scale, (step, top) = lattice((x, Fraction(cutoff)))
     # alpha and beta at the same (i, j) differ in CZ parity, so
     # (action, j, cz) has no ties and fixes i and the family
     keys = []

@@ -15,6 +15,8 @@ from fractions import Fraction
 from symcap import gw
 from symcap.capacities import (
     DomainDescriptor,
+    capacity_sequence_ECH,
+    capacity_sequence_EH,
     g_tangency,
     gb_solver,
     mcduff_f,
@@ -41,8 +43,6 @@ from symcap.linfty import (
 )
 from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (
-    capacity_sequence_ECH,
-    capacity_sequence_EH,
     ellipsoid_orbits,
     fredholm_index,
     polydisk_orbits,

@@ -22,6 +22,8 @@ from symcap.capacities import (
     NO_OBSTRUCTION,
     NOT_FOUND,
     DomainDescriptor,
+    capacity_sequence_ECH,
+    capacity_sequence_EH,
     ech_lattice,
     ech_sequence,
     g_tangency,
@@ -53,8 +55,6 @@ from symcap.novikov import NovikovPolynomial
 from symcap.spectra import (
     OrbitRecord,
     OrbitSpectrum,
-    capacity_sequence_ECH,
-    capacity_sequence_EH,
     ellipsoid_orbits,
     polydisk_orbits,
 )

@@ -1,9 +1,11 @@
 """End-to-end tests for the ``cap`` command line tool."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,13 +15,14 @@ import shutil
 import subprocess
 import sys
 import time
+import typing
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symcap import cli
+from symcap import cli, linfty
 from symcap.capacities import NO_FORMULA, ech_sequence, eh_sequence
 from symcap.cli import main
 from symcap.novikov import fmt_rational
@@ -798,6 +801,25 @@ def test_gw_rewrites_past_the_dag_bound_exit_one(capsys, fixtures_dir, argv):
     assert err == "cap: error: the rewrite grows too large to reduce\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linf", "check", "b2.model", "--l", "50"],
+        ["linf", "solve-gb", "b2_lin.model", "--b", "t^3", "--l", "10"],
+    ],
+)
+def test_linf_word_caps_past_the_word_bound_exit_one(capsys, fixtures_dir, argv):
+    """``check --l 13`` took 6.9 s and 240 MB, ``solve-gb --l 10`` 21 s, and
+    ``check --l 50`` ran past 20 s; the enumeration of bar words stops at
+    ``linfty.MAX_WORDS`` words instead."""
+    argv = [str(fixtures_dir / a) if a.endswith(".model") else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err == f"cap: error: more than {linfty.MAX_WORDS} words to enumerate\n"
+
+
 def test_indices_past_the_budget_exit_one_before_any_work(capsys, monkeypatch):
     """``--k`` and ``--K`` above ``cli.MAX_INDEX`` are refused before any
     lattice or index list is built (``--k 99999999999999999999`` used to
@@ -1174,8 +1196,7 @@ import json
 import symcap
 from symcap import spectra
 lazy = ["OrbitSpectrum", "conley_zehnder_ellipsoid", "ellipsoid_orbits",
-        "fredholm_index", "polydisk_orbits", "capacity_sequence_ECH",
-        "capacity_sequence_EH"]
+        "fredholm_index", "polydisk_orbits"]
 wrong = [n for n in lazy if getattr(symcap, n) is not getattr(spectra, n)]
 try:
     symcap.no_such_name
@@ -1208,6 +1229,24 @@ def test_cli_import_loads_no_dataclasses_and_spectra_resolve_lazily():
     assert missing == "module 'symcap' has no attribute 'no_such_name'"
     assert unbound == []
     assert domain == "E(1,2)"
+
+
+def test_spectra_import_loads_no_capacities_linfty_or_words():
+    """The orbit spectra stand on ``novikov`` alone: importing them loads
+    neither the capacity layer nor the engine nor the words layer."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    script = (
+        "import json, sys; import symcap.spectra; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('symcap.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == ["symcap.novikov", "symcap.spectra"]
 
 
 API_SCRIPT = """
@@ -1263,3 +1302,36 @@ def test_package_names_come_from_one_table_and_load_their_module_on_use(
         )
         assert (proc.stdout, proc.stderr) == ("1,2,2,3,3,4,4,4\n", "")
     assert len(list(tmp_path.rglob("*.csv"))) == 1
+
+
+def _type_checking_names(module) -> dict:
+    """The names ``module`` imports under ``if TYPE_CHECKING:``."""
+    names = {"__name__": module.__name__, "__package__": "symcap"}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), names)
+    return names
+
+
+def test_every_public_annotation_resolves():
+    """Each annotation of a public name in ``symcap._API`` (functions,
+    classes and their methods) names a type its module binds, at run time
+    or under ``TYPE_CHECKING``: the project runs no linter that would catch
+    an annotation naming a type never imported."""
+    import symcap
+
+    unresolved = []
+    for name in symcap._API:
+        obj = getattr(symcap, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        names = _type_checking_names(sys.modules[obj.__module__])
+        targets = [obj]
+        if inspect.isclass(obj):
+            targets += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        for target in targets:
+            try:
+                typing.get_type_hints(target, localns=names)
+            except NameError as exc:
+                unresolved.append(f"{name}: {exc}")
+    assert unresolved == []

@@ -32,6 +32,15 @@ def cyclic_garbage(call) -> int:
             gc.enable()
 
 
+def _refused(call) -> None:
+    """Run ``call``, which must raise ValueError."""
+    try:
+        call()
+    except ValueError:
+        return
+    raise AssertionError("not refused")
+
+
 def _calls(fixtures):
     d5 = gw.parse_constraint_expression("CP2 d=5 <(T^13 p)>")
     ball = ellipsoid_orbits([1, 1], 15)
@@ -41,6 +50,10 @@ def _calls(fixtures):
             d5, rng=random.Random(1), trace=[]
         ),
         "basis_words": lambda: load_model(fixtures / "b2.model").basis_words(4),
+        # more than MAX_WORDS words: the refusal frees the search too
+        "basis_words_refused": lambda: _refused(
+            lambda: load_model(fixtures / "b2.model").basis_words(6)
+        ),
         "check_linfty_relations": lambda: check_linfty_relations(
             load_model(fixtures / "b2.model"), 3
         ),
@@ -54,6 +67,7 @@ def _calls(fixtures):
     [
         "reduce_combination",
         "basis_words",
+        "basis_words_refused",
         "check_linfty_relations",
         "gb_solver",
         "spectral_lower_bound",

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcap import linfty
 from symcap.linfty import (
     Augmentation,
     Combo,
@@ -436,6 +437,18 @@ def _assert_canonical_basis(model, max_len, max_action=None):
 )
 def test_basis_words_are_the_canonical_multisets(models, name, max_action):
     _assert_canonical_basis(models[name], 4, max_action)
+
+
+def test_basis_words_stop_past_the_word_bound(models, monkeypatch):
+    """The bound counts the words one enumeration builds: exactly
+    ``MAX_WORDS`` words come out as before, and one less raises."""
+    model = models["b2"]
+    want = model.basis_words(4)
+    monkeypatch.setattr(linfty, "MAX_WORDS", len(want))
+    assert model.basis_words(4) == want
+    monkeypatch.setattr(linfty, "MAX_WORDS", len(want) - 1)
+    with pytest.raises(ValueError, match="words to enumerate"):
+        model.basis_words(4)
 
 
 def _fresh_model(name):

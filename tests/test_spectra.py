@@ -10,16 +10,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcap.capacities import eh_lattice, spectral_search
-from symcap.spectra import (
-    INF,
-    OrbitRecord,
-    OrbitSpectrum,
+from symcap.capacities import (
     capacity_sequence_ECH,
     capacity_sequence_EH,
-    conley_zehnder_ellipsoid,
     ech_sequence,
+    eh_lattice,
     eh_sequence,
+    spectral_search,
+)
+from symcap.novikov import INF
+from symcap.spectra import (
+    OrbitRecord,
+    OrbitSpectrum,
+    conley_zehnder_ellipsoid,
     ellipsoid_orbits,
     fredholm_index,
     polydisk_orbits,
