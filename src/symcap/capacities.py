@@ -407,6 +407,10 @@ def spectral_search(
 # ---------------------------------------------------------------------------
 # finite-model word solver
 
+# the words one g_b solve may take: b2_lin.model at its default cutoff takes
+# 0.39 s on 2,509 (--l 6), 13 s and 118 MB RSS on 4,082 (--l 10) (2-core Xeon)
+MAX_GB_WORDS = 1 << 11
+
 
 def gb_solver(
     model: LInfinityModel,
@@ -433,54 +437,47 @@ def gb_solver(
         raise ModelError("b must be a nonempty word of nonnegative t-powers")
     aug = model.augmentation(augmentation)
 
-    # by action, so the solution's last nonzero entry sits on the least
-    # level whose words reach b (see ``solve_linear_system``)
+    # by action, so the solution's largest column sits on the least level
+    # whose words reach b (see ``solve_linear_system``)
     words = sorted(
         model.basis_words(word_cap, Fraction(action_cutoff)), key=lambda w: w.action
     )
+    if len(words) > MAX_GB_WORDS:
+        raise ValueError(f"more than {MAX_GB_WORDS} words for one g_b solve")
     rows: dict = {("a", target): {}}  # first: (0; b) is the unit vector e_0
     for i, w in enumerate(words):
         for u, c in _scalarize(extend_coderivation(model, w)).items():
             rows.setdefault(("d", u), {})[i] = c
         for t, c in _scalarize(augmentation_hat(aug, w)).items():
             rows.setdefault(("a", t), {})[i] = c
-    n, zero = len(words), Fraction(0)
-    matrix = [[row.get(i, zero) for i in range(n)] for row in rows.values()]
-    rhs = [Fraction(1)] + [zero] * (len(rows) - 1)
-    x = solve_linear_system(matrix, rhs)
+    x = solve_linear_system(list(rows.values()), [1] + [0] * (len(rows) - 1))
     if x is None:
         return NOT_FOUND
-    return max(w.action for w, v in zip(words, x) if v)
+    return max(words[j].action for j in x)
 
 
 def solve_linear_system(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve ``matrix @ x = rhs`` exactly; ``None`` when inconsistent.
+    rows: list[dict[int, Fraction]], rhs: list[Fraction]
+) -> Optional[dict[int, Fraction]]:
+    """Solve ``rows @ x = rhs`` exactly; ``None`` when inconsistent.
 
-    Pivot columns are taken left to right, each the first column outside
-    the span of those before it, and every other entry of x is zero: the
-    last nonzero entry of x ends the shortest prefix of columns whose span
-    holds ``rhs``.
+    Rows are {column: coefficient} dicts, left unchanged.  x comes back as
+    the dict of its nonzero entries, all on pivot columns: each the least
+    column outside the span of those before it, so the largest column of x
+    ends the shortest prefix of columns whose span holds ``rhs``.
     """
-    m = len(matrix)
-    if len(rhs) != m:
+    if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
-    n = len(matrix[0]) if m else 0
-    if any(len(row) != n for row in matrix):
-        raise ValueError("ragged matrix")
-    rows = [
-        ({j: Fraction(v) for j, v in enumerate(row) if v}, Fraction(r))
-        for row, r in zip(matrix, rhs)
-    ]
+    eqs = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
+    rs = [Fraction(r) for r in rhs]
 
     pivots = []
-    for col in range(n):
-        k = next((i for i, (row, _) in enumerate(rows) if col in row), None)
+    for col in sorted({j for row in eqs for j in row}):  # fill-in adds no column
+        k = next((i for i, row in enumerate(eqs) if col in row), None)
         if k is None:
             continue
-        prow, pr = rows.pop(k)
-        for i, (row, r) in enumerate(rows):
+        prow, pr = eqs.pop(k), rs.pop(k)
+        for i, row in enumerate(eqs):
             if col in row:
                 f = row[col] / prow[col]
                 for j, v in prow.items():
@@ -489,14 +486,14 @@ def solve_linear_system(
                         row[j] = w
                     else:
                         del row[j]
-                rows[i] = (row, r - f * pr)
+                rs[i] -= f * pr
         pivots.append((col, prow, pr))
-    if any(r for _, r in rows):
+    if any(rs):
         return None
-    x = [Fraction(0)] * n
+    x = {}
     for col, row, r in reversed(pivots):
-        x[col] = (r - sum(v * x[j] for j, v in row.items() if j != col)) / row[col]
-    return x
+        x[col] = (r - sum(v * x[j] for j, v in row.items() if j in x)) / row[col]
+    return {j: v for j, v in x.items() if v}
 
 
 def _scalarize(combo: dict) -> dict:

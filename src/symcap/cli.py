@@ -35,8 +35,9 @@ Subcommands
     which may be left out when the model has exactly one; an unknown name,
     or a left-out name on a model without exactly one, is a usage error.
     So are an unknown generator in ``mc --m``, a word length cap ``--l``
-    below 1 or past ``linfty.MAX_WORDS`` words, a negative ``solve-gb
-    --action-cutoff`` and an ``mc --max-terms`` below 1.
+    below 1 or past ``linfty.MAX_WORDS`` words (``solve-gb``: past
+    ``capacities.MAX_GB_WORDS``), a negative ``solve-gb --action-cutoff``
+    and an ``mc --max-terms`` below 1.
 
 ``cap gw``
     The tangency rewriting calculus: ``reduce`` prints the step-by-step

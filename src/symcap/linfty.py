@@ -52,10 +52,10 @@ from .words import (
 
 Combo = dict  # Word -> NovikovPolynomial
 
-# the words one enumeration may build: the tests and benchmark build 1,764 at
-# most; solve-gb on 1,966 (b2_lin.model --l 6 --action-cutoff 39) takes 1.0 s
-# and 48 MB RSS, on 4,094 (--l 11) 39 s and 736 MB (2-core Xeon, CPython 3.11)
-MAX_WORDS = 1 << 11
+# the words one enumeration may build, sized by ``check``: b2.model --l 8 (74,312)
+# passes in 0.15 s and 26 MB RSS; with ah1 -> T*ac1 added, half its words fail and
+# it takes 6.2 s and 96 MB (--l 6: 0.78 s) (2-core Xeon, CPython 3.11)
+MAX_WORDS = 1 << 16
 
 
 class ModelError(ValueError):

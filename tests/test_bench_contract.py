@@ -45,9 +45,9 @@ def test_benchmark_wrappers_install_and_call_through(bench, models):
         gw.reduce_combination(gw.make_term([(1,)], surface="CP2", cls=1))
         b2 = models["b2"]
         b2.apply_operation([b2.gen("ac2")])
-        assert capacities.solve_linear_system([[Fraction(2)]], [Fraction(1)]) == [
-            Fraction(1, 2)
-        ]
+        assert capacities.solve_linear_system([{0: Fraction(2)}], [Fraction(1)]) == {
+            0: Fraction(1, 2)
+        }
         minus = api.inverse_scalar_augmentation(cdga, eps)
         api.f_epsilon_map(cdga, minus)
         assert api.check_linfty_relations(api.linearize(cdga, eps)[1], 2) == []

@@ -10,6 +10,8 @@ import pickle
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1015,6 +1017,37 @@ def test_gb_solver_word_cap_is_monotone(models, name):
     for b in ([0], [2], [5], [0, 0], [0, 1], [0, 0, 0]):
         levels = [key(gb_solver(model, b, cap, 10)) for cap in (1, 2, 3)]
         assert levels == sorted(levels, reverse=True), (b, levels)
+
+
+def test_gb_solver_stops_past_the_word_bound(models, monkeypatch):
+    """The bound counts the words one solve takes: exactly ``MAX_GB_WORDS``
+    words solve as before, and one less raises a usage error, not a
+    ``ModelError``."""
+    model = models["b2_lin"]
+    level = gb_solver(model, [3], 2, 12)
+    monkeypatch.setattr(capacities, "MAX_GB_WORDS", len(model.basis_words(2, 12)))
+    assert gb_solver(model, [3], 2, 12) == level
+    monkeypatch.setattr(capacities, "MAX_GB_WORDS", capacities.MAX_GB_WORDS - 1)
+    with pytest.raises(ValueError, match="words for one g_b solve") as refused:
+        gb_solver(model, [3], 2, 12)
+    assert not isinstance(refused.value, ModelError)
+
+
+def test_gb_solver_memory_follows_the_sparse_rows(fixtures_dir):
+    """The 793-word b2_lin system at word cap 4 peaked at 6.6 MB while it was
+    padded into a dense matrix; as sparse rows it stays near 1 MB."""
+    model = load_model(fixtures_dir / "b2_lin.model")
+    cutoff = 4 * max(g.action for g in model.ordered_generators)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        level = gb_solver(model, [3], 4, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10
+    assert peak < 2 * 10**6
+    assert level == 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symcap import cli, linfty
+from symcap import capacities, cli, linfty
 from symcap.capacities import NO_FORMULA, ech_sequence, eh_sequence
 from symcap.cli import main
 from symcap.novikov import fmt_rational
@@ -809,15 +809,27 @@ def test_gw_rewrites_past_the_dag_bound_exit_one(capsys, fixtures_dir, argv):
     ],
 )
 def test_linf_word_caps_past_the_word_bound_exit_one(capsys, fixtures_dir, argv):
-    """``check --l 13`` took 6.9 s and 240 MB, ``solve-gb --l 10`` 21 s, and
-    ``check --l 50`` ran past 20 s; the enumeration of bar words stops at
-    ``linfty.MAX_WORDS`` words instead."""
+    """``check --l 50`` ran past 20 s, and ``solve-gb --l 10`` took 21 s; the
+    enumeration of bar words stops at ``linfty.MAX_WORDS`` words instead, and
+    a g_b solve refuses more than ``capacities.MAX_GB_WORDS`` words."""
+    refusal = (
+        f"{linfty.MAX_WORDS} words to enumerate"
+        if argv[1] == "check"
+        else f"{capacities.MAX_GB_WORDS} words for one g_b solve"
+    )
     argv = [str(fixtures_dir / a) if a.endswith(".model") else a for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
-    assert err == f"cap: error: more than {linfty.MAX_WORDS} words to enumerate\n"
+    assert err == f"cap: error: more than {refusal}\n"
+
+
+def test_check_runs_past_the_g_b_word_bound(capsys, fixtures_dir):
+    """``check --l 7`` verifies 34,231 words of b2.model in about 0.1 s; the
+    g_b solve's word bound does not apply to it."""
+    argv = ["linf", "check", str(fixtures_dir / "b2.model"), "--l", "7"]
+    assert run(capsys, *argv) == (0, "pass\n", "")
 
 
 def test_indices_past_the_budget_exit_one_before_any_work(capsys, monkeypatch):

@@ -50,9 +50,9 @@ def _calls(fixtures):
             d5, rng=random.Random(1), trace=[]
         ),
         "basis_words": lambda: load_model(fixtures / "b2.model").basis_words(4),
-        # more than MAX_WORDS words: the refusal frees the search too
+        # more than MAX_WORDS words (149,829): the refusal frees the search too
         "basis_words_refused": lambda: _refused(
-            lambda: load_model(fixtures / "b2.model").basis_words(6)
+            lambda: load_model(fixtures / "b2.model").basis_words(9)
         ),
         "check_linfty_relations": lambda: check_linfty_relations(
             load_model(fixtures / "b2.model"), 3

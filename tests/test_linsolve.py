@@ -13,35 +13,71 @@ def matvec(matrix, x):
     return [sum((a * b for a, b in zip(row, x)), F(0)) for row in matrix]
 
 
+def solve(matrix, rhs):
+    """The solver on a dense matrix: its rows go in as {column: entry}
+    dicts, and x comes back dense."""
+    n = len(matrix[0]) if matrix else 0
+    x = solve_linear_system([dict(enumerate(row)) for row in matrix], rhs)
+    if x is None:
+        return None
+    assert all(x.values()), "x holds a zero entry"
+    return [x.get(j, F(0)) for j in range(n)]
+
+
 def test_unique_solution():
     matrix = [[F(2), F(1)], [F(1), F(-1)]]
-    assert solve_linear_system(matrix, [F(5), F(1)]) == [F(2), F(1)]
+    assert solve(matrix, [F(5), F(1)]) == [F(2), F(1)]
 
 
 def test_inconsistent_returns_none():
     matrix = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve_linear_system(matrix, [F(1), F(3)]) is None
+    assert solve(matrix, [F(1), F(3)]) is None
 
 
 def test_underdetermined_returns_some_solution():
     matrix = [[F(1), F(1), F(0)]]
     rhs = [F(4)]
-    x = solve_linear_system(matrix, rhs)
+    x = solve(matrix, rhs)
     assert x is not None
     assert matvec(matrix, x) == rhs
 
 
 def test_zero_rows_only_constrain_the_rhs():
     matrix = [[F(0), F(0)]]
-    assert solve_linear_system(matrix, [F(0)]) == [F(0), F(0)]
-    assert solve_linear_system(matrix, [F(1)]) is None
+    assert solve(matrix, [F(0)]) == [F(0), F(0)]
+    assert solve(matrix, [F(1)]) is None
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        solve_linear_system([[F(1)]], [])
+        solve([[F(1)]], [])
     with pytest.raises(ValueError):
-        solve_linear_system([[F(1)], [F(1), F(2)]], [F(0), F(0)])
+        solve_linear_system([{0: F(1)}, {1: F(2)}], [F(0)])
+
+
+def test_int_entries_give_exact_fractions():
+    x = solve_linear_system([{0: 2, 1: 1}, {0: 4}], [1, 3])
+    assert x == {0: F(3, 4), 1: F(-1, 2)}
+    assert all(type(v) is Fraction for v in x.values())
+
+
+def test_the_callers_rows_are_left_unchanged():
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(2), 2: F(0)}, {1: F(1)}]
+    before = [dict(row) for row in rows]
+    assert solve_linear_system(rows, [F(2), F(3), F(1)]) == {0: F(1), 1: F(1)}
+    assert rows == before
+
+
+def test_x_holds_only_the_nonzero_entries():
+    # no row holds columns 1 and 2, and x_3 = 0
+    x = solve_linear_system([{0: F(1), 3: F(1)}, {3: F(5)}, {4: F(2)}], [1, 0, 4])
+    assert x == {0: F(1), 4: F(2)}
+
+
+def test_empty_rows_are_consistent_only_with_a_zero_rhs():
+    assert solve_linear_system([], []) == {}
+    assert solve_linear_system([{}, {}], [F(0), F(0)]) == {}
+    assert solve_linear_system([{}, {}], [F(0), F(1)]) is None
 
 
 small = st.integers(min_value=-6, max_value=6).map(Fraction)
@@ -58,7 +94,7 @@ def test_planted_solutions_are_recovered(m, n, data):
     ]
     planted = [data.draw(small) for _ in range(n)]
     rhs = matvec(matrix, planted)
-    x = solve_linear_system(matrix, rhs)
+    x = solve(matrix, rhs)
     assert x is not None
     assert matvec(matrix, x) == rhs
 
@@ -137,7 +173,7 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_elimination_matches_the_dense_reference(system):
     matrix, rhs = system
-    x = solve_linear_system(matrix, rhs)
+    x = solve(matrix, rhs)
     assert x == _dense_reference(matrix, rhs)
     if x is None or not any(x):
         return
