@@ -408,7 +408,7 @@ def spectral_search(
 # finite-model word solver
 
 # the words one g_b solve may take: b2_lin.model at its default cutoff takes
-# 0.39 s on 2,509 (--l 6), 13 s and 118 MB RSS on 4,082 (--l 10) (2-core Xeon)
+# 0.26 s on 2,509 (--l 6), 0.56 s and 20 MB RSS on 4,082 (--l 10) (2-core Xeon)
 MAX_GB_WORDS = 1 << 11
 
 

@@ -514,7 +514,7 @@ def cmd_gw(args) -> int:
         reduced = gw.reduce_combination(expr, rng=rng, trace=trace)
         # a term recurs in many expansions, and the trace shares few
         # distinct coefficients: each is formatted once, by id and by pair
-        names = list(map(gw.key_formatter(), trace[0][0])) if trace else []
+        names = gw.term_names(trace[0][0]) if trace else []
         prefixes: dict = {}
         lines = []
         for _, i, den, edges in trace:

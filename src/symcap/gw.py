@@ -18,7 +18,10 @@ which a base table of blow-up-type invariants evaluates.
 :func:`reduce_combination` reduces every term once, in two passes over the
 rewrite DAG, which lives on int ids: a term is its groups' ids, each given
 at first sight, in ascending group order.  Nothing refers back to the
-search, so the DAG dies by reference counting when the call returns.
+search, so the DAG dies by reference counting when the call returns.  A
+trace's :class:`TermKeys` builds a term's key only when read, and
+:func:`term_names` names every term from its group ids.  Where no term can
+choose its rewrite, nothing is drawn and the caller's ``rng`` is not advanced.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ Key = tuple  # (surface | None, class | None, groups)
 Combination = dict  # Key -> Fraction
 
 # the group ids that the distinct terms of one reduction may hold together:
-# CP2 d = 10 holds 614,544 (72,430 terms) and reduces, traced, in 0.8 s;
-# d = 11 holds 1,333,675 (146,328) in 1.9 s (2-core Xeon, CPython 3.11)
+# CP2 d = 10 holds 614,544 (72,430 terms) and reduces, traced, in 0.37 s;
+# d = 11 holds 1,333,675 (146,328) in 0.86 s (2-core Xeon, CPython 3.11)
 MAX_DAG_SIZE = 1 << 21
 
 
@@ -156,6 +159,28 @@ def _group_rewrite(group: Group, order: int) -> tuple[int, list[tuple[tuple, int
     return 1 + r_rest.count(0), out
 
 
+class TermKeys:
+    """The canonical keys of one reduction's terms by term id, each built
+    when read: ``terms[i]`` holds term i's group ids in ascending group
+    order, ``classes[i]`` its (surface, class), ``groups`` each id's group.
+    It holds none of the search, so the DAG still dies by refcount."""
+
+    __slots__ = ("groups", "terms", "classes")
+
+    def __init__(self, groups: list, terms: list, classes: list):
+        self.groups = groups
+        self.terms = terms
+        self.classes = classes
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, i: int) -> Key:
+        surface, cls = self.classes[i]
+        groups = map(self.groups.__getitem__, reversed(self.terms[i]))
+        return (surface, cls, tuple(groups))
+
+
 def reduce_combination(
     expr: Combination,
     rng: Optional[random.Random] = None,
@@ -170,13 +195,16 @@ def reduce_combination(
     (2+2m per order), so only CP1 sub-terms (2m per order), which lose 2
     with an added point, are checked again.  ``rng`` randomizes which
     group/order is expanded first; any choice is admissible, and fixtures
-    assert the result is invariant.  A ``trace`` list, when given, gets one
-    record ``(keys, i, den, [(j, c), ...])`` per rewrite step, in step
-    order: ``keys[i]`` rewrites to the sum of ``c/den * keys[j]`` over
-    integers c and den, and ``keys``, the canonical keys by term id, is one
-    list shared by every record.  Nesting past the interpreter's recursion
-    limit, or distinct terms holding more than ``MAX_DAG_SIZE`` group ids
-    together, raises ``ValueError``.
+    assert the result is invariant.  When no input term holds more than one
+    positive order, no term has a choice (rewriting {M} ∪ 0^a gives only
+    (M-1),(0^{a+1}) and (M-1, 0^{a+1})), so nothing is drawn and ``rng``
+    is not advanced.  A ``trace`` list, when given, gets one record
+    ``(keys, i, den, [(j, c), ...])`` per rewrite step, in step order:
+    ``keys[i]`` rewrites to the sum of ``c/den * keys[j]`` over integers c
+    and den, and ``keys``, one :class:`TermKeys` shared by every record,
+    builds term i's canonical key when ``keys[i]`` is read.  Nesting past
+    the interpreter's recursion limit, or distinct terms holding more than
+    ``MAX_DAG_SIZE`` group ids together, raises ``ValueError``.
 
     Two passes, each term handled once:
 
@@ -197,8 +225,9 @@ def reduce_combination(
     2. *Propagate.*  Reverse post-order is topological, parents first
        (every rewrite strictly lowers the (order sum, positive orders)
        measure), so a term's weight is complete when it is reached.  A
-       weight is an integer pair (n, d), reduced by its gcd when the term
-       is reached; with expansion denominator D, the term passes
+       weight is an integer pair, numerator and denominator in two lists
+       by term id (numerator 0: no weight), reduced by its gcd when the
+       term is reached; with expansion denominator D, the term passes
        (n·c, d·D) to the sub-term of multiplier c.  A weight that cancels
        to zero, or reaches a dropped term, stops there, and base terms
        collect into the result as ``Fraction``s under canonical keys.
@@ -210,6 +239,10 @@ def reduce_combination(
                 f"non-rigid input term: codimension {codimension(key)} != "
                 f"index dimension {index_dimension(surface, key[1])}"
             )
+    if rng is not None and all(
+        sum(1 for g in key[2] for m in g if m) <= 1 for key in expr
+    ):
+        rng = None  # every draw would have one slot to choose from
     group_ids: dict[Group, int] = {}
     groups: list[Group] = []  # by group id
     value = groups.__getitem__  # orders the ids of a term
@@ -218,9 +251,9 @@ def reduce_combination(
     indexes: dict[tuple, dict[tuple, int]] = {}  # (surface, class) -> term index
     terms: list[tuple] = []  # group ids in ascending group order, by term id
     classes: list[tuple] = []  # (surface, class) by term id
+    keys = TermKeys(groups, terms, classes)
     dens: list[int] = []  # expansion denominator by term id
     edges_of: list[Optional[list]] = []  # (sub-term id, multiplier) by term id
-    keys: list[Key] = []  # canonical keys by term id, filled for a trace
     post_order: list[int] = []
     size = 0  # group ids held by the terms so far
     klass: tuple = ()  # the class of the terms being expanded
@@ -234,10 +267,6 @@ def reduce_combination(
             group_slots.append([(g, m) for m in sorted(set(group)) if m])
         return g
 
-    def key_of(i: int) -> Key:
-        surface, cls = classes[i]
-        return (surface, cls, tuple(map(value, reversed(terms[i]))))
-
     def expand(members: tuple) -> int:
         nonlocal size
         size += len(members)
@@ -248,7 +277,7 @@ def reduce_combination(
         classes.append(klass)
         dens.append(1)
         slots: Sequence = ()
-        if klass[0] == "CP1" and not is_rigid(key_of(i)):
+        if klass[0] == "CP1" and not is_rigid(keys[i]):
             edges_of.append([])  # dropped
         else:
             edges_of.append(None)
@@ -295,39 +324,38 @@ def reduce_combination(
         raise ValueError("the rewrite nests too deeply to reduce") from None
     finally:
         del expand  # expand holds itself: free the DAG by refcount, not the GC
-    if trace is not None:
-        keys += map(key_of, range(len(terms)))
 
-    weights: list[Optional[tuple[int, int]]] = [None] * len(terms)
+    nums = [0] * len(terms)  # weight numerators by term id, 0 for no weight
+    wdens = [1] * len(terms)  # and denominators
     for i, coeff in roots:
         if coeff:
-            weights[i] = (coeff.numerator, coeff.denominator)
+            nums[i], wdens[i] = coeff.numerator, coeff.denominator
     result: Combination = {}
     for i in reversed(post_order):
-        w = weights[i]
-        if w is None:
+        num = nums[i]
+        if not num:
             continue
-        num, den = w
+        den = wdens[i]
         g = gcd(num, den)
         num, den = num // g, den // g
         edges = edges_of[i]
         if edges is None:
-            result[key_of(i)] = Fraction(num, den)
+            result[keys[i]] = Fraction(num, den)
             continue
         den *= dens[i]
         for j, c in edges:
-            # weights[j] += num·c/den over the lcm of the denominators
-            prev = weights[j]
-            if prev is None:
-                weights[j] = (num * c, den)
+            # the weight of j += num·c/den over the lcm of the denominators;
+            # a sum that cancels leaves numerator 0, so it stops there
+            a = nums[j]
+            if not a:
+                nums[j], wdens[j] = num * c, den
                 continue
-            a, b = prev
+            b = wdens[j]
             if b == den:
-                n, d = a + num * c, den
+                nums[j] = a + num * c
             else:
                 g = gcd(b, den)
-                n, d = a * (den // g) + num * c * (b // g), b // g * den
-            weights[j] = (n, d) if n else None  # a cancelled weight stops here
+                nums[j], wdens[j] = a * (den // g) + num * c * (b // g), b // g * den
     return result
 
 
@@ -428,36 +456,72 @@ def load_table(path) -> BaseInvariantTable:
 # the bracketed constraint syntax
 
 
-class _GroupTexts(dict):
-    """Group -> its text, each formatted at its first lookup."""
+def _group_text(group: Group) -> str:
+    orders = ",".join(["p" if m == 0 else f"T^{m} p" for m in group])
+    return f"({orders})"
+
+
+def _head_text(surface: Optional[str], cls) -> str:
+    """A key's text up to its groups: ``<`` after the surface and class."""
+    if surface is None:
+        return "<"
+    cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
+    return f"{surface} d={cls_text} <"
+
+
+class _PerGroup(dict):
+    """Group -> ``make(group)``, each made at its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Group], str]):
+        self.make = make
 
     def __missing__(self, group: Group) -> str:
-        orders = ",".join(["p" if m == 0 else f"T^{m} p" for m in group])
-        text = self[group] = f"({orders})"
+        text = self[group] = self.make(group)
         return text
 
 
 def key_formatter() -> Callable[[Key], str]:
     """The text of a key, for one command: each distinct group across all
     keys is formatted once, and a key's group texts are joined in one call."""
-    text_of = _GroupTexts().__getitem__
+    text_of = _PerGroup(_group_text).__getitem__
 
     def name(key: Key) -> str:
         surface, cls, groups = key
-        body = ",".join(map(text_of, groups))
-        if surface is None:
-            return f"<{body}>"
-        cls_text = ",".join(map(str, cls)) if isinstance(cls, tuple) else str(cls)
-        return f"{surface} d={cls_text} <{body}>"
+        return f"{_head_text(surface, cls)}{','.join(map(text_of, groups))}>"
 
     return name
 
 
+def term_names(keys: TermKeys) -> list[str]:
+    """``key_formatter()(keys[i])`` for every term id i, from the group ids:
+    each group and each class head is formatted once, and no key is built."""
+    text_of = list(map(_group_text, keys.groups)).__getitem__
+    heads: dict[tuple, str] = {}
+    names = []
+    for klass, members in zip(keys.classes, keys.terms):
+        head = heads.get(klass)
+        if head is None:
+            head = heads[klass] = _head_text(*klass)
+        names.append(f"{head}{','.join(map(text_of, reversed(members)))}>")
+    return names
+
+
 def format_combination(expr: Combination) -> str:
+    """The terms of ``expr`` in ``repr(key)`` order, each as ``coeff * key``.
+    The order string is ``repr(key)`` joined from cached group reprs."""
     if not expr:
         return "0"
     name = key_formatter()
-    return "  +  ".join([f"{expr[k]} * {name(k)}" for k in sorted(expr, key=repr)])
+    repr_of = _PerGroup(repr).__getitem__
+
+    def order(key: Key) -> str:
+        surface, cls, groups = key
+        comma = "," if len(groups) == 1 else ""  # as a one-group tuple prints
+        return f"({surface!r}, {cls!r}, ({', '.join(map(repr_of, groups))}{comma}))"
+
+    return "  +  ".join([f"{expr[k]} * {name(k)}" for k in sorted(expr, key=order)])
 
 
 def parse_constraint_expression(text: str) -> Combination:

@@ -45,6 +45,7 @@ from .words import (
     normalize_word,
     odd_mask,
     partitions,
+    partitions_within,
     reorder_sign,
     splits,
     word_multiplicity_factor,
@@ -110,16 +111,21 @@ def _monomial(letters: Sequence) -> tuple[int, Optional[Word]]:
     return normalize_word(letters) if letters else (1, Word(()))
 
 
-def _partition_blocks(w: Word, lookup) -> Iterable[tuple[int, list]]:
+def _partition_blocks(
+    w: Word, lookup, longest: Optional[int] = None
+) -> Iterable[tuple[int, list]]:
     """(Koszul sign, per-block values) for each set partition of the letter
     positions of ``w`` on whose every block ``lookup`` is nonzero.
 
     Blocks are ordered by first position, and ``lookup`` gets each block's
-    letters as a word.
+    letters as a word.  Given ``longest``, ``lookup`` must be zero on longer
+    words, and only the partitions with no longer block are walked.
     """
     k = len(w)
+    bounded = longest is not None and longest < k
+    layouts = partitions_within(longest) if bounded else partitions
     for getters, sign in zip(
-        block_getters(partitions, k), block_signs(partitions, k, odd_mask(w))
+        block_getters(layouts, k), block_signs(layouts, k, odd_mask(w))
     ):
         values = []
         for get in getters:
@@ -661,7 +667,7 @@ def _morphism(m: LInfinityMorphism, w: Word) -> Combo:
         _tensor_into(out, parts, m.target)
         return out
     for sign, values in _partition_blocks(
-        w, lambda key: m.components.get((len(key), key))
+        w, lambda key: m.components.get((len(key), key)), m.max_arity()
     ):
         _tensor_into(out, values, m.target, sign)
     return out
@@ -782,7 +788,7 @@ def augmentation_hat(aug: Augmentation, w: Word) -> dict[tuple, NovikovPolynomia
     first position and signs come from the source letter degrees.
     """
     out: dict[tuple, NovikovPolynomial] = {}
-    for sign, tpolys in _partition_blocks(w, aug.component):
+    for sign, tpolys in _partition_blocks(w, aug.component, aug.max_arity()):
         for powers, coeff in _products(tpolys, NovikovPolynomial(((0, sign),))):
             add_into(out, tuple(sorted(powers)), coeff)
     return out

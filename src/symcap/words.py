@@ -18,7 +18,9 @@ Splitting a word into blocks of positions reads constant tables built once
 per layout and length.  The layouts are :func:`splits`, every nonempty
 position subset with its complement (by size, then lexicographically), as
 the coproduct and the coderivation extension use, and :func:`partitions`,
-every set partition, as morphisms and augmentations use.
+every set partition, as morphisms and augmentations use;
+:func:`partitions_within` keeps those whose blocks are no longer than a
+lookup's longest key.
 :func:`block_getters` holds, per layout, one C getter per block that reads
 its letters of a word as a tuple, and :func:`block_signs` holds the Koszul
 sign of lining up the blocks of each layout for one set of odd positions.
@@ -35,10 +37,10 @@ from __future__ import annotations
 import threading
 import weakref
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .novikov import fmt_rational
 
@@ -212,26 +214,45 @@ def _getter(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
-def _set_partitions(items: tuple) -> Iterable[tuple[tuple, ...]]:
-    """Partitions of ``items`` into nonempty blocks, each in input order:
-    those of the other items, with the first item alone in front, then
-    joined to each block in turn."""
+def _set_partitions(items: tuple, longest: int) -> Iterable[tuple[tuple, ...]]:
+    """Partitions of ``items`` into nonempty blocks of at most ``longest``
+    items, each in input order: those of the other items, with the first
+    item alone in front, then joined to each block in turn.  Blocks only
+    grow on the way up, so dropping a long one early keeps the order of
+    the partitions that remain."""
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield ((first,),) + part
+    for part in _set_partitions(rest, longest):
+        if longest:
+            yield ((first,),) + part
         for i in range(len(part)):
-            yield part[:i] + ((first,) + part[i],) + part[i + 1 :]
+            if len(part[i]) < longest:
+                yield part[:i] + ((first,) + part[i],) + part[i + 1 :]
 
 
 @cache
-def partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def partitions(
+    k: int, longest: Optional[int] = None
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every partition of the positions ``range(k)`` into nonempty blocks,
-    each block ascending and the blocks ordered by first position.  There
-    are Bell(k) of them: 52 at k = 5, 4140 at k = 8."""
-    return tuple(tuple(sorted(part)) for part in _set_partitions(tuple(range(k))))
+    each block ascending and the blocks ordered by first position; with
+    ``longest``, only those whose blocks hold at most that many positions,
+    in the same order.  There are Bell(k) in all: 52 at k = 5, 4140 at
+    k = 8."""
+    bound = k if longest is None else longest
+    return tuple(
+        tuple(sorted(part)) for part in _set_partitions(tuple(range(k)), bound)
+    )
+
+
+@cache
+def partitions_within(longest: int) -> Callable[[int], tuple]:
+    """The layout ``k -> partitions(k, longest)``: one object per bound,
+    so that :func:`block_getters` and :func:`block_signs` keep its tables
+    per (length, bound)."""
+    return partial(partitions, longest=longest)
 
 
 @cache

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symcap import gw
@@ -25,6 +26,7 @@ from symcap.gw import (
     make_term,
     parse_constraint_expression,
     reduce_combination,
+    term_names,
     _group_rewrite,
 )
 from symcap.novikov import add_into
@@ -405,6 +407,125 @@ def test_reduce_matches_the_memoized_recursion_on_random_keys(expr, seed):
         assert type(coeff) is Fraction
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``choice`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.choices = 0
+
+    def choice(self, seq):
+        self.choices += 1
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize(
+    "text", ["CP2 d=5 <(T^13 p)>", "CP1xCP1 d=3,3 <(T^10 p)>"]
+)
+def test_single_order_inputs_draw_nothing(text):
+    """No term reached from a term with one positive order has two slots,
+    so nothing is drawn and the run is the unseeded one."""
+    expr = parse_constraint_expression(text)
+    rng = CountingRandom(5)
+    state = rng.getstate()
+    want_trace, got_trace = [], []
+    want = reduce_combination(expr, trace=want_trace)
+    assert reduce_combination(expr, rng=rng, trace=got_trace) == want
+    assert rng.choices == 0
+    assert rng.getstate() == state
+    assert keyed(got_trace) == keyed(want_trace)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [MIXED, parse_constraint_expression("CP2 d=4 <(T^2 p),(T^6 p,p)>")],
+    ids=["mixed", "two-groups"],
+)
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_multi_order_inputs_draw_as_the_recursion(expr, seed):
+    want_rng, got_rng = CountingRandom(seed), CountingRandom(seed)
+    want_trace, got_trace = [], []
+    want = _reference_reduce(expr, rng=want_rng, trace=want_trace)
+    assert reduce_combination(expr, rng=got_rng, trace=got_trace) == want
+    assert keyed(got_trace) == want_trace
+    assert got_rng.choices == want_rng.choices > 0
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def _assert_names_match_keys(trace):
+    keys = trace[0][0]
+    name = key_formatter()
+    names = term_names(keys)
+    assert len(names) == len(keys) > 0
+    for i, text in enumerate(names):
+        assert text == name(keys[i])
+    # every record shares the one keys object, which builds keys on demand
+    assert all(record[0] is keys for record in trace)
+    assert list(keys) == [keys[i] for i in range(len(keys))]
+
+
+@pytest.mark.parametrize(
+    "surface,cls,order",
+    REFERENCE_CASES + [pytest.param("mixed", None, None, id="mixed")],
+)
+def test_term_names_are_the_key_texts(surface, cls, order):
+    if surface == "mixed":
+        expr = MIXED
+    else:
+        groups = [(order,)] if surface else [(order,), (2, 0)]
+        expr = make_term(groups, surface=surface, cls=cls)
+    trace = []
+    reduce_combination(expr, rng=random.Random(1), trace=trace)
+    _assert_names_match_keys(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(oracle_keys(), st.just(Fraction(1)), min_size=1, max_size=2))
+def test_term_names_are_the_key_texts_on_random_keys(expr):
+    trace = []
+    reduce_combination(expr, trace=trace)
+    assume(trace)
+    _assert_names_match_keys(trace)
+
+
+@st.composite
+def printable_keys(draw):
+    """Keys as ``format_combination`` meets them: no surface, CP2 degrees or
+    CP1xCP1 bidegrees, and one group or several."""
+    surface = draw(st.sampled_from([None, "CP2", "CP1xCP1"]))
+    cls = None
+    if surface == "CP2":
+        cls = draw(st.integers(1, 12))
+    elif surface == "CP1xCP1":
+        cls = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    groups = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=1, max_size=2),
+            min_size=1,
+            max_size=draw(st.sampled_from([1, 3])),
+        )
+    )
+    return make_key(groups, surface=surface, cls=cls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        printable_keys(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example({make_key([(0, 0)]): Fraction(1), make_key([(0, 0), (0,)]): Fraction(2)})
+def test_format_combination_orders_terms_by_repr(expr):
+    """A one-group key's repr ends its groups in ``,)``, so it sorts after
+    the keys that extend its group list."""
+    name = key_formatter()
+    want = "  +  ".join(f"{expr[k]} * {name(k)}" for k in sorted(expr, key=repr))
+    assert format_combination(expr) == want
+
+
 def _codimension_by_formula(surface, groups):
     return sum((0 if surface == "CP1" else 2) + 2 * m for g in groups for m in g)
 
@@ -593,6 +714,26 @@ def test_evaluate_missing_entries_golden_digest(capsys, fixtures_dir):
     assert hashlib.sha256(err).hexdigest() == (
         "1cf8d807f8c42bb9ef3ff5647196779fb030507798794916daf01311eb1cbad1"
     )
+
+
+def test_d7_reduction_and_d6_evaluation_golden_digests(capsys):
+    """``gw reduce`` at d=7 and ``gw evaluate`` at d=6 without a table, byte
+    for byte, as recorded before trace keys were built on demand; its own
+    time bound keeps a d=7 run out of the acceptance gates."""
+    start = time.perf_counter()
+    assert main(["gw", "reduce", "CP2 d=7 <(T^19 p)>", "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 18538
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0f9d3444fa2233043acc044c39b4bacced68a88535d57d43e6c9e7b557d399e"
+    )
+    assert main(["gw", "evaluate", "CP2 d=6 <(T^16 p)>", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == (
+        "1cf8d807f8c42bb9ef3ff5647196779fb030507798794916daf01311eb1cbad1"
+    )
+    assert time.perf_counter() - start <= 5.0
 
 
 # ---------------------------------------------------------------------------

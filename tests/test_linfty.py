@@ -1584,6 +1584,45 @@ def test_augmentation_hat_block_signs(models):
     assert out == {(0, 1, 2): N("1*T^6"), (0, 1): N("-1*T^6")}
 
 
+def _augmentations_and_morphisms(models):
+    """Every fixture augmentation, the identity morphism of every module-mode
+    fixture model and this file's module-mode morphisms, each with the
+    words of length <= 5 of its source: (name, lookup, longest, words)."""
+    cases = []
+    for name, model in models.items():
+        words = model.basis_words(5)
+        for aug_name, aug in model.augmentations.items():
+            cases.append((f"{name}:{aug_name}", aug.component, aug.max_arity(), words))
+        if model.algebra_mode == "module":
+            cases.append((f"{name}:identity", identity_morphism(model), 1, words))
+    model = _module_morphism_model()
+    morphisms = [("module", _module_morphism(model))]
+    morphisms += zip(("phi", "psi", "chi"), _triangle_morphisms()[1:])
+    for name, m in morphisms:
+        cases.append((name, m, m.max_arity(), m.source.basis_words(5)))
+    out = []
+    for name, lookup, longest, words in cases:
+        if isinstance(lookup, LInfinityMorphism):
+            comps = lookup.components
+            lookup = lambda key, comps=comps: comps.get((len(key), key))
+        out.append((name, lookup, longest, words))
+    return out
+
+
+def test_partition_walk_skips_only_blocks_longer_than_any_key(models):
+    """The walk bounded by the longest key yields exactly the unbounded
+    walk, in order, on every fixture augmentation and morphism."""
+    pruned = 0
+    for name, lookup, longest, words in _augmentations_and_morphisms(models):
+        assert words, name
+        for w in words:
+            assert list(_partition_blocks(w, lookup, longest)) == list(
+                _partition_blocks(w, lookup)
+            ), (name, w)
+            pruned += longest < len(w)
+    assert pruned > 1000
+
+
 def _uv_model():
     u = Generator("u", 0, Fraction(1))
     v = Generator("v", 0, Fraction(1))

@@ -22,6 +22,7 @@ from symcap.words import (
     normalize_word,
     odd_mask,
     partitions,
+    partitions_within,
     reorder_sign,
     splits,
     word_multiplicity_factor,
@@ -139,6 +140,27 @@ def test_split_table_order_and_signs(k):
             assert [get(letters) for get in getters] == [
                 tuple(letters[p] for p in block) for block in layout
             ]
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_bounded_partitions_keep_the_order_of_all_partitions(k):
+    """The partitions with no block longer than a bound are those of
+    ``partitions(k)`` in the same order, as are their getters and signs."""
+    everything = partitions(k)
+    for longest in range(0, k + 2):
+        want = [p for p in everything if all(len(b) <= longest for b in p)]
+        assert list(partitions(k, longest)) == want
+        layouts = partitions_within(longest)
+        assert layouts is partitions_within(longest)
+        assert layouts(k) == partitions(k, longest)
+        kept = [t for t, p in enumerate(everything) if p in set(want)]
+        full = block_getters(partitions, k)
+        letters = tuple(f"v{p}" for p in range(k))
+        got = [[get(letters) for get in gets] for gets in block_getters(layouts, k)]
+        assert got == [[get(letters) for get in full[t]] for t in kept]
+        for mask in range(2**k):
+            signs = block_signs(partitions, k, mask)
+            assert list(block_signs(layouts, k, mask)) == [signs[t] for t in kept]
 
 
 @given(degree_lists)
