@@ -18,7 +18,10 @@ instead of claiming nonexistence.
 Every ``cap`` command imports this module, so it neither holds nor
 imports a dataclass (``dataclasses`` loads ``inspect`` and nearly doubles
 the start-up): the orbit spectra of :mod:`symcap.spectra` appear here only
-in annotations.
+in annotations.  Of ``symcap`` it imports only ``novikov`` when it loads;
+the L∞ engine (``linfty`` and the ``words`` layer under it) loads with the
+first g_b solve, so the spectral search, the capacity tables and the 4D
+comparisons do not pay for it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,10 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .linfty import (
-    LInfinityModel,
-    ModelError,
-    augmentation_hat,
-    extend_coderivation,
-)
 from .novikov import INF, Axis, lattice
 
 if TYPE_CHECKING:  # for annotations; the dataclasses load with spectra
+    from .linfty import LInfinityModel
     from .spectra import OrbitRecord, OrbitSpectrum
 
 NO_FORMULA = "no-formula"
@@ -310,8 +308,20 @@ def spectral_lower_bound(
 
 
 def _action_lattice(orbits: Sequence[OrbitRecord], cutoff: Fraction) -> tuple:
-    """spectral_search's set-up at one cutoff: every action in units of 1/scale."""
+    """spectral_search's set-up at one cutoff: every action in units of 1/scale.
+
+    Refuses a spectrum with no orbits or with an action <= 0, which would
+    divide by zero or let the search claim that nothing lies below the cutoff.
+    """
+    if not orbits:
+        raise ValueError("the spectrum has no orbits; nothing can be certified")
     scale, (limit, *actions) = lattice([cutoff, *(o.action for o in orbits)])
+    # tested on the ints: a Fraction comparison per orbit took ≈10% of the
+    # spectral benchmark's first pass
+    least = min(actions)
+    if least <= 0:
+        bad = orbits[actions.index(least)]
+        raise ValueError(f"orbit {bad.label} has action {bad.action}; actions must be positive")
     pairs = sorted((p for p in zip(actions, orbits) if p[0] <= limit), key=lambda p: p[0])
     if not pairs:
         raise ValueError(
@@ -426,6 +436,13 @@ def gb_solver(
     recovers the Novikov exponent (increasing-filtration formulation for
     Liouville domains).
     """
+    # any model has loaded linfty, so this import only looks it up; the first
+    # solve binds the two engine calls here and none rebinds them, so spans
+    # that bench/boundaries.py wraps around them on this module stay put
+    from .linfty import ModelError, augmentation_hat, extend_coderivation
+
+    extend = globals().setdefault("extend_coderivation", extend_coderivation)
+    hat = globals().setdefault("augmentation_hat", augmentation_hat)
     if model.algebra_mode != "module":
         raise ModelError("gb_solver expects a module-mode model")
     if not model.filtered:
@@ -446,9 +463,9 @@ def gb_solver(
         raise ValueError(f"more than {MAX_GB_WORDS} words for one g_b solve")
     rows: dict = {("a", target): {}}  # first: (0; b) is the unit vector e_0
     for i, w in enumerate(words):
-        for u, c in _scalarize(extend_coderivation(model, w)).items():
+        for u, c in _scalarize(extend(model, w)).items():
             rows.setdefault(("d", u), {})[i] = c
-        for t, c in _scalarize(augmentation_hat(aug, w)).items():
+        for t, c in _scalarize(hat(aug, w)).items():
             rows.setdefault(("a", t), {})[i] = c
     x = solve_linear_system(list(rows.values()), [1] + [0] * (len(rows) - 1))
     if x is None:
@@ -504,6 +521,8 @@ def _scalarize(combo: dict) -> dict:
     """
     for c in combo.values():
         if len(c.terms) > 1:
+            from .linfty import ModelError
+
             raise ModelError(
                 f"coefficient {c} has several T-powers; the solver needs "
                 "one T-power per coefficient"

@@ -58,7 +58,10 @@ def _check_axes(a: Sequence[Axis]) -> list[Fraction]:
     out = []
     for x in a:
         if x == INF:
-            raise ValueError("infinite factors are supported only in capacity_sequence_EH")
+            raise ValueError(
+                "infinite factors are supported only in eh_lattice, eh_sequence "
+                "and capacity_sequence_EH"
+            )
         x = Fraction(x)
         if x <= 0:
             raise ValueError(f"ellipsoid parameters must be positive, got {x}")

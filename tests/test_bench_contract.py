@@ -60,3 +60,36 @@ def test_benchmark_wrappers_install_and_call_through(bench, models):
     # restored: calls after the test are not counted
     gw.reduce_combination(gw.make_term([(1,)], surface="CP2", cls=1))
     assert counts["gw.reduce.steps"] == 1
+
+
+def test_gb_solver_engine_spans_survive_the_lazy_engine_import(bench, models):
+    """``symcap.capacities`` loads the engine with its first g_b solve and
+    binds ``extend_coderivation`` and ``augmentation_hat`` then.  A traced
+    run installs its wrappers after an untraced first pass, so the
+    boundaries must find both names, a traced solve must record their
+    spans, and a later solve must not rebind them."""
+    boundaries, _, _, spans = bench
+    from symcap import capacities, linfty
+
+    b2_lin = models["b2_lin"]
+    assert capacities.gb_solver(b2_lin, [3], 2, 12) == 4  # the untraced pass
+    assert capacities.extend_coderivation is linfty.extend_coderivation
+    assert capacities.augmentation_hat is linfty.augmentation_hat
+    words = len(b2_lin.basis_words(2, Fraction(12)))
+    tracer = spans.Tracer()
+    try:
+        boundaries.install(tracer)
+        wrapped = capacities.extend_coderivation, capacities.augmentation_hat
+        assert wrapped[0] is not linfty.extend_coderivation
+        assert wrapped[1] is not linfty.augmentation_hat
+        assert capacities.gb_solver(b2_lin, [3], 2, 12) == 4
+        assert capacities.gb_solver(b2_lin, [3], 2, 12) == 4
+        assert (capacities.extend_coderivation, capacities.augmentation_hat) == wrapped
+    finally:
+        tracer.restore()
+    summary = spans.summarize(tracer, 1)
+    for name in ("linfty.extend_coderivation", "linfty.augmentation_hat"):
+        assert summary[name]["calls"] == 2 * words
+        assert summary[name]["self_s"] > 0
+    assert capacities.extend_coderivation is linfty.extend_coderivation
+    assert capacities.augmentation_hat is linfty.augmentation_hat

@@ -510,6 +510,27 @@ def test_spectral_bound_with_nonpositive_costs():
     assert result.value == 2 and _labels(result.witness) == ("w", "y")
 
 
+def test_spectral_search_refuses_nonpositive_actions_and_empty_spectra():
+    """A zero action would divide by zero, a negative one would let the
+    search report INFINITE, and an empty spectrum has no smallest action:
+    each is refused by name, at every cutoff."""
+    x = OrbitRecord("x", Fraction(1), 1, 1, (1,))
+    zero = OrbitRecord("z", Fraction(0), 1, 2, (1,))
+    negative = OrbitRecord("n", Fraction(-1, 2), 1, 3, (1,))
+    cases = [
+        (OrbitSpectrum("zero", [zero, x]), "orbit z has action 0"),
+        (OrbitSpectrum("negative", [x, negative]), "orbit n has action -1/2"),
+        (OrbitSpectrum("empty", []), "spectrum has no orbits"),
+    ]
+    for spectrum, message in cases:
+        for cutoff in (5, Fraction(1, 3)):
+            with pytest.raises(ValueError, match=message):
+                spectral_search(spectrum, 0, cutoff)
+            with pytest.raises(ValueError, match=message):
+                spectral_lower_bound(spectrum, 2, cutoff)
+        assert spectrum._lattices == {}
+
+
 def test_spectral_bound_on_the_action_lattice():
     c = Fraction(17, 13)
     x = Fraction(13, 2)
@@ -1128,6 +1149,27 @@ def test_mcduff_function_monotone_in_x():
 def test_mcduff_function_near_nine():
     value = mcduff_f(9, 5000)
     assert Fraction(294, 100) <= value <= 3
+
+
+def test_mcduff_function_matches_published_values():
+    """Published values of the ellipsoid-into-ball function, in ≈3 ms.
+
+    At the integers f(n)^2 · density(n) = n, with the ball-packing densities
+    of n equal balls (McDuff–Polterovich 1994; Biran 1997); 13/2 and 34/5
+    are corners of the Fibonacci staircase (McDuff–Schlenk), whose first
+    witnesses, like that of f(8), lie just past the smaller K.
+    """
+    start = time.perf_counter()
+    densities = [1, Fraction(1, 2), Fraction(3, 4), 1, Fraction(4, 5),
+                 Fraction(24, 25), Fraction(63, 64), Fraction(288, 289), 1]
+    for n, density in enumerate(densities, 1):
+        assert mcduff_f(n, 30) ** 2 * density == n
+    assert mcduff_f(Fraction(13, 2), 30) == Fraction(13, 5)
+    assert mcduff_f(Fraction(34, 5), 200) == Fraction(34, 13)
+    # the first witnesses are k = 27 and k = 104
+    assert mcduff_f(8, 26) < Fraction(17, 6)
+    assert mcduff_f(Fraction(34, 5), 103) < Fraction(34, 13)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

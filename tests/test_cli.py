@@ -1261,6 +1261,31 @@ def test_spectra_import_loads_no_capacities_linfty_or_words():
     assert json.loads(proc.stdout) == ["symcap.novikov", "symcap.spectra"]
 
 
+def test_capacities_import_loads_only_novikov_and_solves_gb(fixtures_dir):
+    """The capacity layer stands on ``novikov``: importing it loads neither
+    the engine nor the words layer, and a g_b solve, whose model loads the
+    engine, still answers the README's ``solve-gb`` level."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    model = fixtures_dir / "b2_lin.model"
+    script = (
+        "import json, sys; import symcap.capacities; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('symcap.')); "
+        "from symcap.modelfile import load_model; "
+        f"level = symcap.capacities.gb_solver(load_model({str(model)!r}), [3], 2, 12); "
+        "print(json.dumps([loaded, str(level)]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, level = json.loads(proc.stdout)
+    assert loaded == ["symcap.capacities", "symcap.novikov"]
+    assert level == "4"
+
+
 API_SCRIPT = """
 import importlib, json, sys
 import symcap
