@@ -310,11 +310,15 @@ def spectral_lower_bound(
 def _action_lattice(orbits: Sequence[OrbitRecord], cutoff: Fraction) -> tuple:
     """spectral_search's set-up at one cutoff: every action in units of 1/scale.
 
-    Refuses a spectrum with no orbits or with an action <= 0, which would
+    Refuses a spectrum with no orbits, an action that is not an int or a
+    Fraction, which the lattice cannot scale, or an action <= 0, which would
     divide by zero or let the search claim that nothing lies below the cutoff.
     """
     if not orbits:
         raise ValueError("the spectrum has no orbits; nothing can be certified")
+    for o in orbits:
+        if not isinstance(o.action, (int, Fraction)):
+            raise ValueError(f"orbit {o.label} has action {o.action!r}; actions must be exact rationals")
     scale, (limit, *actions) = lattice([cutoff, *(o.action for o in orbits)])
     # tested on the ints: a Fraction comparison per orbit took ≈10% of the
     # spectral benchmark's first pass
@@ -417,8 +421,7 @@ def spectral_search(
 # ---------------------------------------------------------------------------
 # finite-model word solver
 
-# the words one g_b solve may take: b2_lin.model at its default cutoff takes
-# 0.26 s on 2,509 (--l 6), 0.56 s and 20 MB RSS on 4,082 (--l 10) (2-core Xeon)
+# words per g_b solve: bounds the l-hat/eps-hat build and fill-in on dense models
 MAX_GB_WORDS = 1 << 11
 
 
@@ -478,37 +481,33 @@ def solve_linear_system(
 ) -> Optional[dict[int, Fraction]]:
     """Solve ``rows @ x = rhs`` exactly; ``None`` when inconsistent.
 
-    Rows are {column: coefficient} dicts, left unchanged.  x comes back as
-    the dict of its nonzero entries, all on pivot columns: each the least
-    column outside the span of those before it, so the largest column of x
+    Rows are {column: coefficient} dicts, left unchanged.  Each row in turn is
+    reduced against the pivot rows so far, keyed by least column, until its
+    least column is new; back-substitution sets free variables to 0.  Pivot
+    columns of any echelon form are the leftmost column basis, so x (its
+    nonzero entries) is the same for any row order, and its largest column
     ends the shortest prefix of columns whose span holds ``rhs``.
     """
     if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
-    eqs = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
-    rs = [Fraction(r) for r in rhs]
-
-    pivots = []
-    for col in sorted({j for row in eqs for j in row}):  # fill-in adds no column
-        k = next((i for i, row in enumerate(eqs) if col in row), None)
-        if k is None:
-            continue
-        prow, pr = eqs.pop(k), rs.pop(k)
-        for i, row in enumerate(eqs):
-            if col in row:
-                f = row[col] / prow[col]
-                for j, v in prow.items():
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-                rs[i] -= f * pr
-        pivots.append((col, prow, pr))
-    if any(rs):
-        return None
+    pivots: dict = {}  # least column -> (row, rhs entry)
+    for row, r in zip(rows, rhs):
+        row, r = {j: Fraction(v) for j, v in row.items() if v}, Fraction(r)
+        while row and (col := min(row)) in pivots:
+            prow, pr = pivots[col]
+            f = row[col] / prow[col]
+            for j, v in prow.items():
+                if w := row.get(j, 0) - f * v:
+                    row[j] = w
+                else:
+                    del row[j]
+            r -= f * pr
+        if row:
+            pivots[col] = row, r
+        elif r:
+            return None
     x = {}
-    for col, row, r in reversed(pivots):
+    for col, (row, r) in sorted(pivots.items(), reverse=True):
         x[col] = (r - sum(v * x[j] for j, v in row.items() if j in x)) / row[col]
     return {j: v for j, v in x.items() if v}
 

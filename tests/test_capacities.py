@@ -512,8 +512,9 @@ def test_spectral_bound_with_nonpositive_costs():
 
 def test_spectral_search_refuses_nonpositive_actions_and_empty_spectra():
     """A zero action would divide by zero, a negative one would let the
-    search report INFINITE, and an empty spectrum has no smallest action:
-    each is refused by name, at every cutoff."""
+    search report INFINITE, an empty spectrum has no smallest action, and a
+    float action has no exact lattice: each is refused by name, at every
+    cutoff."""
     x = OrbitRecord("x", Fraction(1), 1, 1, (1,))
     zero = OrbitRecord("z", Fraction(0), 1, 2, (1,))
     negative = OrbitRecord("n", Fraction(-1, 2), 1, 3, (1,))
@@ -521,6 +522,7 @@ def test_spectral_search_refuses_nonpositive_actions_and_empty_spectra():
         (OrbitSpectrum("zero", [zero, x]), "orbit z has action 0"),
         (OrbitSpectrum("negative", [x, negative]), "orbit n has action -1/2"),
         (OrbitSpectrum("empty", []), "spectrum has no orbits"),
+        (OrbitSpectrum("float", [x, OrbitRecord("f", 1.5, 1, 1, (1,))]), "orbit f has action 1.5"),
     ]
     for spectrum, message in cases:
         for cutoff in (5, Fraction(1, 3)):
